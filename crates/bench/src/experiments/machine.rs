@@ -399,10 +399,18 @@ pub fn e5c_queue_ops(scale: Scale) -> Table {
     // (ns per successfully stolen job, wall-clock over the full drain).
     // Thieves are spawned *before* the clock starts and released by a
     // start flag, so 1–4 thread-creation costs never dilute the per-op
-    // numbers toward parity.
+    // numbers toward parity. A quick drain lasts about a millisecond, so
+    // one timing mostly measures whether the OS happened to run the
+    // thieves side by side: each side is drained `DRAIN_REPS` times,
+    // alternating with the other, and reports its median.
+    const DRAIN_REPS: usize = 5;
+    let median = |mut ns: Vec<f64>| {
+        ns.sort_by(f64::total_cmp);
+        ns[ns.len() / 2]
+    };
     for thieves in [1usize, 2, 4] {
         let items = scale.pick(8_000u64, 60_000);
-        let drain_mutex = {
+        let drain_mutex = || {
             let w = crossbeam::deque::Worker::new_lifo();
             for i in 0..items {
                 w.push(i);
@@ -446,7 +454,7 @@ pub fn e5c_queue_ops(scale: Scale) -> Table {
             );
             ns
         };
-        let drain_lf = {
+        let drain_lf = || {
             let w = lf::Worker::new_lifo();
             for i in 0..items {
                 w.push(i);
@@ -496,6 +504,12 @@ pub fn e5c_queue_ops(scale: Scale) -> Table {
             );
             ns
         };
+        let (mut mutex_ns, mut lf_ns) = (Vec::new(), Vec::new());
+        for _ in 0..DRAIN_REPS {
+            mutex_ns.push(drain_mutex());
+            lf_ns.push(drain_lf());
+        }
+        let (drain_mutex, drain_lf) = (median(mutex_ns), median(lf_ns));
         t.row(&[
             "deque steal".to_string(),
             thieves.to_string(),

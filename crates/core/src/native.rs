@@ -138,6 +138,7 @@
 //! its replacement; `Pool::drop` joins in a loop until no handle remains
 //! (a handle pushed by a mid-shutdown death is joined on the next pass).
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -546,9 +547,35 @@ pub struct WorkerCtx<'a> {
     pub id: WorkerId,
     /// The locality domain this worker belongs to.
     pub domain: DomainId,
+    /// Set when a [`PanicAccounting`] guard already counted the current
+    /// job's panic, so `run_job` does not count it a second time.
+    panic_counted: Cell<bool>,
+}
+
+/// Counts an unwinding job body's panic in `PoolStats::panics` at the
+/// point the guard drops — see [`WorkerCtx::panic_accounting`].
+pub(crate) struct PanicAccounting<'c, 'a> {
+    ctx: &'c WorkerCtx<'a>,
+}
+
+impl Drop for PanicAccounting<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() && !self.ctx.panic_counted.replace(true) {
+            self.ctx.shared.panics.fetch_add(1, Ordering::Relaxed);
+        }
+    }
 }
 
 impl<'a> WorkerCtx<'a> {
+    /// A guard that counts the current job's panic, if it unwinds, when
+    /// the guard drops rather than after the body has fully unwound. A job
+    /// whose own drop guards publish its completion declares this guard
+    /// *after* them (locals drop in reverse order), so whoever observes
+    /// the completion also observes the panic in the pool's stats.
+    pub(crate) fn panic_accounting(&self) -> PanicAccounting<'_, 'a> {
+        PanicAccounting { ctx: self }
+    }
+
     /// Spawn a child job onto this worker's own deque (LIFO — depth-first,
     /// cache-friendly; stealable by idle peers, siblings first). Wakes one
     /// sleeping domain sibling if there is one — the cheapest thief for a
@@ -1444,6 +1471,7 @@ fn run_worker(index: usize, deque: &Deque<Job>, shared: &Arc<Shared>) -> bool {
         deque,
         id: WorkerId(index as u64),
         domain: shared.topology.domain_of(index),
+        panic_counted: Cell::new(false),
     };
     let mut idle_spins = 0u32;
     loop {
@@ -1579,7 +1607,9 @@ fn run_job(shared: &Arc<Shared>, index: usize, ctx: &WorkerCtx, job: Job, how: A
         body(ctx)
     }));
     if let Err(payload) = result {
-        shared.panics.fetch_add(1, Ordering::Relaxed);
+        if !ctx.panic_counted.replace(false) {
+            shared.panics.fetch_add(1, Ordering::Relaxed);
+        }
         let kill = crate::faults::injected_from_payload(payload.as_ref()).is_some_and(|f| f.kill);
         shared.job_finished();
         if kill {
@@ -1595,13 +1625,6 @@ mod tests {
     use super::*;
     use std::collections::HashSet;
     use std::sync::atomic::AtomicU64;
-
-    /// Steal/spread assertions observe OS scheduling: on a single-CPU host
-    /// one worker can legitimately drain a short run before any peer gets a
-    /// timeslice, so those claims are only checked on multicore hosts.
-    fn multicore() -> bool {
-        std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-    }
 
     /// Poll `f` until it holds or ~2s elapse (supervision counters are
     /// bumped by the dying thread's drop glue, which runs *after* the
@@ -1766,6 +1789,19 @@ mod tests {
         assert_eq!(done.load(Ordering::SeqCst), 1024);
     }
 
+    /// Hold the calling worker until `done` holds or 10 s pass. A held
+    /// worker cannot take more work, so a test job that waits here for a
+    /// peer's progress makes that progress depend on the pool handing the
+    /// remaining work to another worker — by construction, not by the
+    /// luck of OS scheduling — and the deadline turns a pool that never
+    /// does into a failed assertion rather than a hang.
+    fn hold_until(done: impl Fn() -> bool) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while !done() && std::time::Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn work_spreads_across_workers() {
         let pool = Pool::new(4);
@@ -1773,14 +1809,14 @@ mod tests {
         for _ in 0..400 {
             let seen = seen.clone();
             pool.spawn(move |ctx| {
-                // A little spinning makes single-worker monopoly unlikely.
-                std::hint::black_box((0..1000).sum::<u64>());
                 seen.lock().insert(ctx.id);
+                // Rendezvous: no job finishes until two workers have run.
+                hold_until(|| seen.lock().len() >= 2);
             });
         }
         pool.wait_quiescent();
         assert!(
-            seen.lock().len() >= 2 || !multicore(),
+            seen.lock().len() >= 2,
             "expected at least two workers to participate"
         );
     }
@@ -1799,11 +1835,15 @@ mod tests {
                     d.fetch_add(1, Ordering::SeqCst);
                 });
             }
+            // The root holds its worker until a child has run: the
+            // children sit in this worker's deque, so only a thief can
+            // run one.
+            hold_until(|| d.load(Ordering::SeqCst) > 0);
         });
         pool.wait_quiescent();
         assert_eq!(done.load(Ordering::SeqCst), 200);
         assert!(
-            pool.stats().total_stolen() > 0 || !multicore(),
+            pool.stats().total_stolen() > 0,
             "peers should have stolen from the busy worker"
         );
     }

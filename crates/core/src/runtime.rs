@@ -89,7 +89,9 @@ impl LgtShared {
 
 /// Retires one outstanding count on drop — including during unwinding, so
 /// a panicking LGT/SGT body (contained by the pool) cannot leak the count
-/// and wedge [`LgtHandle::join`] forever.
+/// and wedge [`LgtHandle::join`] forever. Jobs declare a
+/// [`WorkerCtx::panic_accounting`] guard after it, so a panic is counted
+/// before the retire can release a joiner.
 struct RetireGuard(Arc<LgtShared>);
 
 impl Drop for RetireGuard {
@@ -186,6 +188,7 @@ impl Htvm {
         };
         let job = move |worker: &WorkerCtx<'_>| {
             let _retire = RetireGuard(shared.clone());
+            let _panics = worker.panic_accounting();
             let ctx = LgtCtx {
                 shared: &shared,
                 worker,
@@ -328,6 +331,7 @@ where
     let shared = shared.clone();
     let job = move |w: &WorkerCtx<'_>| {
         let _retire = RetireGuard(shared.clone());
+        let _panics = w.panic_accounting();
         let frame = Frame::new(shared.frame_slots);
         let ctx = SgtCtx {
             shared: &shared,

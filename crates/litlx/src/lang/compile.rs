@@ -57,11 +57,12 @@
 //! though the atomic slabs keep the autovectorizer off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use htvm_core::SharedRegion;
 
 use super::ast::BinOp;
-use super::lower::{AffineIdx, KInstr, Kernel, MathFn, MathFn2};
+use super::lower::{AffineIdx, KInstr, Kernel, KernelCode, MathFn, MathFn2};
 
 /// A data-dependent bounds fault from an unproven access of the checked
 /// fallback path. Deliberately a tiny `Copy` value: the hot loop returns
@@ -224,11 +225,14 @@ pub struct CompileInfo {
     pub all_proven: bool,
 }
 
-/// A kernel compiled against one nest geometry, executing runs of the
-/// innermost level.
-#[derive(Debug, Clone)]
-pub struct CompiledKernel {
-    arrays: Vec<SharedRegion>,
+/// The immutable result of compiling a kernel against one nest geometry
+/// and one set of array lengths: everything but the arrays themselves.
+/// Shared behind an `Arc`, it is rebound to each run's arrays by
+/// `CompiledKernel::bind`, which asserts the lengths the bounds proofs
+/// were made against.
+#[derive(Debug)]
+pub(crate) struct CompiledCode {
+    lens: Vec<usize>,
     los: Vec<i64>,
     trips: Vec<u64>,
     accesses: Vec<RunAccess>,
@@ -236,6 +240,14 @@ pub struct CompiledKernel {
     body: Vec<CInstr>,
     regs: usize,
     plan: Plan,
+}
+
+/// A compiled kernel bound to one run's array table, executing runs of
+/// the innermost level.
+#[derive(Debug, Clone)]
+pub struct CompiledKernel {
+    code: Arc<CompiledCode>,
+    arrays: Vec<SharedRegion>,
 }
 
 /// Bound `idx` over the rectangular box `[los[l], los[l]+trips[l])` per
@@ -298,10 +310,19 @@ fn eval_call2(f: MathFn2, x: f64, y: f64) -> f64 {
 
 /// Compile `kernel` against the nest's rectangular `trips` (one count
 /// per level, outermost first — the same geometry the SSP executor
-/// partitions). The result is tied to this geometry: the bounds proofs
-/// quantify over exactly this box, and [`CompiledKernel::execute_run`]
-/// asserts membership.
+/// partitions). The result is tied to this geometry and to the lengths
+/// of `kernel.arrays`: the bounds proofs quantify over exactly this box,
+/// [`CompiledKernel::execute_run`] asserts membership, and
+/// `CompiledKernel::bind` asserts the lengths.
 pub fn compile(kernel: &Kernel, trips: &[u64]) -> CompiledKernel {
+    let lens: Vec<usize> = kernel.arrays.iter().map(SharedRegion::len).collect();
+    let code = Arc::new(compile_code(&kernel.code, lens, trips));
+    CompiledKernel::bind(code, kernel.arrays.clone())
+}
+
+/// The array-independent core of [`compile`]: `lens[k]` is the length
+/// the bounds proofs assume for array-table entry `k`.
+pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64]) -> CompiledCode {
     assert_eq!(
         kernel.los.len(),
         trips.len(),
@@ -318,7 +339,7 @@ pub fn compile(kernel: &Kernel, trips: &[u64]) -> CompiledKernel {
             arr,
             idx: idx.clone(),
             stride: *idx.coefs.last().expect("depth >= 1"),
-            proven: prove_in_bounds(idx, &kernel.los, trips, kernel.arrays[arr].len()),
+            proven: prove_in_bounds(idx, &kernel.los, trips, lens[arr]),
         });
         accesses.len() - 1
     };
@@ -436,7 +457,7 @@ pub fn compile(kernel: &Kernel, trips: &[u64]) -> CompiledKernel {
     // its bounds are proven (a hoisted fault would reorder against body
     // stores), and the kernel never stores its array (a body store could
     // feed it mid-run).
-    let mut array_stored = vec![false; kernel.arrays.len()];
+    let mut array_stored = vec![false; lens.len()];
     for ins in &instrs {
         if let CInstr::Store { slot, .. } = ins {
             array_stored[accesses[*slot].arr] = true;
@@ -474,8 +495,8 @@ pub fn compile(kernel: &Kernel, trips: &[u64]) -> CompiledKernel {
         .or_else(|| match_fma_map(&body, &accesses, &hoisted_reg))
         .unwrap_or(Plan::Tape);
 
-    CompiledKernel {
-        arrays: kernel.arrays.clone(),
+    CompiledCode {
+        lens,
         los: kernel.los.clone(),
         trips: trips.to_vec(),
         accesses,
@@ -628,25 +649,50 @@ thread_local! {
 }
 
 impl CompiledKernel {
+    /// Bind compiled `code` to one run's array table.
+    ///
+    /// # Panics
+    ///
+    /// If the table's lengths differ from those the code was compiled
+    /// against (the unchecked accesses are licensed by bounds proofs over
+    /// exactly those lengths), or if two entries are one region (the
+    /// lowering deduplicates aliases, and the monomorphized shapes rely
+    /// on distinct entries never overlapping).
+    pub(crate) fn bind(code: Arc<CompiledCode>, arrays: Vec<SharedRegion>) -> Self {
+        assert!(
+            arrays.len() == code.lens.len()
+                && arrays.iter().zip(&code.lens).all(|(a, &n)| a.len() == n),
+            "array lengths differ from the compiled kernel's"
+        );
+        for (k, a) in arrays.iter().enumerate() {
+            assert!(
+                !arrays[..k].iter().any(|b| b.same_region(a)),
+                "array-table entries must be distinct regions"
+            );
+        }
+        Self { code, arrays }
+    }
+
     /// What the compiler did with this kernel.
     pub fn info(&self) -> CompileInfo {
+        let c = &self.code;
         CompileInfo {
-            plan: match self.plan {
+            plan: match c.plan {
                 Plan::DotAccum(_) => "dot-accum",
                 Plan::FmaMap(_) => "fma-map",
                 Plan::Tape => "tape",
             },
-            accesses: self.accesses.len(),
-            proven: self.accesses.iter().filter(|a| a.proven).count(),
-            hoisted: self.preamble.len(),
-            body: self.body.len(),
-            all_proven: self.accesses.iter().all(|a| a.proven),
+            accesses: c.accesses.len(),
+            proven: c.accesses.iter().filter(|a| a.proven).count(),
+            hoisted: c.preamble.len(),
+            body: c.body.len(),
+            all_proven: c.accesses.iter().all(|a| a.proven),
         }
     }
 
     /// The access slots (for tests asserting which proofs held).
     pub fn accesses(&self) -> &[RunAccess] {
-        &self.accesses
+        &self.code.accesses
     }
 
     /// Execute one run: the iteration points `(prefix, t)` for `t` in
@@ -661,6 +707,25 @@ impl CompiledKernel {
     /// — not assumed — before any unchecked access; the SSP executor
     /// catches the panic as the group's error.
     pub fn execute_run(&self, prefix: &[i64], t0: i64, t1: i64) -> Result<(), KernelFault> {
+        self.code.execute_run(&self.arrays, prefix, t0, t1)
+    }
+}
+
+/// Run execution lives on the code, with the bound array table as an
+/// argument: the hot loops then read the code through a plain shared
+/// reference, which the optimizer may keep in registers across the
+/// relaxed-atomic stores. Only [`CompiledKernel::execute_run`] calls in,
+/// with the table `CompiledKernel::bind` checked against `lens`.
+impl CompiledCode {
+    /// [`CompiledKernel::execute_run`] over `arrays`, a table whose
+    /// lengths are `self.lens` and whose entries are distinct regions.
+    fn execute_run(
+        &self,
+        arrays: &[SharedRegion],
+        prefix: &[i64],
+        t0: i64,
+        t1: i64,
+    ) -> Result<(), KernelFault> {
         let depth = self.trips.len();
         assert_eq!(
             prefix.len(),
@@ -695,25 +760,25 @@ impl CompiledKernel {
             abs.push(self.los[depth - 1] + t0);
             regs.clear();
             regs.resize(self.regs, 0.0);
-            self.run_preamble(abs, regs);
+            self.run_preamble(arrays, abs, regs);
             let n = (t1 - t0) as usize;
             match &self.plan {
                 Plan::DotAccum(m) => {
-                    self.run_dot_accum(m, abs, n);
+                    self.run_dot_accum(arrays, m, abs, n);
                     Ok(())
                 }
                 Plan::FmaMap(m) => {
-                    self.run_fma_map(m, regs, abs, n);
+                    self.run_fma_map(arrays, m, regs, abs, n);
                     Ok(())
                 }
-                Plan::Tape => self.run_tape(regs, abs, idxs, n),
+                Plan::Tape => self.run_tape(arrays, regs, abs, idxs, n),
             }
         })
     }
 
     /// The once-per-run preamble. Infallible by construction: only
     /// proven loads hoist.
-    fn run_preamble(&self, abs: &[i64], regs: &mut [f64]) {
+    fn run_preamble(&self, arrays: &[SharedRegion], abs: &[i64], regs: &mut [f64]) {
         for ins in &self.preamble {
             match ins {
                 CInstr::Const { dst, val } => regs[*dst] = *val,
@@ -723,7 +788,7 @@ impl CompiledKernel {
                     let i = a.idx.eval(abs);
                     // SAFETY: hoisted loads are proven in bounds over the
                     // whole box, and `execute_run` asserted membership.
-                    regs[*dst] = unsafe { self.arrays[a.arr].read_f64_unchecked(i as usize) };
+                    regs[*dst] = unsafe { arrays[a.arr].read_f64_unchecked(i as usize) };
                 }
                 CInstr::Bin { dst, op, a, b } => regs[*dst] = eval_bin(*op, regs[*a], regs[*b]),
                 CInstr::Neg { dst, a } => regs[*dst] = -regs[*a],
@@ -736,15 +801,15 @@ impl CompiledKernel {
         }
     }
 
-    fn run_dot_accum(&self, m: &DotAccum, abs: &[i64], n: usize) {
+    fn run_dot_accum(&self, arrays: &[SharedRegion], m: &DotAccum, abs: &[i64], n: usize) {
         let (aa, ab, ac) = (
             &self.accesses[m.a],
             &self.accesses[m.b],
             &self.accesses[m.c],
         );
-        let aw = self.arrays[aa.arr].atomics();
-        let bw = self.arrays[ab.arr].atomics();
-        let cr = &self.arrays[ac.arr];
+        let aw = arrays[aa.arr].atomics();
+        let bw = arrays[ab.arr].atomics();
+        let cr = &arrays[ac.arr];
         let (da, db) = (aa.stride, ab.stride);
         let mut ia = aa.idx.eval(abs);
         let mut ib = ab.idx.eval(abs);
@@ -783,15 +848,22 @@ impl CompiledKernel {
         }
     }
 
-    fn run_fma_map(&self, m: &FmaMap, regs: &[f64], abs: &[i64], n: usize) {
+    fn run_fma_map(
+        &self,
+        arrays: &[SharedRegion],
+        m: &FmaMap,
+        regs: &[f64],
+        abs: &[i64],
+        n: usize,
+    ) {
         let (aa, ab, ad) = (
             &self.accesses[m.a],
             &self.accesses[m.b],
             &self.accesses[m.dst],
         );
-        let aw = self.arrays[aa.arr].atomics();
-        let bw = self.arrays[ab.arr].atomics();
-        let dw = self.arrays[ad.arr].atomics();
+        let aw = arrays[aa.arr].atomics();
+        let bw = arrays[ab.arr].atomics();
+        let dw = arrays[ad.arr].atomics();
         let (da, db, dd) = (aa.stride, ab.stride, ad.stride);
         let mut ia = aa.idx.eval(abs);
         let mut ib = ab.idx.eval(abs);
@@ -859,6 +931,7 @@ impl CompiledKernel {
     /// checked with an allocation-free fault.
     fn run_tape(
         &self,
+        arrays: &[SharedRegion],
         regs: &mut [f64],
         abs: &mut [i64],
         idxs: &mut Vec<i64>,
@@ -878,9 +951,9 @@ impl CompiledKernel {
                         regs[*dst] = if a.proven {
                             // SAFETY: proven over the box; run-in-box
                             // asserted by `execute_run`.
-                            unsafe { self.arrays[a.arr].read_f64_unchecked(i as usize) }
+                            unsafe { arrays[a.arr].read_f64_unchecked(i as usize) }
                         } else {
-                            let region = &self.arrays[a.arr];
+                            let region = &arrays[a.arr];
                             if i < 0 || i as usize >= region.len() {
                                 return Err(KernelFault {
                                     arr: a.arr,
@@ -913,13 +986,13 @@ impl CompiledKernel {
                             // same-location accesses (module docs).
                             unsafe {
                                 if *accumulate {
-                                    self.arrays[a.arr].accum_f64_unchecked(i as usize, v);
+                                    arrays[a.arr].accum_f64_unchecked(i as usize, v);
                                 } else {
-                                    self.arrays[a.arr].write_f64_unchecked(i as usize, v);
+                                    arrays[a.arr].write_f64_unchecked(i as usize, v);
                                 }
                             }
                         } else {
-                            let region = &self.arrays[a.arr];
+                            let region = &arrays[a.arr];
                             if i < 0 || i as usize >= region.len() {
                                 return Err(KernelFault {
                                     arr: a.arr,

@@ -19,19 +19,65 @@
 //! (wall time per path, fed back after every loop) decide when both have
 //! been measured; a static heuristic covers cold starts. The session
 //! [`LoopStrategy`] caps how adventurous the interpreter may be.
+//!
+//! # Plan reuse
+//!
+//! The SSP path's planning work — lowering, scheduling every level,
+//! partitioning and compiling — is done once per program point and kept
+//! in the interpreter's plan cache (`super::plan_cache`), shared by all
+//! of its runs. A cached plan holds the nest's trip counts, the chosen
+//! level and partition, and the kernel code, but no arrays: each run
+//! binds its own.
+//!
+//! * **Key.** The point is the body's address. Only bodies inside the
+//!   running program are cached, and the entry pins the function holding
+//!   the body, so the address cannot be reused while the entry lives; the copies of a
+//!   body that naive helpers and `spawn` blocks run are planned uncached.
+//!   The plan is keyed by the evaluated bounds, the forced `@hint` level
+//!   and chunk, and the [`KernelMode`].
+//! * **Guard.** On a miss, the lowering's resolver is wrapped to record
+//!   every `(name, answer)` it consumed, unbound names included. A hit
+//!   re-resolves those names and requires bit-identical numbers (so
+//!   `-0.0` and `0.0` differ), arrays of identical length, and an
+//!   identical alias partition (which recorded arrays are one region).
+//!   Future and unit answers are never cached.
+//! * **Why a hit is sound.** Lowering is a pure function of
+//!   `(var, from, to, body)` and the resolver's answers; scheduling and
+//!   partitioning are pure functions of the lowered nest, the worker
+//!   count and the forced hints; the compiled kernel's bounds proofs
+//!   depend only on the trip counts and the array lengths, and its
+//!   monomorphized shapes on which arrays are distinct. A hit therefore
+//!   yields exactly the plan a fresh lowering would, and every unchecked
+//!   access stays licensed by the same proof:
+//!   `CompiledKernel::bind` asserts the lengths and distinctness, and
+//!   `execute_run` still asserts box membership.
+//! * **Misses.** A new point (a program parsed anew is a new point),
+//!   different bounds, hints or kernel mode, or any guarded answer
+//!   that changed: a number's bits, an array's length, the alias
+//!   partition, a name becoming bound or unbound. A miss re-plans and
+//!   replaces the point's plan. Bail-outs are cached too, so a nest that
+//!   falls back to naive stops re-attempting lowering.
+//!
+//! The knowledge-base decision and the outcome record still run on every
+//! loop, so [`LoopStrategy::Adaptive`] keeps learning; only the planning
+//! is reused. [`RunOutput::ssp_plan_hits`](super::RunOutput::ssp_plan_hits)
+//! counts the reuses, and the cache keeps at most
+//! [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY) points.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
+use htvm_core::SharedRegion;
 use htvm_ssp::exec::{plan_native, run_partitioned_body, NestBody, PointBody, RunBody};
 use htvm_ssp::partition::PartitionPlan;
-use htvm_ssp::ssp::{schedule_all_levels, SspConfig};
+use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 
 use super::ast::{Hint, Stmt};
-use super::compile::compile;
+use super::compile::{compile_code, CompiledKernel};
 use super::interp::{Env, Scope, Value};
-use super::lower::lower_forall;
+use super::lower::{lower_forall, Kernel, LoweredForall};
+use super::plan_cache::{CachedCode, CachedPlan, PlanKey, PointEntry, ReadyPlan, Recorder};
 
 /// How the interpreter executes `forall` loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,26 +137,23 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
         return Ok(());
     }
     let ex = &scope.shared.exec;
-    // A program point stable across executions *and* processes: the
-    // induction variable plus a structural fingerprint of the body, so
-    // two different loops sharing a variable name cannot exchange hints
-    // or recorded outcomes in the knowledge base.
-    let point = format!("{}@{:012x}", spec.var, fnv1a(&format!("{:?}", spec.body)));
+    let entry = ex.plans.point(spec.var, spec.body, &scope.shared.program);
+    let point = entry.point.as_str();
     // Lower `@hint(pipeline …)` pragmas into the knowledge base (once per
     // point) so the policy — and future runs via the persisted database —
     // sees them as §4.1 structured hints.
     if let Some(kv) = pipeline_pragma(spec.hints) {
         let mut kb = ex.kb.lock();
         if !kb
-            .hints_at(&point)
+            .hints_at(point)
             .iter()
             .any(|h| h.get("pipeline").is_some())
         {
-            kb.add_hint(&point, pipeline::pipeline_hint(kv, 100));
+            kb.add_hint(point, pipeline::pipeline_hint(kv, 100));
         }
     }
     let shape = estimate_shape(scope, spec, n);
-    let decision = pipeline::decide_loop_path(&ex.kb.lock(), &point, shape);
+    let decision = pipeline::decide_loop_path(&ex.kb.lock(), point, shape);
     use htvm_adapt::pipeline::DecisionReason;
     let path = match ex.strategy {
         // Session strategy caps the default; a hint always wins.
@@ -123,6 +166,7 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
     let ssp = SspExecutor {
         level: decision.level,
         chunk: decision.chunk,
+        entry: &entry,
     };
     let executor: &dyn LoopExecutor = match path {
         LoopPath::Pipelined => &ssp,
@@ -130,19 +174,8 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
     };
     let ran = executor.run(scope, spec)?;
     let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    pipeline::record_exec_outcome(&mut ex.kb.lock(), &point, ran, nanos.max(1));
+    pipeline::record_exec_outcome(&mut ex.kb.lock(), point, ran, nanos.max(1));
     Ok(())
-}
-
-/// FNV-1a over a string — deterministic across processes (unlike the std
-/// hasher), so knowledge persisted by one run keys correctly in the next.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf29ce484222325u64;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h & 0xffff_ffff_ffff
 }
 
 /// The `pipeline`-related key/values of a pragma list, if any.
@@ -299,15 +332,18 @@ impl LoopExecutor for NaiveExecutor {
     }
 }
 
-/// The §3.3 pipeline: lower → schedule → partition → wavefront-execute.
-pub(crate) struct SspExecutor {
+/// The §3.3 pipeline: lower → schedule → partition → wavefront-execute,
+/// through the interpreter's plan cache.
+pub(crate) struct SspExecutor<'p> {
     /// Forced pipelined level (from a hint), if any.
     pub(crate) level: Option<usize>,
     /// Forced group size in level-iterations (from a hint), if any.
     pub(crate) chunk: Option<u64>,
+    /// The program point's plan-cache entry.
+    pub(crate) entry: &'p PointEntry,
 }
 
-impl SspExecutor {
+impl SspExecutor<'_> {
     /// Returns `Ok(None)` if the nest cannot take the SSP path (lowering
     /// bail, unschedulable levels, forced level invalid) — the caller
     /// falls back to naive. Runtime errors (out-of-bounds stores) are
@@ -318,60 +354,61 @@ impl SspExecutor {
     /// comes back as this function's `Err` instead of wedging the help
     /// loop or unwinding through the interpreter.
     ///
-    /// Under [`KernelMode::Compiled`] the lowered tape is optimized by
-    /// [`super::compile::compile`] and the groups execute run-at-a-time
-    /// ([`NestBody::Run`]); under [`KernelMode::Interpreted`] they execute
-    /// point-at-a-time on the raw tape. The `Ok(Some(path))` value reports
-    /// which, for the knowledge base.
+    /// The plan — or the bail-out — comes from the point's cache entry
+    /// when its key and guard match (module docs), and is made by
+    /// [`SspExecutor::plan_fresh`] otherwise. Under
+    /// [`KernelMode::Compiled`] the groups execute the compiled kernel
+    /// run-at-a-time ([`NestBody::Run`]); under [`KernelMode::Interpreted`]
+    /// they execute point-at-a-time on the raw tape. The `Ok(Some(path))`
+    /// value reports which, for the knowledge base.
     fn try_run(
         &self,
         scope: &Scope<'_>,
         spec: &ForallSpec<'_>,
     ) -> Result<Option<ExecPathTaken>, String> {
-        let env = spec.env;
-        let resolve = |name: &str| env.get(name);
-        let Ok(lowered) = lower_forall(spec.var, spec.from, spec.to, spec.body, &resolve) else {
-            return Ok(None);
-        };
         let ex = &scope.shared.exec;
-        let workers = scope.shared.workers as u64;
-        let plans = schedule_all_levels(&lowered.nest, &SspConfig::default());
-        let allowed: Vec<usize> = match self.level {
-            Some(l) if lowered.parallel_levels.contains(&l) => vec![l],
-            Some(_) => return Ok(None), // forced level is not a forall level
-            None => lowered.parallel_levels.clone(),
+        let key = PlanKey {
+            from: spec.from,
+            to: spec.to,
+            level: self.level,
+            chunk: self.chunk,
+            mode: ex.kernel_mode,
         };
-        let Some(mut plan) = plan_native(&lowered.nest.trip_counts, &plans, &allowed, workers)
-        else {
+        let (plan, arrays) = match self.entry.lookup(&key, spec.env) {
+            Some(hit) => {
+                ex.ssp_plan_hits.fetch_add(1, Ordering::Relaxed);
+                hit
+            }
+            None => self.plan_fresh(scope, spec, key),
+        };
+        let Some(ready) = &plan.ready else {
             return Ok(None);
         };
-        if let Some(chunk) = self.chunk {
-            let n_l = lowered.nest.trip_counts[plan.level_plan.level];
-            let threads = n_l.div_ceil(chunk.max(1));
-            plan.partition = PartitionPlan::new(&plan.level_plan, n_l, threads);
-        }
-        let (body, taken) = match ex.kernel_mode {
-            KernelMode::Compiled => {
-                let compiled = Arc::new(compile(&lowered.kernel, &lowered.nest.trip_counts));
+        let (body, taken) = match &ready.code {
+            CachedCode::Compiled(code) => {
+                let kernel = CompiledKernel::bind(code.clone(), arrays);
                 let run: Arc<RunBody> = Arc::new(move |prefix, t0, t1| {
-                    compiled
+                    kernel
                         .execute_run(prefix, t0, t1)
                         .map_err(|f| f.to_string())
                 });
                 (NestBody::Run(run), ExecPathTaken::SspCompiled)
             }
-            KernelMode::Interpreted => {
-                let kernel = Arc::new(lowered.kernel);
+            CachedCode::Interpreted(code) => {
+                let kernel = Kernel {
+                    code: code.clone(),
+                    arrays,
+                };
                 let point: Arc<PointBody> = Arc::new(move |idx| kernel.execute(idx));
                 (NestBody::Point(point), ExecPathTaken::SspInterp)
             }
         };
         let report = run_partitioned_body(
             &ex.pool,
-            &lowered.nest.trip_counts,
-            plan.level_plan.level,
+            &ready.trips,
+            ready.exec.level_plan.level,
             0, // the kernel translates 0-based indices via its own bounds
-            &plan.partition,
+            &ready.exec.partition,
             body,
         )?;
         scope
@@ -387,9 +424,76 @@ impl SspExecutor {
         }
         Ok(Some(taken))
     }
+
+    /// The miss path: lower (recording every resolver answer), schedule
+    /// every level, partition one and compile the kernel, then cache the
+    /// result — plan or bail-out — under the recorded guard. Returns the
+    /// plan with this run's array table.
+    fn plan_fresh(
+        &self,
+        scope: &Scope<'_>,
+        spec: &ForallSpec<'_>,
+        key: PlanKey,
+    ) -> (Arc<CachedPlan>, Vec<SharedRegion>) {
+        let recorder = Recorder::new(spec.env);
+        let lowered = lower_forall(spec.var, spec.from, spec.to, spec.body, &|name: &str| {
+            recorder.resolve(name)
+        });
+        let made = lowered.ok().and_then(|l| self.prepare(scope, l, key.mode));
+        let (guard, reps) = recorder.finish();
+        if let Some((_, arrays)) = &made {
+            assert!(
+                arrays.len() == reps.len()
+                    && arrays.iter().zip(&reps).all(|(a, r)| a.same_region(r)),
+                "the kernel's array table is the guard's alias classes in order"
+            );
+        }
+        (
+            self.entry.store(key, guard, made.map(|(ready, _)| ready)),
+            reps,
+        )
+    }
+
+    /// Schedule, partition and compile a lowered nest: the plan and the
+    /// kernel's array table for this run.
+    fn prepare(
+        &self,
+        scope: &Scope<'_>,
+        lowered: LoweredForall,
+        mode: KernelMode,
+    ) -> Option<(ReadyPlan, Vec<SharedRegion>)> {
+        let workers = scope.shared.workers as u64;
+        let allowed: Vec<usize> = match self.level {
+            Some(l) if lowered.parallel_levels.contains(&l) => vec![l],
+            Some(_) => return None, // forced level is not a forall level
+            None => lowered.parallel_levels.clone(),
+        };
+        // Only the levels the plan may pick are worth scheduling.
+        let cfg = SspConfig::default();
+        let plans: Vec<LevelPlan> = allowed
+            .iter()
+            .filter_map(|&l| schedule_level(&lowered.nest, l, &cfg).ok())
+            .collect();
+        let trips = lowered.nest.trip_counts;
+        let mut exec = plan_native(&trips, &plans, &allowed, workers)?;
+        if let Some(chunk) = self.chunk {
+            let n_l = trips[exec.level_plan.level];
+            let threads = n_l.div_ceil(chunk.max(1));
+            exec.partition = PartitionPlan::new(&exec.level_plan, n_l, threads);
+        }
+        let Kernel { code, arrays } = lowered.kernel;
+        let code = match mode {
+            KernelMode::Compiled => {
+                let lens = arrays.iter().map(SharedRegion::len).collect();
+                CachedCode::Compiled(Arc::new(compile_code(&code, lens, &trips)))
+            }
+            KernelMode::Interpreted => CachedCode::Interpreted(code),
+        };
+        Some((ReadyPlan { trips, exec, code }, arrays))
+    }
 }
 
-impl LoopExecutor for SspExecutor {
+impl LoopExecutor for SspExecutor<'_> {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String> {
         if let Some(taken) = self.try_run(scope, spec)? {
             Ok(taken)

@@ -27,6 +27,7 @@ use parking_lot::Mutex;
 
 use super::ast::{BinOp, Expr, FnDef, Program, Stmt};
 use super::executor::{self, ForallSpec, KernelMode, LoopStrategy};
+use super::plan_cache::PlanCache;
 use super::profile::{ForallProfile, ProfileState};
 use crate::future::LitlFuture;
 
@@ -120,7 +121,7 @@ impl Env {
 
 /// Shared interpreter state across all threads of one run.
 pub(crate) struct Shared {
-    program: Program,
+    pub(crate) program: Program,
     printed: Mutex<Vec<String>>,
     error: Mutex<Option<String>>,
     atomic_gate: Mutex<()>,
@@ -145,6 +146,10 @@ pub(crate) struct ExecShared {
     pub(crate) kernel_mode: KernelMode,
     /// §4.1 knowledge base: pragma hints in, observed outcomes out.
     pub(crate) kb: Arc<Mutex<KnowledgeBase>>,
+    /// The interpreter's SSP plan cache, shared by all its runs.
+    pub(crate) plans: Arc<PlanCache>,
+    /// `forall`s that reused a cached plan (or cached bail-out).
+    pub(crate) ssp_plan_hits: AtomicU64,
     /// `forall`s executed through the SSP pipeline.
     pub(crate) ssp_foralls: AtomicU64,
     /// `forall`s that attempted SSP and fell back to naive.
@@ -182,6 +187,11 @@ pub struct RunOutput {
     /// SSP executions that ran the compiled run-at-a-time kernel (0 when
     /// the interpreter was built with [`KernelMode::Interpreted`]).
     pub ssp_compiled: u64,
+    /// `forall`s on the SSP path that reused the interpreter's cached
+    /// plan — or cached bail-out — for their program point instead of
+    /// lowering, scheduling and compiling again (see
+    /// [`mod@super::executor`]).
+    pub ssp_plan_hits: u64,
 }
 
 /// The LITL-X interpreter.
@@ -191,6 +201,7 @@ pub struct Interp {
     strategy: LoopStrategy,
     kernel_mode: KernelMode,
     kb: Arc<Mutex<KnowledgeBase>>,
+    plans: Arc<PlanCache>,
 }
 
 pub(crate) enum Flow {
@@ -217,6 +228,7 @@ impl Interp {
             strategy: LoopStrategy::default(),
             kernel_mode: KernelMode::default(),
             kb: Arc::new(Mutex::new(KnowledgeBase::new())),
+            plans: Arc::new(PlanCache::default()),
         }
     }
 
@@ -260,6 +272,12 @@ impl Interp {
         self.htvm.topology()
     }
 
+    /// Program points with an entry in the SSP plan cache (at most
+    /// [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY)).
+    pub fn cached_plans(&self) -> usize {
+        self.plans.len()
+    }
+
     /// Run `main` (no arguments). Returns printed output or the first
     /// runtime error.
     pub fn run(&self, program: &Program) -> Result<RunOutput, String> {
@@ -297,6 +315,8 @@ impl Interp {
                 strategy: self.strategy,
                 kernel_mode: self.kernel_mode,
                 kb: self.kb.clone(),
+                plans: self.plans.clone(),
+                ssp_plan_hits: AtomicU64::new(0),
                 ssp_foralls: AtomicU64::new(0),
                 ssp_bailouts: AtomicU64::new(0),
                 ssp_wavefronts: AtomicU64::new(0),
@@ -328,6 +348,7 @@ impl Interp {
             ssp_bailouts: shared.exec.ssp_bailouts.load(Ordering::Relaxed),
             ssp_wavefronts: shared.exec.ssp_wavefronts.load(Ordering::Relaxed),
             ssp_compiled: shared.exec.ssp_compiled.load(Ordering::Relaxed),
+            ssp_plan_hits: shared.exec.ssp_plan_hits.load(Ordering::Relaxed),
         };
         Ok((out, shared.profile.clone()))
     }

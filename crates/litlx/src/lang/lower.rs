@@ -27,6 +27,7 @@
 //! an under-approximated dependence set.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use htvm_core::SharedRegion;
 use htvm_ssp::ir::{Dep, LoopNest, Op, OpKind};
@@ -211,19 +212,29 @@ pub enum KInstr {
     },
 }
 
-/// The compiled innermost body: a register tape over shared arrays,
-/// executable at any iteration point by any thread.
-#[derive(Debug, Clone)]
-pub struct Kernel {
+/// The immutable part of a compiled innermost body: the register tape
+/// and the nest's lower bounds. It names arrays only by array-table
+/// index, so one `KernelCode` can run over any run's arrays (the SSP
+/// executor's plan cache rebinds it per run).
+#[derive(Debug)]
+pub struct KernelCode {
     /// Instructions in program order.
     pub instrs: Vec<KInstr>,
     /// Register count.
     pub regs: usize,
-    /// Array table (deduplicated by region identity).
-    pub arrays: Vec<SharedRegion>,
     /// Absolute lower bound per level: the executor hands 0-based indices,
     /// the kernel translates.
     pub los: Vec<i64>,
+}
+
+/// The compiled innermost body: shared immutable code plus the array
+/// table of one run, executable at any iteration point by any thread.
+#[derive(Debug, Clone)]
+pub struct Kernel {
+    /// The tape and geometry.
+    pub code: Arc<KernelCode>,
+    /// Array table (deduplicated by region identity).
+    pub arrays: Vec<SharedRegion>,
 }
 
 thread_local! {
@@ -241,15 +252,22 @@ impl Kernel {
             let mut scratch = cell.borrow_mut();
             let (regs, abs) = &mut *scratch;
             abs.clear();
-            abs.extend(self.los.iter().zip(idx0).map(|(lo, i)| lo + i));
+            abs.extend(self.code.los.iter().zip(idx0).map(|(lo, i)| lo + i));
             regs.clear();
-            regs.resize(self.regs, 0.0);
-            self.execute_in(abs, regs)
+            regs.resize(self.code.regs, 0.0);
+            self.code.execute_in(&self.arrays, abs, regs)
         })
     }
+}
 
-    /// The tape proper, over caller-provided scratch.
-    fn execute_in(&self, abs: &[i64], r: &mut [f64]) -> Result<(), String> {
+impl KernelCode {
+    /// The tape proper, over `arrays` and caller-provided scratch.
+    fn execute_in(
+        &self,
+        arrays: &[SharedRegion],
+        abs: &[i64],
+        r: &mut [f64],
+    ) -> Result<(), String> {
         let at = |arr: &SharedRegion, idx: &AffineIdx| -> Result<usize, String> {
             let i = idx.eval(abs);
             if i < 0 || i as usize >= arr.len() {
@@ -265,7 +283,7 @@ impl Kernel {
                 KInstr::Const { dst, val } => r[*dst] = *val,
                 KInstr::IdxVal { dst, level } => r[*dst] = abs[*level] as f64,
                 KInstr::Load { dst, arr, idx } => {
-                    let a = &self.arrays[*arr];
+                    let a = &arrays[*arr];
                     r[*dst] = a.read_f64(at(a, idx)?);
                 }
                 KInstr::Bin { dst, op, a, b } => {
@@ -312,7 +330,7 @@ impl Kernel {
                     idx,
                     accumulate,
                 } => {
-                    let a = &self.arrays[*arr];
+                    let a = &arrays[*arr];
                     let i = at(a, idx)?;
                     if *accumulate {
                         a.fetch_add_f64(i, r[*src]);
@@ -444,10 +462,12 @@ pub fn lower_forall(
     nest.validate().map_err(LowerBail::UnsupportedStmt)?;
     Ok(LoweredForall {
         kernel: Kernel {
-            instrs: c.instrs,
-            regs: c.regs,
+            code: Arc::new(KernelCode {
+                instrs: c.instrs,
+                regs: c.regs,
+                los: levels.iter().map(|l| l.lo).collect(),
+            }),
             arrays: c.arrays,
-            los: levels.iter().map(|l| l.lo).collect(),
         },
         parallel_levels: levels
             .iter()

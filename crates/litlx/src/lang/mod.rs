@@ -43,6 +43,7 @@ pub mod interp;
 pub mod lexer;
 pub mod lower;
 pub mod parser;
+mod plan_cache;
 pub mod profile;
 
 pub use ast::{Expr, FnDef, Hint, Program, Stmt};
@@ -50,6 +51,7 @@ pub use compile::{compile, CompileInfo, CompiledKernel, KernelFault};
 pub use executor::{KernelMode, LoopStrategy};
 pub use interp::{Interp, RunOutput, Value};
 pub use lexer::{lex, Token};
-pub use lower::{lower_forall, Kernel, LowerBail, LoweredForall};
+pub use lower::{lower_forall, Kernel, KernelCode, LowerBail, LoweredForall};
 pub use parser::{parse, ParseError};
+pub use plan_cache::PLAN_CACHE_CAPACITY;
 pub use profile::{suggest_hint, ForallProfile, ProfileState};

@@ -1516,14 +1516,19 @@ mod tests {
         assert_eq!(pool.active_workers(), 2);
 
         // Both active workers block; a backlog piles up in the pool's
-        // queues behind them until the controller must grow.
+        // queues behind them until the controller must grow. The backlog
+        // is submitted only once both blockers run, so neither worker
+        // can drain it first.
         let gate = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..2 {
             let g = gate.clone();
+            let started = started.clone();
             handles.push(
                 tenant
                     .submit(NativeParcel::new(move |_| {
+                        started.fetch_add(1, Ordering::SeqCst);
                         while !g.load(Ordering::Acquire) {
                             std::thread::yield_now();
                         }
@@ -1531,10 +1536,14 @@ mod tests {
                     .unwrap(),
             );
         }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while started.load(Ordering::SeqCst) < 2 {
+            assert!(Instant::now() < deadline, "blockers never both ran");
+            std::thread::yield_now();
+        }
         for _ in 0..40 {
             handles.push(tenant.submit(NativeParcel::new(|_| {})).unwrap());
         }
-        let deadline = Instant::now() + Duration::from_secs(30);
         while pool.stats().grows == 0 {
             assert!(Instant::now() < deadline, "autopilot never grew the pool");
             std::thread::yield_now();

@@ -148,7 +148,10 @@ struct Wave {
     /// enabled, even on error, so no wave leaks).
     slots: Mutex<Vec<Arc<SyncSlot>>>,
     finished: AtomicU64,
-    error: Mutex<Option<String>>,
+    /// The error of the lowest-indexed failing group so far, with that
+    /// index. Keeping the minimum (not the first to arrive) makes a
+    /// failing wave's error a function of the nest, not of the schedule.
+    error: Mutex<Option<(u64, String)>>,
     points: AtomicU64,
     runs: AtomicU64,
     caller_ran: AtomicU64,
@@ -183,6 +186,12 @@ impl Drop for GroupDone<'_> {
     }
 }
 
+/// Whether group `g` sorts before the recorded failure, if any: such a
+/// group still runs, and its error replaces the recorded one.
+fn precedes(error: &Option<(u64, String)>, g: u64) -> bool {
+    error.as_ref().is_none_or(|(eg, _)| g < *eg)
+}
+
 /// Best-effort text of a panic payload (the common `&str`/`String` cases).
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     if let Some(s) = payload.downcast_ref::<&str>() {
@@ -200,7 +209,12 @@ impl Wave {
     /// Panic-safe: the body runs under `catch_unwind`, a panic is recorded
     /// as the wave's error, and the [`GroupDone`] drop guard performs the
     /// completion bookkeeping on every exit path — so neither a panicking
-    /// body nor an unwinding caller can wedge the wave. Because the panic
+    /// body nor an unwinding caller can wedge the wave. A group is skipped
+    /// only when a lower-indexed group has already failed: every group
+    /// below the current error still runs, so the wave ends holding the
+    /// error of its lowest-indexed failing group (each group runs its
+    /// points in order, so that is the first failing point of the lowest
+    /// failing group) whatever order the groups ran in. Because the panic
     /// is caught *here*, it never reaches the pool's own containment:
     /// `PoolStats::panics` deliberately stays at zero for SSP body panics
     /// — the wave's `Err("group N panicked: …")` is their reporting
@@ -215,7 +229,7 @@ impl Wave {
             group: g,
             by_caller,
         };
-        if self.error.lock().is_none() {
+        if precedes(&self.error.lock(), g) {
             let outcome =
                 std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute_group(g)))
                     .unwrap_or_else(|p| {
@@ -223,8 +237,8 @@ impl Wave {
                     });
             if let Err(e) = outcome {
                 let mut slot = self.error.lock();
-                if slot.is_none() {
-                    *slot = Some(e);
+                if precedes(&slot, g) {
+                    *slot = Some((g, e));
                 }
             }
         }
@@ -236,9 +250,9 @@ impl Wave {
     /// [`NestBody::Run`] body receives each innermost span as one call
     /// instead of one call per point.
     fn execute_group(&self, g: u64) -> Result<(), String> {
-        match self.body.clone() {
-            NestBody::Point(b) => self.execute_group_points(g, &*b),
-            NestBody::Run(b) => self.execute_group_runs(g, &*b),
+        match &self.body {
+            NestBody::Point(b) => self.execute_group_points(g, &**b),
+            NestBody::Run(b) => self.execute_group_runs(g, &**b),
         }
     }
 
@@ -304,11 +318,13 @@ impl Wave {
 /// value of the partitioned level's first iteration (the body sees
 /// absolute indices at `level` — callers whose loops start at 0 pass 0).
 ///
-/// Returns the first body error, after finishing the wave in flight. A
-/// body that panics (instead of returning `Err`) is caught wherever it
-/// ran — helping caller or pool worker — recorded as the wave's error,
-/// and still signals its successor group, so the run ends in `Err` rather
-/// than livelocking on a group that will never finish.
+/// Returns the error of the first failing wave's lowest-indexed failing
+/// group — the same error whatever order the groups ran in — after
+/// finishing the wave in flight. A body that panics (instead of returning
+/// `Err`) is caught wherever it ran — helping caller or pool worker —
+/// recorded as its group's error, and still signals its successor group,
+/// so the run ends in `Err` rather than livelocking on a group that will
+/// never finish.
 pub fn run_partitioned(
     pool: &Arc<Pool>,
     trip_counts: &[u64],
@@ -454,8 +470,8 @@ pub fn run_partitioned_body(
         report.caller_ran += wave.caller_ran.load(Ordering::Relaxed);
         report.points += wave.points.load(Ordering::Relaxed);
         report.runs += wave.runs.load(Ordering::Relaxed);
-        let err = wave.error.lock().clone();
-        if let Some(e) = err {
+        let err = wave.error.lock().take();
+        if let Some((_, e)) = err {
             return Err(e);
         }
     }
@@ -596,6 +612,34 @@ mod tests {
         let err = run_partitioned(&p, &nest.trip_counts, 0, 0, &plan.partition, body).unwrap_err();
         p.wait_quiescent();
         assert!(err.contains("injected failure"));
+    }
+
+    /// A wave with several failing groups reports the lowest-indexed
+    /// one's error, even when higher groups fail first in time: groups
+    /// below the recorded failure still run, and their error replaces it.
+    #[test]
+    fn lowest_failing_group_wins() {
+        let nest = LoopNest::elementwise(8, 2);
+        let plans = schedule_all_levels(&nest, &SspConfig::default());
+        let plan = plans.iter().find(|p| p.level == 0).unwrap();
+        let part = PartitionPlan::new(plan, 8, 8);
+        assert_eq!(part.group, 1, "one level-0 iteration per group");
+        let body: Arc<PointBody> = Arc::new(|idx| match idx[0] {
+            2 => {
+                // The lowest failing group fails last.
+                std::thread::sleep(std::time::Duration::from_millis(5));
+                Err("group 2 failed".to_string())
+            }
+            g if g > 2 => Err(format!("group {g} failed")),
+            _ => Ok(()),
+        });
+        let p = pool(Topology::domains(2, 1));
+        for _ in 0..10 {
+            let err =
+                run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body.clone()).unwrap_err();
+            assert_eq!(err, "group 2 failed");
+        }
+        p.wait_quiescent();
     }
 
     /// A body that panics mid-wave (instead of returning `Err`) must

@@ -1,13 +1,12 @@
 //! Locality-domain work stealing: correctness on every topology shape
-//! (single-CPU safe) and proximity preference (multicore-gated — steal
-//! observations depend on real parallel scheduling).
+//! and proximity preference, all single-CPU safe (the steal observations
+//! are made certain by jobs that hold their workers, not by scheduling).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use htvm::core::{DomainId, Htvm, HtvmConfig, Pool, Topology};
-
-mod common;
 
 /// Every topology shape must drain every job — including affinity spawns
 /// aimed at each domain, global spawns, and nested local spawns — on any
@@ -87,45 +86,63 @@ fn lgt_affinity_subtree_completes_on_every_domain() {
 /// Proximity preference: under a grouped topology, steals are satisfied
 /// inside the domain first, so the remote-steal ratio drops below the
 /// flat baseline's (which is 1 by construction whenever anything was
-/// stolen). Steal observations require real cores; best of three runs
-/// absorbs scheduling noise.
+/// stolen). The steals are made certain rather than left to scheduling
+/// luck: every job holds its worker until a peer of the root's worker —
+/// a domain sibling when the topology has siblings — has run a child, so
+/// the children can only leave the root's deque by stealing and the
+/// sibling's share arrives by a local steal however the host schedules
+/// the threads.
 #[test]
 fn local_steals_preferred_over_remote() {
-    if !common::multicore() {
-        return;
-    }
     // One root job in domain 0 spawns all the work locally; every other
     // worker's share arrives by stealing.
-    let run = |topo: Topology| {
+    let run = |topo: Topology, siblings: bool| {
         let pool = Pool::with_topology(topo);
-        pool.spawn_in(DomainId(0), |ctx| {
+        let root = Arc::new(OnceLock::new());
+        let peer_ran = Arc::new(AtomicBool::new(false));
+        pool.spawn_in(DomainId(0), move |ctx| {
+            root.set((ctx.id, ctx.domain)).unwrap();
             for _ in 0..400 {
-                ctx.spawn(|_| {
+                let root = root.clone();
+                let peer_ran = peer_ran.clone();
+                ctx.spawn(move |ctx| {
                     std::hint::black_box((0..20_000).sum::<u64>());
+                    let &(id, domain) = root.get().unwrap();
+                    if ctx.id != id && (!siblings || ctx.domain == domain) {
+                        peer_ran.store(true, Ordering::SeqCst);
+                    }
+                    hold_until(&peer_ran);
                 });
             }
+            hold_until(&peer_ran);
         });
         pool.wait_quiescent();
         pool.stats()
     };
-    let mut last = String::new();
-    for _ in 0..3 {
-        let flat = run(Topology::flat(4));
-        let grouped = run(Topology::domains(2, 2));
-        last = format!(
-            "flat: {} steals (ratio {:.3}); 2-dom: {} local / {} remote (ratio {:.3})",
-            flat.total_stolen(),
-            flat.remote_steal_ratio(),
-            grouped.total_local_steals(),
-            grouped.total_remote_steals(),
-            grouped.remote_steal_ratio()
-        );
-        if flat.total_stolen() > 0
-            && grouped.total_local_steals() > 0
-            && grouped.remote_steal_ratio() < flat.remote_steal_ratio()
-        {
-            return;
-        }
+    let flat = run(Topology::flat(4), false);
+    let grouped = run(Topology::domains(2, 2), true);
+    let summary = format!(
+        "flat: {} steals (ratio {:.3}); 2-dom: {} local / {} remote (ratio {:.3})",
+        flat.total_stolen(),
+        flat.remote_steal_ratio(),
+        grouped.total_local_steals(),
+        grouped.total_remote_steals(),
+        grouped.remote_steal_ratio()
+    );
+    assert!(flat.total_stolen() > 0, "flat run never stole: {summary}");
+    assert!(
+        grouped.total_local_steals() > 0
+            && grouped.remote_steal_ratio() < flat.remote_steal_ratio(),
+        "grouped topology never preferred local steals: {summary}"
+    );
+}
+
+/// Hold the calling worker until `flag` is set or 10 s pass (the
+/// deadline turns a pool that never hands the work on into a failed
+/// assertion rather than a hang).
+fn hold_until(flag: &AtomicBool) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while !flag.load(Ordering::SeqCst) && Instant::now() < deadline {
+        std::thread::yield_now();
     }
-    panic!("grouped topology never preferred local steals: {last}");
 }

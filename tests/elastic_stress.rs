@@ -155,8 +155,26 @@ fn concurrent_producers_race_elastic_churn() {
         "lost spawns under racing elastic churn"
     );
     // At least the reservation floor survived the churn storm, and the
-    // grow/retire ledger balances against the final worker count.
+    // grow/retire ledger balances against the final worker count. A
+    // retire is asynchronous — `active_workers` drops when it is
+    // requested, `retires` counts it when the worker has vacated its
+    // slot — so the ledger is read once no retire is still in flight.
     assert!(pool.active_workers() >= 1);
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    loop {
+        let s = pool.stats();
+        if s.grows as i64 - s.retires as i64 == pool.active_workers() as i64 - 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "grow/retire ledger never settled: {} grows, {} retires, {} active",
+            s.grows,
+            s.retires,
+            pool.active_workers()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
     let s = pool.stats();
     assert_eq!(
         s.grows as i64 - s.retires as i64,

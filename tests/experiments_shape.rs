@@ -7,8 +7,10 @@
 use htvm_bench::experiments::{self, Scale};
 
 /// Tests that assert on *wall-clock* ratios must not time-share the host's
-/// few cores with each other; they serialize on this lock. (Simulator-time
-/// experiments are deterministic and run freely in parallel.)
+/// few cores with each other; they serialize on this lock, and each of
+/// their attempts starts once the host is seen running two threads side
+/// by side (`await_parallel_host`). (Simulator-time experiments are
+/// deterministic and run freely in parallel.)
 static WALL_CLOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn wall_clock_guard() -> std::sync::MutexGuard<'static, ()> {
@@ -16,7 +18,7 @@ fn wall_clock_guard() -> std::sync::MutexGuard<'static, ()> {
 }
 
 mod common;
-use common::multicore;
+use common::{await_parallel_host, multicore};
 
 fn col(t: &htvm_bench::Table, name: &str) -> Vec<f64> {
     let v = t.column_f64(name);
@@ -66,6 +68,7 @@ fn e2_parcel_wins_beyond_crossover() {
 #[test]
 fn e3_futures_do_not_lose_to_barriers() {
     let _wall = wall_clock_guard();
+    await_parallel_host();
     let t = experiments::e3_futures(Scale::Quick);
     let speedup: f64 = t.rows[1][2].parse().unwrap();
     // Wall-clock on a shared machine: demand only "futures are at least
@@ -134,6 +137,7 @@ fn e5c_lock_free_spine_beats_mutex_shim() {
     // wall-clock on a shared host, so best-of-3.
     let mut last = String::new();
     for attempt in 0..3 {
+        await_parallel_host();
         let t = experiments::e5c_queue_ops(Scale::Quick);
         assert_eq!(t.rows.len(), 6, "push+pop, 3 steal rows, 2 batch rows");
         let speedups = col(&t, "speedup");
@@ -318,6 +322,7 @@ fn e14_parallel_matches_and_speeds_up() {
     let mut best_contrast = 0.0f64;
     let mut best_speedup = 0.0f64;
     for attempt in 0..3 {
+        await_parallel_host();
         let t = experiments::e14_neocortex(Scale::Quick);
         // All rows must agree on spikes (asserted inside too).
         let spikes: Vec<f64> = col(&t, "spikes");
@@ -353,6 +358,7 @@ fn e15_md_parallel_speedup() {
     // Best of three: see e14.
     let mut best = 0.0f64;
     for attempt in 0..3 {
+        await_parallel_host();
         let t = experiments::e15_md(Scale::Quick);
         // Potentials agree across all rows (bit-faithful parallelization).
         let pots = col(&t, "potential");
@@ -383,6 +389,7 @@ fn e17_grouped_topology_cuts_remote_steal_ratio() {
     // real parallel scheduling, so it is multicore-gated and best-of-3.
     let mut last = String::new();
     for attempt in 0..3 {
+        await_parallel_host();
         let t = experiments::e17_domains(Scale::Quick);
         for workload in ["neocortex", "md"] {
             // Same job count on every topology (grouping is a placement

@@ -131,6 +131,7 @@ fn simulated_hierarchy_runs_to_completion() {
 fn work_stealing_is_migration() {
     // The paper's "dynamic load adaptation": skewed spawning must migrate
     // via steals on the native pool.
+    common::await_parallel_host();
     let htvm = Htvm::new(HtvmConfig::with_workers(4));
     let h = htvm.lgt(|lgt| {
         for _ in 0..200 {

@@ -241,15 +241,35 @@ fn heavier_tenants_drain_first() {
     // Gate every action so all three queues are fully backlogged
     // before any request finishes: completion order is then shaped by
     // the dispatcher's weighted rounds, not by submission order.
+    // Each body counts itself in as it finishes, and the heavy tenant's
+    // last body snapshots the light tenant's count: the order is read
+    // where it happens, so a test thread that is descheduled while the
+    // queues drain cannot see a later state than the one asserted on.
     let go = Arc::new(AtomicBool::new(false));
+    let light_ran = Arc::new(AtomicU64::new(0));
+    let heavy_ran = Arc::new(AtomicU64::new(0));
+    let light_at_drain = Arc::new(AtomicU64::new(u64::MAX));
     let mut handles = Vec::new();
     for _ in 0..PER_TENANT {
-        for t in [&light, &mid, &heavy] {
+        for (t, w) in [(&light, 1), (&mid, 2), (&heavy, 4)] {
             let go = go.clone();
+            let light_ran = light_ran.clone();
+            let heavy_ran = heavy_ran.clone();
+            let light_at_drain = light_at_drain.clone();
             handles.push(
                 t.submit(NativeParcel::new(move |_| {
                     while !go.load(Ordering::Acquire) {
                         std::thread::yield_now();
+                    }
+                    match w {
+                        1 => {
+                            light_ran.fetch_add(1, Ordering::SeqCst);
+                        }
+                        4 if heavy_ran.fetch_add(1, Ordering::SeqCst) + 1 == PER_TENANT => {
+                            light_at_drain
+                                .store(light_ran.load(Ordering::SeqCst), Ordering::SeqCst);
+                        }
+                        _ => {}
                     }
                 }))
                 .unwrap(),
@@ -259,11 +279,12 @@ fn heavier_tenants_drain_first() {
     go.store(true, Ordering::Release);
 
     let deadline = Instant::now() + Duration::from_secs(30);
-    while heavy.stats().completed < PER_TENANT {
+    while heavy.stats().completed < PER_TENANT || light_at_drain.load(Ordering::SeqCst) == u64::MAX
+    {
         assert!(Instant::now() < deadline, "heavy tenant never drained");
         std::thread::yield_now();
     }
-    let light_done = light.stats().completed;
+    let light_done = light_at_drain.load(Ordering::SeqCst);
     assert!(
         light_done < PER_TENANT,
         "weight-1 tenant should still be backlogged when weight-4 drains"
