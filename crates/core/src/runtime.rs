@@ -1,15 +1,24 @@
 //! The `Htvm` facade: the thread hierarchy over the native pool.
 //!
 //! * [`Htvm::lgt`] starts a large-grain thread: it gets private memory (a
-//!   [`SharedRegion`]) and a completion handle. [`Htvm::lgt_in`] adds a
-//!   locality-domain affinity hint: the LGT's whole SGT subtree is kept in
-//!   that domain of the pool's [`Topology`] unless imbalance forces a
-//!   remote steal.
+//!   [`SharedRegion`], allocated on first use) and a completion handle.
+//!   [`Htvm::lgt_in`] adds a locality-domain affinity hint: the LGT's
+//!   whole SGT subtree is kept in that domain of the pool's [`Topology`]
+//!   unless imbalance forces a remote steal. Both run the body as a pool
+//!   job.
+//! * [`Htvm::run_lgt`] runs the body as the LGT **on the calling thread**
+//!   — the thread that reaches the LGT becomes its master instead of
+//!   handing it to a worker and waiting — then joins the SGT subtree, which
+//!   runs on the pool. A panicking body is re-raised only after the join.
+//!   The caller must not be a worker of the same pool (like a blocking
+//!   [`LgtHandle::join`], the join would park a worker the subtree may
+//!   need).
 //! * [`LgtCtx::spawn_sgt`] invokes a small-grain thread: a stealable job
 //!   with its own [`Frame`]; it sees the LGT memory through the context.
 //!   SGTs land on the spawning worker's deque and migrate in proximity
 //!   order — domain siblings first, remote domains only when a whole
-//!   domain has run dry (see [`crate::native`]).
+//!   domain has run dry (see [`crate::native`]). A caller-run LGT has no
+//!   deque, so its SGTs enter through the pool's injectors.
 //! * [`SgtCtx::tgt_graph`] runs a tiny-grain thread graph inline, sharing
 //!   the SGT frame.
 //!
@@ -18,7 +27,7 @@
 //! an LGT never blocks a pool worker.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::frame::Frame;
 use crate::ids::{DomainId, IdGen, LgtId, SgtId};
@@ -34,7 +43,8 @@ pub struct HtvmConfig {
     /// Locality-domain layout of the SGT pool (worker count and grouping).
     /// Defaults to a flat topology over the available CPUs.
     pub topology: Topology,
-    /// Words of private memory given to each LGT.
+    /// Words of private memory given to each LGT (allocated when the LGT
+    /// first asks for its memory).
     pub lgt_memory_words: usize,
     /// Slots in each SGT frame.
     pub frame_slots: usize,
@@ -67,7 +77,11 @@ impl HtvmConfig {
 
 struct LgtShared {
     id: LgtId,
-    memory: SharedRegion,
+    /// Private memory, zeroed and allocated on first use: an LGT that
+    /// never touches it (every LITL-X program run) skips a
+    /// `lgt_memory_words` allocation and its memset.
+    memory: OnceLock<SharedRegion>,
+    memory_words: usize,
     /// Outstanding SGTs + 1 for the LGT body itself.
     outstanding: AtomicU64,
     done: IVar<()>,
@@ -80,6 +94,11 @@ struct LgtShared {
 }
 
 impl LgtShared {
+    fn memory(&self) -> &SharedRegion {
+        self.memory
+            .get_or_init(|| SharedRegion::new(self.memory_words))
+    }
+
     fn retire_one(&self) {
         if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
             self.done.put(());
@@ -170,19 +189,25 @@ impl Htvm {
         self.lgt_impl(Some(domain), body)
     }
 
-    fn lgt_impl<F>(&self, home: Option<DomainId>, body: F) -> LgtHandle
-    where
-        F: FnOnce(&LgtCtx) + Send + 'static,
-    {
-        let shared = Arc::new(LgtShared {
+    /// A fresh LGT whose outstanding count holds one unit for the body.
+    fn new_lgt(&self, home: Option<DomainId>) -> Arc<LgtShared> {
+        Arc::new(LgtShared {
             id: LgtId(self.lgt_ids.next()),
-            memory: SharedRegion::new(self.cfg.lgt_memory_words),
+            memory: OnceLock::new(),
+            memory_words: self.cfg.lgt_memory_words,
             outstanding: AtomicU64::new(1),
             done: IVar::new(),
             sgt_ids: IdGen::new(),
             frame_slots: self.cfg.frame_slots,
             home,
-        });
+        })
+    }
+
+    fn lgt_impl<F>(&self, home: Option<DomainId>, body: F) -> LgtHandle
+    where
+        F: FnOnce(&LgtCtx) + Send + 'static,
+    {
+        let shared = self.new_lgt(home);
         let handle = LgtHandle {
             shared: shared.clone(),
         };
@@ -191,7 +216,7 @@ impl Htvm {
             let _panics = worker.panic_accounting();
             let ctx = LgtCtx {
                 shared: &shared,
-                worker,
+                origin: Origin::Worker(worker),
             };
             body(&ctx);
         };
@@ -202,12 +227,33 @@ impl Htvm {
         handle
     }
 
-    /// Run a body as an LGT and join it (convenience).
+    /// Run `body` as an LGT on the calling thread, then block until every
+    /// SGT it (transitively) spawned has completed. The subtree runs on
+    /// the pool; the body itself costs no pool job and no cross-thread
+    /// hand-off, so the body needs neither `Send` nor `'static`.
+    ///
+    /// If the body panics, the subtree is still joined and the panic is
+    /// then re-raised on the caller (it is not counted in
+    /// [`PoolStats::panics`], which counts panics contained by the pool).
+    ///
+    /// Must not be called from a worker of this runtime's pool: like a
+    /// blocking [`LgtHandle::join`] there, the join would hold a worker
+    /// the subtree may need.
     pub fn run_lgt<F>(&self, body: F)
     where
-        F: FnOnce(&LgtCtx) + Send + 'static,
+        F: FnOnce(&LgtCtx),
     {
-        self.lgt(body).join();
+        let shared = self.new_lgt(None);
+        let ctx = LgtCtx {
+            shared: &shared,
+            origin: Origin::Caller(&self.pool),
+        };
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&ctx)));
+        shared.retire_one();
+        LgtHandle { shared }.join();
+        if let Err(payload) = outcome {
+            std::panic::resume_unwind(payload);
+        }
     }
 }
 
@@ -245,14 +291,23 @@ impl LgtHandle {
 
     /// The LGT's private memory (valid after or during the run).
     pub fn memory(&self) -> SharedRegion {
-        self.shared.memory.clone()
+        self.shared.memory().clone()
     }
 }
 
 /// Context visible to an LGT body.
 pub struct LgtCtx<'a> {
     shared: &'a Arc<LgtShared>,
-    worker: &'a WorkerCtx<'a>,
+    origin: Origin<'a>,
+}
+
+/// The thread an SGT is spawned from: a pool worker (an LGT started with
+/// [`Htvm::lgt`], or any SGT), or the caller of [`Htvm::run_lgt`], which
+/// reaches the pool only through its outside-spawn entry points.
+#[derive(Clone, Copy)]
+enum Origin<'a> {
+    Worker(&'a WorkerCtx<'a>),
+    Caller(&'a Pool),
 }
 
 impl<'a> LgtCtx<'a> {
@@ -265,7 +320,7 @@ impl<'a> LgtCtx<'a> {
     /// group of SGTs invoked from an LGT will see the private memory of the
     /// LGT").
     pub fn memory(&self) -> &SharedRegion {
-        &self.shared.memory
+        self.shared.memory()
     }
 
     /// Invoke a small-grain thread.
@@ -273,7 +328,7 @@ impl<'a> LgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Local);
+        spawn_sgt_impl(self.shared, self.origin, body, SgtTarget::Local);
     }
 
     /// Invoke an SGT via the global queue (no locality preference) — used
@@ -282,7 +337,7 @@ impl<'a> LgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Spread);
+        spawn_sgt_impl(self.shared, self.origin, body, SgtTarget::Spread);
     }
 
     /// Invoke an SGT with an explicit locality-domain placement: it lands
@@ -296,17 +351,23 @@ impl<'a> LgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Domain(domain));
+        spawn_sgt_impl(self.shared, self.origin, body, SgtTarget::Domain(domain));
     }
 
     /// Number of pool workers (for partitioning decisions).
     pub fn workers(&self) -> usize {
-        self.worker.workers()
+        match self.origin {
+            Origin::Worker(w) => w.workers(),
+            Origin::Caller(pool) => pool.workers(),
+        }
     }
 
     /// Number of locality domains of the pool.
     pub fn num_domains(&self) -> usize {
-        self.worker.num_domains()
+        match self.origin {
+            Origin::Worker(w) => w.num_domains(),
+            Origin::Caller(pool) => pool.num_domains(),
+        }
     }
 }
 
@@ -314,7 +375,8 @@ impl<'a> LgtCtx<'a> {
 #[derive(Debug, Clone, Copy)]
 enum SgtTarget {
     /// The spawning worker's deque (or the LGT's home-domain injector if
-    /// the subtree drifted out of its home domain).
+    /// the subtree drifted out of its home domain). From a caller-run LGT,
+    /// which has no deque: the home-domain injector, else the global one.
     Local,
     /// The global injector — spread immediately.
     Spread,
@@ -322,7 +384,7 @@ enum SgtTarget {
     Domain(DomainId),
 }
 
-fn spawn_sgt_impl<F>(shared: &Arc<LgtShared>, worker: &WorkerCtx<'_>, body: F, target: SgtTarget)
+fn spawn_sgt_impl<F>(shared: &Arc<LgtShared>, origin: Origin<'_>, body: F, target: SgtTarget)
 where
     F: FnOnce(&SgtCtx) + Send + 'static,
 {
@@ -341,15 +403,23 @@ where
         };
         body(&ctx);
     };
-    match target {
-        SgtTarget::Spread => worker.spawn_global(job),
-        SgtTarget::Domain(domain) => worker.spawn_in_domain(domain, job),
-        SgtTarget::Local => match home {
-            // A subtree that drifted out of its home domain (a remote
-            // steal took the parent) routes new SGTs back home instead of
-            // growing the remote worker's deque.
-            Some(domain) if domain != worker.domain => worker.spawn_in_domain(domain, job),
-            _ => worker.spawn(job),
+    match origin {
+        Origin::Worker(worker) => match target {
+            SgtTarget::Spread => worker.spawn_global(job),
+            SgtTarget::Domain(domain) => worker.spawn_in_domain(domain, job),
+            SgtTarget::Local => match home {
+                // A subtree that drifted out of its home domain (a remote
+                // steal took the parent) routes new SGTs back home instead
+                // of growing the remote worker's deque.
+                Some(domain) if domain != worker.domain => worker.spawn_in_domain(domain, job),
+                _ => worker.spawn(job),
+            },
+        },
+        Origin::Caller(pool) => match (target, home) {
+            (SgtTarget::Domain(domain), _) | (SgtTarget::Local, Some(domain)) => {
+                pool.spawn_in(domain, job)
+            }
+            (SgtTarget::Spread, _) | (SgtTarget::Local, None) => pool.spawn(job),
         },
     }
 }
@@ -371,7 +441,7 @@ impl<'a> SgtCtx<'a> {
 
     /// The enclosing LGT's private memory.
     pub fn memory(&self) -> &SharedRegion {
-        &self.shared.memory
+        self.shared.memory()
     }
 
     /// Spawn a sibling/child SGT (same LGT).
@@ -379,7 +449,12 @@ impl<'a> SgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Local);
+        spawn_sgt_impl(
+            self.shared,
+            Origin::Worker(self.worker),
+            body,
+            SgtTarget::Local,
+        );
     }
 
     /// Spawn a sibling/child SGT via the global queue (no locality
@@ -388,7 +463,12 @@ impl<'a> SgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Spread);
+        spawn_sgt_impl(
+            self.shared,
+            Origin::Worker(self.worker),
+            body,
+            SgtTarget::Spread,
+        );
     }
 
     /// Spawn a sibling/child SGT with explicit domain placement — the
@@ -400,7 +480,12 @@ impl<'a> SgtCtx<'a> {
     where
         F: FnOnce(&SgtCtx) + Send + 'static,
     {
-        spawn_sgt_impl(self.shared, self.worker, body, SgtTarget::Domain(domain));
+        spawn_sgt_impl(
+            self.shared,
+            Origin::Worker(self.worker),
+            body,
+            SgtTarget::Domain(domain),
+        );
     }
 
     /// Build a TGT graph whose fibers share a fresh frame of `slots` slots;
@@ -528,9 +613,104 @@ mod tests {
     #[test]
     fn run_lgt_convenience() {
         let htvm = rt();
+        let caller = std::thread::current().id();
+        let mut ran_on = None;
         htvm.run_lgt(|lgt| {
             lgt.memory().write(0, 7);
+            ran_on = Some(std::thread::current().id());
         });
+        assert_eq!(ran_on, Some(caller), "the body runs on the calling thread");
+    }
+
+    /// A leaf SGT that finishes well after its spawner returned, so a
+    /// missing join shows up as an uncounted leaf.
+    fn slow_leaf(count: &Arc<AtomicU64>) -> impl FnOnce(&SgtCtx) + Send + 'static {
+        let count = count.clone();
+        move |_| {
+            std::thread::sleep(std::time::Duration::from_millis(2));
+            count.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    #[test]
+    fn caller_run_lgt_joins_every_spawn_kind() {
+        let htvm = Htvm::new(HtvmConfig::with_topology(Topology::domains(2, 2)));
+        let leaves = Arc::new(AtomicU64::new(0));
+        htvm.run_lgt(|lgt| {
+            assert_eq!(lgt.workers(), 4);
+            assert_eq!(lgt.num_domains(), 2);
+            for i in 0..4u64 {
+                let (a, b, c) = (leaves.clone(), leaves.clone(), leaves.clone());
+                lgt.spawn_sgt(move |sgt| sgt.spawn_sgt(slow_leaf(&a)));
+                lgt.spawn_sgt_spread(move |sgt| sgt.spawn_sgt_spread(slow_leaf(&b)));
+                lgt.spawn_sgt_in(DomainId(i % 2), move |sgt| {
+                    sgt.spawn_sgt_in(DomainId((i + 1) % 2), slow_leaf(&c))
+                });
+            }
+        });
+        assert_eq!(leaves.load(Ordering::Relaxed), 12, "run_lgt returned early");
+    }
+
+    #[test]
+    fn caller_run_lgt_records_domain_placements() {
+        let htvm = Htvm::new(HtvmConfig::with_topology(Topology::domains(2, 2)));
+        let leaves = Arc::new(AtomicU64::new(0));
+        htvm.run_lgt(|lgt| {
+            for i in 0..6u64 {
+                let leaves = leaves.clone();
+                lgt.spawn_sgt_in(DomainId(u64::from(i >= 4)), move |sgt| {
+                    sgt.spawn_sgt_in(DomainId(1), slow_leaf(&leaves))
+                });
+            }
+        });
+        assert_eq!(leaves.load(Ordering::Relaxed), 6);
+        // Caller placements [4, 2] plus the SGTs' six into domain 1.
+        assert_eq!(htvm.pool_stats().domain_spawns, vec![4, 8]);
+    }
+
+    #[test]
+    fn caller_run_lgt_nested_fanout_on_one_worker() {
+        let htvm = Htvm::new(HtvmConfig::with_workers(1));
+        let leaves = Arc::new(AtomicU64::new(0));
+        htvm.run_lgt(|lgt| {
+            for _ in 0..8 {
+                let leaves = leaves.clone();
+                lgt.spawn_sgt(move |sgt| {
+                    for _ in 0..8 {
+                        let leaves = leaves.clone();
+                        sgt.spawn_sgt(move |_| {
+                            leaves.fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(leaves.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn caller_run_lgt_panic_is_raised_after_the_join() {
+        let htvm = rt();
+        let leaves = Arc::new(AtomicU64::new(0));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            htvm.run_lgt(|lgt| {
+                for _ in 0..8 {
+                    lgt.spawn_sgt(slow_leaf(&leaves));
+                }
+                panic!("injected caller-run LGT failure");
+            })
+        }));
+        let payload = caught.expect_err("the body's panic is re-raised");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected caller-run LGT failure")
+        );
+        assert_eq!(
+            leaves.load(Ordering::Relaxed),
+            8,
+            "sibling SGTs ran before the re-raise"
+        );
+        assert_eq!(htvm.pool_stats().panics, 0, "the pool contained nothing");
     }
 
     #[test]

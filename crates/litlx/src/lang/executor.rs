@@ -6,7 +6,8 @@
 //!
 //! * `NaiveExecutor` — the historical flat fan-out: helper SGTs claim
 //!   chunks from an atomic cursor under a hint-selected schedule
-//!   (`static` / `chunk` / `guided`), the calling thread helping.
+//!   (`static` / `chunk` / `guided`), the calling thread helping. A
+//!   failing loop reports its lowest failing iteration's error.
 //! * `SspExecutor` — the §3.3 pipeline: lower the nest to
 //!   `htvm_ssp::ir::LoopNest` ([`super::lower`]), schedule every level,
 //!   pick one, partition it into thread groups, and run the groups on the
@@ -64,14 +65,17 @@
 //! counts the reuses, and the cache keeps at most
 //! [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY) points.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
+use htvm_core::faults::describe_payload;
 use htvm_core::SharedRegion;
 use htvm_ssp::exec::{plan_native, run_partitioned_body, NestBody, PointBody, RunBody};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
+use parking_lot::Mutex;
 
 use super::ast::{Hint, Stmt};
 use super::compile::{compile_code, CompiledKernel};
@@ -251,84 +255,146 @@ fn const_fold(e: &super::ast::Expr, env: &Env) -> Option<f64> {
 
 /// The historical flat fan-out: helpers steal chunks from an atomic
 /// cursor; the caller participates, so loops finish on a single worker.
+///
+/// A failing loop reports the error of its lowest failing iteration, the
+/// rule `htvm_ssp::exec`'s waves use for groups: an iteration is skipped
+/// only once a lower one has failed, so every iteration below the
+/// recorded error still runs, and the caller returns only after every
+/// claimed chunk is done. An iteration that panics fails with
+/// `forall iteration i panicked: …`, and `return` in the body fails the
+/// iteration that reached it.
 pub(crate) struct NaiveExecutor;
+
+/// How the naive loop sizes the chunks it hands out
+/// (`@hint(schedule = …, chunk = …)`).
+enum Schedule {
+    /// One chunk per worker (the default).
+    Static,
+    /// Fixed-size chunks.
+    Chunk(u64),
+    /// A worker's share of what is left.
+    Guided,
+}
+
+impl Schedule {
+    fn from_hints(hints: &[Hint]) -> Self {
+        match hints.iter().find_map(|h| h.get_str("schedule")) {
+            Some("guided") => Schedule::Guided,
+            Some("chunk") => {
+                let chunk = hints.iter().find_map(|h| h.get_num("chunk"));
+                Schedule::Chunk((chunk.unwrap_or(1.0) as u64).max(1))
+            }
+            _ => Schedule::Static,
+        }
+    }
+}
+
+/// One naive loop's cursor, completion count and error, shared by the
+/// caller and its helper SGTs.
+struct NaiveLoop {
+    n: u64,
+    workers: u64,
+    schedule: Schedule,
+    next: AtomicU64,
+    done: htvm_core::sync::EventCount,
+    /// The lowest failing iteration so far (`u64::MAX`: none), read
+    /// without the lock to skip the iterations behind it.
+    failed_at: AtomicU64,
+    /// That iteration's error.
+    error: Mutex<Option<String>>,
+}
+
+impl NaiveLoop {
+    /// Claim the next chunk `[lo, hi)` of the iteration space, if any.
+    fn claim(&self) -> Option<(u64, u64)> {
+        let n = self.n;
+        loop {
+            let cur = self.next.load(Ordering::Acquire);
+            if cur >= n {
+                return None;
+            }
+            let size = match self.schedule {
+                Schedule::Static => n.div_ceil(self.workers).max(1),
+                Schedule::Chunk(size) => size,
+                Schedule::Guided => ((n - cur) / self.workers).max(1),
+            };
+            let end = (cur + size).min(n);
+            if self
+                .next
+                .compare_exchange(cur, end, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some((cur, end));
+            }
+        }
+    }
+
+    /// Run chunks until the cursor is exhausted, binding `var` to
+    /// `from + i` for iteration `i`.
+    fn work(&self, scope: &Scope<'_>, var: &str, from: i64, body: &[Stmt], env: &Env) {
+        while let Some((lo, hi)) = self.claim() {
+            for i in lo..hi {
+                if i >= self.failed_at.load(Ordering::Acquire) {
+                    break;
+                }
+                let e = env.child();
+                e.define(var, Value::Num((from + i as i64) as f64));
+                let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    scope.exec_block_returns(body, &e)
+                }));
+                let err = match ran {
+                    Ok(Ok(false)) => continue,
+                    Ok(Ok(true)) => "`return` inside forall is not allowed".to_string(),
+                    Ok(Err(err)) => err,
+                    Err(p) => format!("forall iteration {i} panicked: {}", describe_payload(&*p)),
+                };
+                self.fail(i, err);
+                break;
+            }
+            self.done.add(hi - lo);
+        }
+    }
+
+    /// Record iteration `i`'s error unless a lower iteration already failed.
+    fn fail(&self, i: u64, err: String) {
+        let mut slot = self.error.lock();
+        if i < self.failed_at.load(Ordering::Acquire) {
+            self.failed_at.store(i, Ordering::Release);
+            *slot = Some(err);
+        }
+    }
+}
 
 impl LoopExecutor for NaiveExecutor {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String> {
         let n = (spec.to - spec.from).max(0) as u64;
         let from = spec.from;
         let workers = scope.shared.workers as u64;
-        let schedule = spec
-            .hints
-            .iter()
-            .find_map(|h| h.get_str("schedule").map(str::to_string))
-            .unwrap_or_else(|| "static".to_string());
-        let fixed_chunk = spec
-            .hints
-            .iter()
-            .find_map(|h| h.get_num("chunk"))
-            .map(|c| c as u64);
-
-        let next = Arc::new(AtomicU64::new(0));
-        let done = Arc::new(htvm_core::sync::EventCount::new());
-
-        let claim =
-            move |next: &AtomicU64, schedule: &str, chunk: Option<u64>| -> Option<(u64, u64)> {
-                let static_chunk = n.div_ceil(workers).max(1);
-                loop {
-                    let cur = next.load(Ordering::Acquire);
-                    if cur >= n {
-                        return None;
-                    }
-                    let size = match schedule {
-                        "guided" => ((n - cur) / workers).max(1),
-                        "chunk" => chunk.unwrap_or(1).max(1),
-                        _ => static_chunk,
-                    };
-                    let end = (cur + size).min(n);
-                    if next
-                        .compare_exchange(cur, end, Ordering::AcqRel, Ordering::Acquire)
-                        .is_ok()
-                    {
-                        return Some((cur, end));
-                    }
-                }
-            };
+        let lp = Arc::new(NaiveLoop {
+            n,
+            workers,
+            schedule: Schedule::from_hints(spec.hints),
+            next: AtomicU64::new(0),
+            done: htvm_core::sync::EventCount::new(),
+            failed_at: AtomicU64::new(u64::MAX),
+            error: Mutex::new(None),
+        });
 
         // Helpers: workers-1 SGTs; the caller participates too.
-        let helpers = workers.saturating_sub(1);
-        for _ in 0..helpers {
+        for _ in 0..workers.saturating_sub(1) {
             let env = spec.env.clone();
             let body = spec.body.to_vec();
             let var = spec.var.to_string();
-            let next = next.clone();
-            let done = done.clone();
-            let schedule = schedule.clone();
-            scope.spawn_sgt(move |scope| {
-                while let Some((lo, hi)) = claim(&next, &schedule, fixed_chunk) {
-                    for i in lo..hi {
-                        let e = env.child();
-                        e.define(&var, Value::Num((from + i as i64) as f64));
-                        if let Err(err) = scope.exec_block(&body, &e) {
-                            scope.shared.fail(err);
-                        }
-                    }
-                    done.add(hi - lo);
-                }
-            });
+            let lp = lp.clone();
+            scope.spawn_sgt(move |scope| lp.work(scope, &var, from, &body, &env));
         }
-        while let Some((lo, hi)) = claim(&next, &schedule, fixed_chunk) {
-            for i in lo..hi {
-                let e = spec.env.child();
-                e.define(spec.var, Value::Num((from + i as i64) as f64));
-                if scope.exec_block_returns(spec.body, &e)? {
-                    return Err("`return` inside forall is not allowed".to_string());
-                }
-            }
-            done.add(hi - lo);
+        lp.work(scope, spec.var, from, spec.body, spec.env);
+        lp.done.wait_for(n);
+        let err = lp.error.lock().take();
+        match err {
+            Some(err) => Err(err),
+            None => Ok(ExecPathTaken::Naive),
         }
-        done.wait_for(n);
-        Ok(ExecPathTaken::Naive)
     }
 }
 

@@ -2,10 +2,15 @@
 //!
 //! Mapping of language constructs onto the execution model:
 //!
-//! * a program run is one **LGT** ([`htvm_core::Htvm::lgt`]);
-//! * `forall` bodies and `spawn` blocks become **SGTs** — the spawning
-//!   thread participates in its own loop (helping), so loops finish even on
-//!   a single worker;
+//! * a program run is one **LGT**, and `main` runs as that LGT on the
+//!   thread that called [`Interp::run`] ([`htvm_core::Htvm::run_lgt`]):
+//!   no pool job and no cross-thread hand-off per run. The run returns
+//!   once every SGT of the program has finished; a panic in `main` comes
+//!   back as `Err("main panicked: …")` after that join;
+//! * `forall` bodies and `spawn` blocks become **SGTs** on the
+//!   interpreter's pool — the spawning thread participates in its own loop
+//!   (helping), so loops finish even on a single worker, and the thread
+//!   that called `run` is the helping caller of `main`'s loops;
 //! * `future`/`force` lower onto [`crate::future::LitlFuture`];
 //! * `atomic { … }` blocks serialize through the interpreter's atomic
 //!   domain;
@@ -22,6 +27,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htvm_adapt::KnowledgeBase;
+use htvm_core::faults::describe_payload;
 use htvm_core::{Htvm, HtvmConfig, Pool, PoolStats, SharedRegion, Topology};
 use parking_lot::Mutex;
 
@@ -278,8 +284,9 @@ impl Interp {
         self.plans.len()
     }
 
-    /// Run `main` (no arguments). Returns printed output or the first
-    /// runtime error.
+    /// Run `main` (no arguments) on the calling thread; its SGTs run on
+    /// the interpreter's pool. Returns printed output or the run's
+    /// runtime error — a panic in `main` is `Err("main panicked: …")`.
     pub fn run(&self, program: &Program) -> Result<RunOutput, String> {
         self.run_inner(program, None).map(|(out, _)| out)
     }
@@ -324,18 +331,23 @@ impl Interp {
             },
             profile,
         });
-        let sh = shared.clone();
-        let handle = self.htvm.lgt(move |lgt| {
-            let main = sh.program.get_fn("main").expect("checked above").clone();
-            let scope = Scope {
-                shared: sh.clone(),
-                spawner: lgt,
-            };
-            if let Err(e) = scope.call_fn(&main, Vec::new()) {
-                sh.fail(e);
-            }
-        });
-        handle.join();
+        // `main` runs on this thread as the program's LGT; its SGTs run on
+        // the pool and are joined before `run_lgt` returns or re-raises.
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.htvm.run_lgt(|lgt| {
+                let main = shared.program.get_fn("main").expect("checked above");
+                let scope = Scope {
+                    shared: shared.clone(),
+                    spawner: lgt,
+                };
+                if let Err(e) = scope.call_fn(main, Vec::new()) {
+                    shared.fail(e);
+                }
+            })
+        }));
+        if let Err(payload) = ran {
+            return Err(format!("main panicked: {}", describe_payload(&*payload)));
+        }
         let err = shared.error.lock().clone();
         if let Some(e) = err {
             return Err(e);
