@@ -1,15 +1,18 @@
 //! Criterion bench for LITL-X kernel dispatch: the same lowered nest
 //! executed point-at-a-time on the register tape (`Kernel::execute`),
-//! run-at-a-time on the optimized tape (`CompiledKernel` with the `tape`
-//! plan), and run-at-a-time through a monomorphized closure (`dot-accum`
-//! / `fma-map`). Divide the per-iteration time by the point count in the
-//! benchmark name to get per-point ns — the quantity the `e18` report
-//! rows track at full scale.
+//! run-at-a-time on the strip-mined tape (`CompiledKernel` with the
+//! `tape` plan), run-at-a-time through a monomorphized loop (`dot-accum`
+//! / `fma-map`), and as one tile (`CompiledKernel::execute_tile`, what
+//! one SSP group calls). Divide the per-iteration time by the point
+//! count in the benchmark name to get per-point ns — the quantity the
+//! `e18` report rows track at full scale.
 //!
 //! The `run_tape` matmul variant multiplies by a constant so the body
 //! stays off the monomorphized shapes (5 body instructions): it does one
 //! extra multiply per point versus the `compiled` variant, which is noise
-//! next to the dispatch overhead being measured.
+//! next to the dispatch overhead being measured. Its `c[..] +=` is the
+//! only access to `c`, so its tape runs 64-point strips, as do the `init`
+//! rows (`a[i] = i % 7 + 1`, the served matmul's init loops).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use htvm_core::SharedRegion;
@@ -117,8 +120,8 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
         let lowered = lower_src(&matmul_src(true), &matmul_bindings());
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!(
-            compiled.info().plan,
-            "tape",
+            (compiled.info().plan, compiled.info().strip),
+            ("tape", 64),
             "scaled matmul must stay generic"
         );
         let trips = lowered.nest.trip_counts.clone();
@@ -127,14 +130,42 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
         });
     }
 
-    // Run-at-a-time through the monomorphized dot-accum closure.
+    // Run-at-a-time through the monomorphized dot-accum loop, then the
+    // same kernel as one tile over the whole nest.
     {
         let lowered = lower_src(&matmul_src(false), &matmul_bindings());
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!(compiled.info().plan, "dot-accum");
         let trips = lowered.nest.trip_counts.clone();
+        let tiled = compiled.clone();
         g.bench_function("matmul_13824pts/compiled", move |b| {
             b.iter(|| run_all(&compiled, &trips))
+        });
+        g.bench_function("matmul_13824pts/tile", move |b| {
+            b.iter(|| tiled.execute_tile(&[], 0, N as i64).expect("proven kernel"))
+        });
+    }
+
+    // The init loop on the strip-mined tape (one run of 64-point strips,
+    // `i % 7` as a wrapping counter) against the per-point tape.
+    let init_src = "fn main() { forall i in 0..4096 { a[i] = i % 7 + 1; } }";
+    {
+        let lowered = lower_src(init_src, &[("a", Value::Arr(SharedRegion::new(4096)))]);
+        let kernel = lowered.kernel;
+        g.bench_function("init_4096pts/point_tape", move |b| {
+            b.iter(|| {
+                for i in 0..4096 {
+                    kernel.execute(&[i]).expect("in bounds");
+                }
+            })
+        });
+    }
+    {
+        let lowered = lower_src(init_src, &[("a", Value::Arr(SharedRegion::new(4096)))]);
+        let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
+        assert_eq!((compiled.info().plan, compiled.info().strip), ("tape", 64));
+        g.bench_function("init_4096pts/strip_tape", move |b| {
+            b.iter(|| compiled.execute_tile(&[], 0, 4096).expect("proven kernel"))
         });
     }
 

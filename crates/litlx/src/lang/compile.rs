@@ -1,18 +1,19 @@
-//! Compiling the lowered kernel tape for run-at-a-time execution.
+//! Compiling the lowered kernel tape for tile-at-a-time execution.
 //!
 //! [`super::lower`] produces a per-point register tape: correct, but every
 //! iteration point pays a scratch borrow, per-instruction dispatch, an
 //! affine-index evaluation and a bounds check per access, and a
 //! `Result<(), String>` error path. This module takes that tape plus the
 //! nest's rectangular trip counts and produces a [`CompiledKernel`] that
-//! executes whole **runs** — `(prefix, t0..t1)` spans of the innermost
-//! level — instead of points:
+//! executes whole **tiles** — one SSP group's range at its partitioned
+//! level, every inner level full — instead of points:
 //!
 //! 1. **Tape optimization** — constant folding, dead-register
 //!    elimination, and a preamble/body split that hoists everything
 //!    invariant in the innermost level (constants, outer index values,
 //!    loads with innermost stride 0 from arrays the kernel never stores)
-//!    to once-per-run execution.
+//!    to once-per-run execution. `innermost index % constant` over a
+//!    non-negative index range becomes a wrapping counter.
 //! 2. **Bounds-check hoisting** — each access's affine index is bounded
 //!    over the whole iteration box at compile time (interval arithmetic in
 //!    `i128`, so no intermediate overflow). A proven access runs
@@ -20,14 +21,26 @@
 //!    API; an unproven access keeps a checked fallback whose error — a
 //!    tiny `Copy` [`KernelFault`] — is formatted only if it surfaces.
 //! 3. **Strength reduction** — affine polynomials become per-slot base
-//!    indices (evaluated once per run) plus per-point stride increments.
-//! 4. **Monomorphization** — the two shapes the benchmarks actually hit
-//!    get native closed-form loops, unrolled by 4 over the region word
-//!    slabs: `Plan::DotAccum` (`c[..] += a[..] * b[..]` with an
+//!    indices, evaluated once per tile and advanced by a per-level carry
+//!    as the tile walks its inner levels, plus per-point stride
+//!    increments inside a run.
+//! 4. **Tile execution** — [`CompiledKernel::execute_tile`] asserts the
+//!    tile lies in the compiled box and borrows its scratch once, then
+//!    walks the tile's innermost **runs** in lexicographic order and
+//!    dispatches the plan on each without re-asserting.
+//!    [`CompiledKernel::execute_run`] is the one-run tile.
+//! 5. **Run plans** — the two shapes the benchmarks hit get native
+//!    closed-form loops, unrolled by 4 over the region word slabs:
+//!    `Plan::DotAccum` (`c[..] += a[..] * b[..]` with an
 //!    innermost-invariant store, the matmul reduction) and
 //!    `Plan::FmaMap` (`d[..] = a[..] * b[..] (+ k)`, the elementwise
-//!    map). Everything else runs on the optimized run-at-a-time tape
-//!    interpreter, `Plan::Tape`.
+//!    map). Everything else runs on the strip-mined tape, `Plan::Tape`:
+//!    each body instruction executes over a strip of innermost points
+//!    held in column registers, so instruction dispatch is paid once per
+//!    strip. The strip is [`STRIP`] points wide when every access is
+//!    proven and every stored array has exactly one access slot, and one
+//!    point wide otherwise — the same code, reproducing the per-point
+//!    order and fault identity exactly.
 //!
 //! # Why the results stay bit-identical to the interpreted path
 //!
@@ -47,6 +60,18 @@
 //!   read-add-write sequence. This requires the store array to be
 //!   distinct from both load arrays (checked at compile time; regions
 //!   are identity-deduplicated, and distinct regions never overlap).
+//! * a wide strip runs instruction `k` for every point of the strip
+//!   before instruction `k + 1`. With every stored array touched by one
+//!   access slot only, no load reads an array the strip writes, and each
+//!   stored location receives its writes from its one store instruction
+//!   in point order; with every access proven, no fault can be reordered
+//!   against a store. Every value a point computes is therefore the one
+//!   the per-point order computes.
+//!
+//! Kernel `%` takes an exact integer path when both operands are
+//! integer-valued, below 2^53 in magnitude, and the divisor is nonzero:
+//! the truncated `i64` remainder, signed like the dividend, is exactly
+//! f64 `%` (including its `-0.0` results). Everything else calls f64 `%`.
 //!
 //! The unrolled loops never reassociate floating-point sums. Memory
 //! access stays relaxed-atomic throughout — a racing LITL-X `spawn` may
@@ -150,6 +175,12 @@ enum CInstr {
         slot: usize,
         accumulate: bool,
     },
+    /// `r[dst] = (innermost absolute index) % m`, for a non-negative
+    /// innermost range: a counter wrapping at `m`.
+    IdxRem {
+        dst: usize,
+        m: i64,
+    },
 }
 
 impl CInstr {
@@ -161,14 +192,18 @@ impl CInstr {
             | CInstr::Bin { dst, .. }
             | CInstr::Neg { dst, .. }
             | CInstr::Call1 { dst, .. }
-            | CInstr::Call2 { dst, .. } => Some(*dst),
+            | CInstr::Call2 { dst, .. }
+            | CInstr::IdxRem { dst, .. } => Some(*dst),
             CInstr::Store { .. } => None,
         }
     }
 
     fn operands(&self) -> (Option<usize>, Option<usize>) {
         match self {
-            CInstr::Const { .. } | CInstr::IdxVal { .. } | CInstr::Load { .. } => (None, None),
+            CInstr::Const { .. }
+            | CInstr::IdxVal { .. }
+            | CInstr::Load { .. }
+            | CInstr::IdxRem { .. } => (None, None),
             CInstr::Neg { a, .. } | CInstr::Call1 { a, .. } => (Some(*a), None),
             CInstr::Bin { a, b, .. } | CInstr::Call2 { a, b, .. } => (Some(*a), Some(*b)),
             CInstr::Store { src, .. } => (Some(*src), None),
@@ -203,9 +238,12 @@ enum Plan {
     DotAccum(DotAccum),
     /// Monomorphized elementwise FMA map (see [`FmaMap`]).
     FmaMap(FmaMap),
-    /// The optimized run-at-a-time tape interpreter.
+    /// The strip-mined tape executor.
     Tape,
 }
+
+/// Points per strip of a wide strip-mined tape (module docs, step 5).
+pub const STRIP: usize = 64;
 
 /// Introspection of a compilation, for tests, benches and reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -223,6 +261,9 @@ pub struct CompileInfo {
     pub body: usize,
     /// Whether every access is proven (the kernel is infallible).
     pub all_proven: bool,
+    /// Innermost points per strip of the tape executor: [`STRIP`] or 1
+    /// (module docs, step 5).
+    pub strip: usize,
 }
 
 /// The immutable result of compiling a kernel against one nest geometry
@@ -236,10 +277,18 @@ pub(crate) struct CompiledCode {
     los: Vec<i64>,
     trips: Vec<u64>,
     accesses: Vec<RunAccess>,
+    /// `carry[k * accesses.len() + s]`: slot `s`'s index change when a
+    /// tile steps level `k` (below the innermost) and resets the levels
+    /// between it and the innermost from their last value to 0.
+    carry: Vec<i64>,
     preamble: Vec<CInstr>,
     body: Vec<CInstr>,
+    /// Preamble registers the body reads: broadcast into the column
+    /// registers before each run of the tape.
+    broadcast: Vec<usize>,
     regs: usize,
     plan: Plan,
+    strip: usize,
 }
 
 /// A compiled kernel bound to one run's array table, executing runs of
@@ -271,13 +320,42 @@ fn prove_in_bounds(idx: &AffineIdx, los: &[i64], trips: &[u64], len: usize) -> b
     lo >= 0 && hi < len as i128
 }
 
+/// Magnitude bound of the exact integer paths: every integer below it is
+/// an exact f64, and so is every intermediate of an `i64` remainder.
+const EXACT_INT: f64 = 9_007_199_254_740_992.0; // 2^53
+
+/// `x` as an integer, if it is one strictly below 2^53 in magnitude
+/// (`-0.0` maps to 0; NaN and infinities to `None`).
+#[inline(always)]
+fn exact_int(x: f64) -> Option<i64> {
+    if x.abs() < EXACT_INT {
+        let i = x as i64;
+        if i as f64 == x {
+            return Some(i);
+        }
+    }
+    None
+}
+
+/// f64 `%`, bit for bit, with an integer fast path: for integer-valued
+/// operands below 2^53 and a nonzero divisor, the truncated `i64`
+/// remainder is the exact f64 remainder, and giving it the dividend's
+/// sign reproduces f64 `%`'s signed zeros.
+#[inline(always)]
+fn rem_f64(x: f64, y: f64) -> f64 {
+    match (exact_int(x), exact_int(y)) {
+        (Some(a), Some(b)) if b != 0 => ((a % b) as f64).copysign(x),
+        _ => x % y,
+    }
+}
+
 fn eval_bin(op: BinOp, x: f64, y: f64) -> f64 {
     match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
         BinOp::Mul => x * y,
         BinOp::Div => x / y,
-        BinOp::Rem => x % y,
+        BinOp::Rem => rem_f64(x, y),
         BinOp::Eq => (x == y) as i64 as f64,
         BinOp::Ne => (x != y) as i64 as f64,
         BinOp::Lt => (x < y) as i64 as f64,
@@ -312,7 +390,7 @@ fn eval_call2(f: MathFn2, x: f64, y: f64) -> f64 {
 /// per level, outermost first — the same geometry the SSP executor
 /// partitions). The result is tied to this geometry and to the lengths
 /// of `kernel.arrays`: the bounds proofs quantify over exactly this box,
-/// [`CompiledKernel::execute_run`] asserts membership, and
+/// [`CompiledKernel::execute_tile`] asserts membership, and
 /// `CompiledKernel::bind` asserts the lengths.
 pub fn compile(kernel: &Kernel, trips: &[u64]) -> CompiledKernel {
     let lens: Vec<usize> = kernel.arrays.iter().map(SharedRegion::len).collect();
@@ -344,6 +422,13 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
         accesses.len() - 1
     };
     let mut known: Vec<Option<f64>> = vec![None; kernel.regs];
+    // Registers holding the innermost index value. `% constant` of one
+    // becomes a counter only over a non-negative range below 2^53, where
+    // its non-negative values are exactly f64 `%` (a negative dividend
+    // would need `-0.0`s).
+    let mut innermost_idx = vec![false; kernel.regs];
+    let inner_lo = kernel.los[innermost];
+    let counter_ok = inner_lo >= 0 && (inner_lo as f64 + trips[innermost] as f64) < EXACT_INT;
     let mut instrs: Vec<CInstr> = Vec::with_capacity(kernel.instrs.len());
     for ins in &kernel.instrs {
         match ins {
@@ -354,10 +439,13 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
                     val: *val,
                 });
             }
-            KInstr::IdxVal { dst, level } => instrs.push(CInstr::IdxVal {
-                dst: *dst,
-                level: *level,
-            }),
+            KInstr::IdxVal { dst, level } => {
+                innermost_idx[*dst] = *level == innermost;
+                instrs.push(CInstr::IdxVal {
+                    dst: *dst,
+                    level: *level,
+                });
+            }
             KInstr::Load { dst, arr, idx } => {
                 let s = slot(&mut accesses, *arr, idx);
                 instrs.push(CInstr::Load { dst: *dst, slot: s });
@@ -367,6 +455,17 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
                     let v = eval_bin(*op, x, y);
                     known[*dst] = Some(v);
                     instrs.push(CInstr::Const { dst: *dst, val: v });
+                }
+                (None, Some(c))
+                    if *op == BinOp::Rem
+                        && innermost_idx[*a]
+                        && counter_ok
+                        && exact_int(c).is_some_and(|m| m != 0) =>
+                {
+                    instrs.push(CInstr::IdxRem {
+                        dst: *dst,
+                        m: c.abs() as i64,
+                    });
                 }
                 _ => instrs.push(CInstr::Bin {
                     dst: *dst,
@@ -420,6 +519,19 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
                     accumulate: *accumulate,
                 });
             }
+        }
+    }
+
+    // The strip-mined tape borrows an instruction's operand columns
+    // beside its destination column, which needs operands numbered below
+    // the destination — true of the lowering's single-assignment tape.
+    for ins in &instrs {
+        if let Some(d) = ins.dst() {
+            let (a, b) = ins.operands();
+            assert!(
+                a.is_none_or(|a| a < d) && b.is_none_or(|b| b < d),
+                "kernel registers must be defined before use: {ins:?}"
+            );
         }
     }
 
@@ -478,7 +590,7 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
             CInstr::Bin { a, b, .. } | CInstr::Call2 { a, b, .. } => {
                 hoisted_reg[*a] && hoisted_reg[*b]
             }
-            CInstr::Store { .. } => false,
+            CInstr::Store { .. } | CInstr::IdxRem { .. } => false,
         };
         if hoist {
             if let Some(d) = ins.dst() {
@@ -495,15 +607,58 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
         .or_else(|| match_fma_map(&body, &accesses, &hoisted_reg))
         .unwrap_or(Plan::Tape);
 
+    // The tape's strip width (module docs, step 5): wide only when no
+    // access can fault and no stored array is touched by a second slot.
+    let mut slots_per_array = vec![0usize; lens.len()];
+    let mut all_proven = true;
+    for ins in preamble.iter().chain(&body) {
+        if let CInstr::Load { slot, .. } | CInstr::Store { slot, .. } = ins {
+            slots_per_array[accesses[*slot].arr] += 1;
+            all_proven &= accesses[*slot].proven;
+        }
+    }
+    let single_slot_stores = (0..lens.len()).all(|k| !array_stored[k] || slots_per_array[k] == 1);
+    let strip = if all_proven && single_slot_stores {
+        STRIP
+    } else {
+        1
+    };
+
+    let mut broadcast: Vec<usize> = Vec::new();
+    for ins in &body {
+        let (a, b) = ins.operands();
+        for r in [a, b].into_iter().flatten() {
+            if hoisted_reg[r] && !broadcast.contains(&r) {
+                broadcast.push(r);
+            }
+        }
+    }
+
+    // Per-level index carries for the tile walk (levels below the
+    // innermost): stepping level `k` adds its coefficient and rewinds
+    // every level between it and the innermost from its last index to 0.
+    let mut carry = Vec::with_capacity(innermost * accesses.len());
+    for k in 0..innermost {
+        carry.extend(accesses.iter().map(|a| {
+            a.idx.coefs[k]
+                - (k + 1..innermost)
+                    .map(|m| a.idx.coefs[m] * (trips[m] as i64 - 1))
+                    .sum::<i64>()
+        }));
+    }
+
     CompiledCode {
         lens,
         los: kernel.los.clone(),
         trips: trips.to_vec(),
         accesses,
+        carry,
         preamble,
         body,
+        broadcast,
         regs: kernel.regs,
         plan,
+        strip,
     }
 }
 
@@ -610,7 +765,7 @@ fn match_fma_map(body: &[CInstr], accesses: &[RunAccess], hoisted_reg: &[bool]) 
 /// # Safety
 ///
 /// `i` is non-negative and `(i as usize) < w.len()` — established by the
-/// caller's compile-time bounds proof plus `execute_run`'s box assertion.
+/// caller's compile-time bounds proof plus `execute_tile`'s box assertion.
 #[inline(always)]
 unsafe fn lrel(w: &[AtomicU64], i: i64) -> f64 {
     debug_assert!(0 <= i && (i as usize) < w.len());
@@ -629,23 +784,64 @@ unsafe fn srel(w: &[AtomicU64], i: i64, v: f64) {
         .store(v.to_bits(), Ordering::Relaxed);
 }
 
-/// Per-thread run scratch: registers, absolute induction values, and the
-/// incrementally maintained per-slot indices — borrowed **once per run**,
-/// not once per point.
-struct RunScratch {
+/// One strip of column registers.
+type Lanes = [f64; STRIP];
+
+/// Per-thread tile scratch: scalar registers (the preamble's), column
+/// registers (the tape's), absolute induction values, and the per-slot
+/// base indices — borrowed **once per tile**, not once per run or point.
+struct TileScratch {
     regs: Vec<f64>,
+    cols: Vec<Lanes>,
     abs: Vec<i64>,
     idxs: Vec<i64>,
 }
 
 thread_local! {
-    static RUN_SCRATCH: std::cell::RefCell<RunScratch> = const {
-        std::cell::RefCell::new(RunScratch {
+    static TILE_SCRATCH: std::cell::RefCell<TileScratch> = const {
+        std::cell::RefCell::new(TileScratch {
             regs: Vec::new(),
+            cols: Vec::new(),
             abs: Vec::new(),
             idxs: Vec::new(),
         })
     };
+}
+
+/// The column of `dst`, and below it the columns of its operands: the
+/// lowering numbers registers in definition order and assigns each once,
+/// so every operand register is below its instruction's `dst`
+/// (asserted by `compile_code`).
+#[inline(always)]
+fn dst_col(cols: &mut [Lanes], dst: usize) -> (&[Lanes], &mut Lanes) {
+    let (operands, rest) = cols.split_at_mut(dst);
+    (operands, &mut rest[0])
+}
+
+/// `cols[dst][p] = f(cols[a][p])` over the strip's `w` lanes.
+#[inline(always)]
+fn lanes1(cols: &mut [Lanes], dst: usize, a: usize, w: usize, f: impl Fn(f64) -> f64) {
+    let (src, out) = dst_col(cols, dst);
+    for (v, &x) in out[..w].iter_mut().zip(&src[a][..w]) {
+        *v = f(x);
+    }
+}
+
+/// `cols[dst][p] = f(cols[a][p], cols[b][p])` over the strip's `w` lanes.
+#[inline(always)]
+fn lanes2(
+    cols: &mut [Lanes],
+    dst: usize,
+    a: usize,
+    b: usize,
+    w: usize,
+    f: impl Fn(f64, f64) -> f64,
+) {
+    let (src, out) = dst_col(cols, dst);
+    let (xs, ys) = (&src[a][..w], &src[b][..w]);
+    for ((v, &x), &y) in out[..w].iter_mut().zip(xs).zip(ys) {
+        *v = f(x, y);
+    }
 }
 
 impl CompiledKernel {
@@ -687,6 +883,7 @@ impl CompiledKernel {
             hoisted: c.preamble.len(),
             body: c.body.len(),
             all_proven: c.accesses.iter().all(|a| a.proven),
+            strip: c.strip,
         }
     }
 
@@ -695,100 +892,170 @@ impl CompiledKernel {
         &self.code.accesses
     }
 
-    /// Execute one run: the iteration points `(prefix, t)` for `t` in
-    /// `t0..t1`, where `prefix` holds the 0-based indices of every level
-    /// but the innermost (the kernel translates via the nest's lower
-    /// bounds).
+    /// Execute one tile: with `outer` the 0-based indices of the levels
+    /// outside level `outer.len()`, every iteration point whose index at
+    /// that level lies in `lo..hi` (0-based) — inner levels full — in
+    /// lexicographic order. This is one SSP group's work
+    /// ([`htvm_ssp::exec::TileBody`]); the kernel translates indices via
+    /// the nest's lower bounds.
     ///
     /// # Panics
     ///
-    /// If the run lies outside the compiled iteration box. The bounds
+    /// If the tile lies outside the compiled iteration box. The bounds
     /// proofs quantify over exactly that box, so membership is asserted
     /// — not assumed — before any unchecked access; the SSP executor
     /// catches the panic as the group's error.
+    pub fn execute_tile(&self, outer: &[i64], lo: i64, hi: i64) -> Result<(), KernelFault> {
+        self.code.execute_tile(&self.arrays, outer, lo, hi)
+    }
+
+    /// Execute one run: the iteration points `(prefix, t)` for `t` in
+    /// `t0..t1`, where `prefix` holds the 0-based indices of every level
+    /// but the innermost — the one-run tile.
+    ///
+    /// # Panics
+    ///
+    /// If `prefix` does not cover every level but the innermost, or the
+    /// run lies outside the compiled iteration box (as
+    /// [`CompiledKernel::execute_tile`]).
     pub fn execute_run(&self, prefix: &[i64], t0: i64, t1: i64) -> Result<(), KernelFault> {
-        self.code.execute_run(&self.arrays, prefix, t0, t1)
+        assert_eq!(
+            prefix.len(),
+            self.code.trips.len() - 1,
+            "run prefix must cover every level but the innermost"
+        );
+        self.execute_tile(prefix, t0, t1)
     }
 }
 
-/// Run execution lives on the code, with the bound array table as an
+/// Tile execution lives on the code, with the bound array table as an
 /// argument: the hot loops then read the code through a plain shared
 /// reference, which the optimizer may keep in registers across the
-/// relaxed-atomic stores. Only [`CompiledKernel::execute_run`] calls in,
+/// relaxed-atomic stores. Only [`CompiledKernel::execute_tile`] calls in,
 /// with the table `CompiledKernel::bind` checked against `lens`.
 impl CompiledCode {
-    /// [`CompiledKernel::execute_run`] over `arrays`, a table whose
+    /// [`CompiledKernel::execute_tile`] over `arrays`, a table whose
     /// lengths are `self.lens` and whose entries are distinct regions.
-    fn execute_run(
+    fn execute_tile(
         &self,
         arrays: &[SharedRegion],
-        prefix: &[i64],
-        t0: i64,
-        t1: i64,
+        outer: &[i64],
+        lo: i64,
+        hi: i64,
     ) -> Result<(), KernelFault> {
         let depth = self.trips.len();
-        assert_eq!(
-            prefix.len(),
-            depth - 1,
-            "run prefix must cover every level but the innermost"
+        let level = outer.len();
+        assert!(
+            level < depth,
+            "tile prefix of {level} levels in a depth-{depth} nest"
         );
-        for (l, &p) in prefix.iter().enumerate() {
+        for (l, &p) in outer.iter().enumerate() {
             assert!(
                 p >= 0 && (p as u64) < self.trips[l],
-                "run prefix {p} outside level {l} (trip count {})",
+                "tile prefix {p} outside level {l} (trip count {})",
                 self.trips[l]
             );
         }
-        let n_last = self.trips[depth - 1];
+        let n_level = self.trips[level];
         assert!(
-            0 <= t0 && t0 <= t1 && (t1 as u64) <= n_last,
-            "run {t0}..{t1} outside the innermost trip count {n_last}"
+            0 <= lo && lo <= hi && (hi as u64) <= n_level,
+            "tile {lo}..{hi} outside level {level}'s trip count {n_level}"
         );
-        if t0 == t1 {
-            return Ok(());
+        if lo == hi || self.trips[level + 1..].contains(&0) {
+            return Ok(()); // an empty tile
         }
-        RUN_SCRATCH.with(|cell| {
+        let last = depth - 1;
+        TILE_SCRATCH.with(|cell| {
             let mut borrow = cell.borrow_mut();
-            let RunScratch { regs, abs, idxs } = &mut *borrow;
+            let TileScratch {
+                regs,
+                cols,
+                abs,
+                idxs,
+            } = &mut *borrow;
             abs.clear();
-            abs.extend(
-                self.los[..depth - 1]
-                    .iter()
-                    .zip(prefix)
-                    .map(|(lo, p)| lo + p),
-            );
-            abs.push(self.los[depth - 1] + t0);
+            abs.extend(self.los.iter().zip(outer).map(|(l0, p)| l0 + p));
+            abs.push(self.los[level] + lo);
+            abs.extend_from_slice(&self.los[level + 1..]);
+            idxs.clear();
+            idxs.extend(self.accesses.iter().map(|a| a.idx.eval(abs)));
             regs.clear();
             regs.resize(self.regs, 0.0);
-            self.run_preamble(arrays, abs, regs);
-            let n = (t1 - t0) as usize;
-            match &self.plan {
-                Plan::DotAccum(m) => {
-                    self.run_dot_accum(arrays, m, abs, n);
-                    Ok(())
+            if matches!(self.plan, Plan::Tape) && cols.len() < self.regs {
+                cols.resize(self.regs, [0.0; STRIP]);
+            }
+            if level == last {
+                return self.run(arrays, regs, cols, abs, idxs, (hi - lo) as usize);
+            }
+            // Walk the levels `level..last` as an odometer (`level` over
+            // `lo..hi`, the rest full), one full innermost run per tuple.
+            let n_last = self.trips[last] as usize;
+            let slots = self.accesses.len();
+            loop {
+                self.run(arrays, regs, cols, abs, idxs, n_last)?;
+                let mut k = last - 1;
+                loop {
+                    let end = self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
+                    if abs[k] + 1 < end {
+                        abs[k] += 1;
+                        let carry = &self.carry[k * slots..(k + 1) * slots];
+                        for (i, c) in idxs.iter_mut().zip(carry) {
+                            *i += c;
+                        }
+                        break;
+                    }
+                    if k == level {
+                        return Ok(());
+                    }
+                    abs[k] = self.los[k];
+                    k -= 1;
                 }
-                Plan::FmaMap(m) => {
-                    self.run_fma_map(arrays, m, regs, abs, n);
-                    Ok(())
-                }
-                Plan::Tape => self.run_tape(arrays, regs, abs, idxs, n),
             }
         })
     }
 
+    /// One innermost run of `n` points from the current `abs` (the run's
+    /// first point) and `idxs` (each slot's index there): the preamble,
+    /// then the plan. Inlined into both call sites of `execute_tile`,
+    /// and the tape kept out of line, which measured ~10 ns less per
+    /// one-run tile than an out-of-line `run`.
+    #[inline(always)]
+    fn run(
+        &self,
+        arrays: &[SharedRegion],
+        regs: &mut [f64],
+        cols: &mut [Lanes],
+        abs: &[i64],
+        idxs: &[i64],
+        n: usize,
+    ) -> Result<(), KernelFault> {
+        self.run_preamble(arrays, abs, idxs, regs);
+        match &self.plan {
+            Plan::DotAccum(m) => {
+                self.run_dot_accum(arrays, m, idxs, n);
+                Ok(())
+            }
+            Plan::FmaMap(m) => {
+                self.run_fma_map(arrays, m, regs, idxs, n);
+                Ok(())
+            }
+            Plan::Tape => self.run_tape(arrays, regs, cols, abs[abs.len() - 1], idxs, n),
+        }
+    }
+
     /// The once-per-run preamble. Infallible by construction: only
     /// proven loads hoist.
-    fn run_preamble(&self, arrays: &[SharedRegion], abs: &[i64], regs: &mut [f64]) {
+    fn run_preamble(&self, arrays: &[SharedRegion], abs: &[i64], idxs: &[i64], regs: &mut [f64]) {
         for ins in &self.preamble {
             match ins {
                 CInstr::Const { dst, val } => regs[*dst] = *val,
                 CInstr::IdxVal { dst, level } => regs[*dst] = abs[*level] as f64,
                 CInstr::Load { dst, slot } => {
                     let a = &self.accesses[*slot];
-                    let i = a.idx.eval(abs);
                     // SAFETY: hoisted loads are proven in bounds over the
-                    // whole box, and `execute_run` asserted membership.
-                    regs[*dst] = unsafe { arrays[a.arr].read_f64_unchecked(i as usize) };
+                    // whole box, and `execute_tile` asserted membership;
+                    // `idxs[slot]` is the affine form at this run's point.
+                    regs[*dst] = unsafe { arrays[a.arr].read_f64_unchecked(idxs[*slot] as usize) };
                 }
                 CInstr::Bin { dst, op, a, b } => regs[*dst] = eval_bin(*op, regs[*a], regs[*b]),
                 CInstr::Neg { dst, a } => regs[*dst] = -regs[*a],
@@ -796,12 +1063,14 @@ impl CompiledCode {
                 CInstr::Call2 { dst, f, a, b } => {
                     regs[*dst] = eval_call2(*f, regs[*a], regs[*b]);
                 }
-                CInstr::Store { .. } => unreachable!("stores never hoist"),
+                CInstr::Store { .. } | CInstr::IdxRem { .. } => {
+                    unreachable!("stores and index counters never hoist")
+                }
             }
         }
     }
 
-    fn run_dot_accum(&self, arrays: &[SharedRegion], m: &DotAccum, abs: &[i64], n: usize) {
+    fn run_dot_accum(&self, arrays: &[SharedRegion], m: &DotAccum, idxs: &[i64], n: usize) {
         let (aa, ab, ac) = (
             &self.accesses[m.a],
             &self.accesses[m.b],
@@ -811,11 +1080,11 @@ impl CompiledCode {
         let bw = arrays[ab.arr].atomics();
         let cr = &arrays[ac.arr];
         let (da, db) = (aa.stride, ab.stride);
-        let mut ia = aa.idx.eval(abs);
-        let mut ib = ab.idx.eval(abs);
-        let ic = ac.idx.eval(abs);
+        let mut ia = idxs[m.a];
+        let mut ib = idxs[m.b];
+        let ic = idxs[m.c];
         // SAFETY: every index below is the access's affine form evaluated
-        // at a point of the run; `execute_run` asserted the run lies in
+        // at a point of the run; `execute_tile` asserted the tile lies in
         // the compiled box and the matcher required full bounds proofs
         // over that box. Keeping the accumulator in a register for the
         // run is exact: products are added in iteration order onto the
@@ -853,7 +1122,7 @@ impl CompiledCode {
         arrays: &[SharedRegion],
         m: &FmaMap,
         regs: &[f64],
-        abs: &[i64],
+        idxs: &[i64],
         n: usize,
     ) {
         let (aa, ab, ad) = (
@@ -865,11 +1134,11 @@ impl CompiledCode {
         let bw = arrays[ab.arr].atomics();
         let dw = arrays[ad.arr].atomics();
         let (da, db, dd) = (aa.stride, ab.stride, ad.stride);
-        let mut ia = aa.idx.eval(abs);
-        let mut ib = ab.idx.eval(abs);
-        let mut id = ad.idx.eval(abs);
+        let mut ia = idxs[m.a];
+        let mut ib = idxs[m.b];
+        let mut id = idxs[m.dst];
         let add = m.addend.map(|r| regs[r]);
-        // SAFETY: as in `run_dot_accum` — run-in-box asserted, all three
+        // SAFETY: as in `run_dot_accum` — tile-in-box asserted, all three
         // slots proven. The 4-wide batches reorder loads against stores
         // only across arrays proven distinct (the matcher rejects
         // aliases), and no floating-point sum is reassociated: each
@@ -925,50 +1194,95 @@ impl CompiledCode {
         }
     }
 
-    /// The optimized run-at-a-time tape interpreter: scratch borrowed by
-    /// the caller once per run, per-slot indices maintained
-    /// incrementally, proven accesses branch-free, unproven accesses
-    /// checked with an allocation-free fault.
+    /// The strip-mined tape: each body instruction runs over a strip of
+    /// up to `self.strip` innermost points in column registers before the
+    /// next instruction starts (module docs, step 5). `t` is the run's
+    /// first absolute innermost index, `idxs` each slot's index there.
+    /// Proven accesses run branch-free; unproven ones (only ever in
+    /// one-point strips) are checked and fault allocation-free.
+    #[inline(never)]
     fn run_tape(
         &self,
         arrays: &[SharedRegion],
-        regs: &mut [f64],
-        abs: &mut [i64],
-        idxs: &mut Vec<i64>,
+        regs: &[f64],
+        cols: &mut [Lanes],
+        t: i64,
+        idxs: &[i64],
         n: usize,
     ) -> Result<(), KernelFault> {
-        idxs.clear();
-        idxs.extend(self.accesses.iter().map(|a| a.idx.eval(abs)));
-        let last = abs.len() - 1;
-        for _ in 0..n {
+        let width = self.strip.min(n);
+        for &r in &self.broadcast {
+            cols[r][..width].fill(regs[r]);
+        }
+        let mut s = 0usize;
+        while s < n {
+            let w = width.min(n - s);
+            let t0 = t + s as i64;
             for ins in &self.body {
                 match ins {
-                    CInstr::Const { dst, val } => regs[*dst] = *val,
-                    CInstr::IdxVal { dst, level } => regs[*dst] = abs[*level] as f64,
+                    CInstr::Const { dst, val } => cols[*dst][..w].fill(*val),
+                    // Only the innermost level's index value stays in
+                    // the body; the outer ones hoist.
+                    CInstr::IdxVal { dst, .. } => {
+                        for (p, v) in cols[*dst][..w].iter_mut().enumerate() {
+                            *v = (t0 + p as i64) as f64;
+                        }
+                    }
+                    CInstr::IdxRem { dst, m } => {
+                        // `t0 >= 0`: the compiler emits counters only
+                        // over non-negative innermost ranges.
+                        let mut r = t0 % m;
+                        for v in cols[*dst][..w].iter_mut() {
+                            *v = r as f64;
+                            r += 1;
+                            if r == *m {
+                                r = 0;
+                            }
+                        }
+                    }
                     CInstr::Load { dst, slot } => {
                         let a = &self.accesses[*slot];
-                        let i = idxs[*slot];
-                        regs[*dst] = if a.proven {
-                            // SAFETY: proven over the box; run-in-box
-                            // asserted by `execute_run`.
-                            unsafe { arrays[a.arr].read_f64_unchecked(i as usize) }
-                        } else {
-                            let region = &arrays[a.arr];
-                            if i < 0 || i as usize >= region.len() {
-                                return Err(KernelFault {
-                                    arr: a.arr,
-                                    index: i,
-                                    len: region.len(),
-                                });
+                        let (st, i0) = (a.stride, idxs[*slot] + s as i64 * a.stride);
+                        let region = &arrays[a.arr];
+                        let col = &mut cols[*dst][..w];
+                        if a.proven {
+                            let words = region.atomics();
+                            for (p, v) in col.iter_mut().enumerate() {
+                                // SAFETY: proven over the box; tile-in-box
+                                // asserted by `execute_tile`.
+                                *v = unsafe { lrel(words, i0 + p as i64 * st) };
                             }
-                            region.read_f64(i as usize)
-                        };
+                        } else {
+                            for (p, v) in col.iter_mut().enumerate() {
+                                let i = i0 + p as i64 * st;
+                                if i < 0 || i as usize >= region.len() {
+                                    return Err(KernelFault {
+                                        arr: a.arr,
+                                        index: i,
+                                        len: region.len(),
+                                    });
+                                }
+                                *v = region.read_f64(i as usize);
+                            }
+                        }
                     }
-                    CInstr::Bin { dst, op, a, b } => regs[*dst] = eval_bin(*op, regs[*a], regs[*b]),
-                    CInstr::Neg { dst, a } => regs[*dst] = -regs[*a],
-                    CInstr::Call1 { dst, f, a } => regs[*dst] = eval_call1(*f, regs[*a]),
+                    CInstr::Bin { dst, op, a, b } => {
+                        let (d, a, b) = (*dst, *a, *b);
+                        match op {
+                            BinOp::Add => lanes2(cols, d, a, b, w, |x, y| x + y),
+                            BinOp::Sub => lanes2(cols, d, a, b, w, |x, y| x - y),
+                            BinOp::Mul => lanes2(cols, d, a, b, w, |x, y| x * y),
+                            BinOp::Div => lanes2(cols, d, a, b, w, |x, y| x / y),
+                            BinOp::Rem => lanes2(cols, d, a, b, w, rem_f64),
+                            op => lanes2(cols, d, a, b, w, |x, y| eval_bin(*op, x, y)),
+                        }
+                    }
+                    CInstr::Neg { dst, a } => lanes1(cols, *dst, *a, w, |x| -x),
+                    CInstr::Call1 { dst, f, a } => {
+                        lanes1(cols, *dst, *a, w, |x| eval_call1(*f, x));
+                    }
                     CInstr::Call2 { dst, f, a, b } => {
-                        regs[*dst] = eval_call2(*f, regs[*a], regs[*b]);
+                        lanes2(cols, *dst, *a, *b, w, |x, y| eval_call2(*f, x, y));
                     }
                     CInstr::Store {
                         src,
@@ -976,43 +1290,49 @@ impl CompiledCode {
                         accumulate,
                     } => {
                         let a = &self.accesses[*slot];
-                        let i = idxs[*slot];
-                        let v = regs[*src];
+                        let (st, i0) = (a.stride, idxs[*slot] + s as i64 * a.stride);
+                        let region = &arrays[a.arr];
+                        let col = &cols[*src][..w];
                         if a.proven {
-                            // SAFETY: proven over the box; run-in-box
-                            // asserted by `execute_run`. The plain
+                            // SAFETY: proven over the box; tile-in-box
+                            // asserted by `execute_tile`. The plain
                             // load-add-store accumulate is exact under
                             // the executor's serialization of
                             // same-location accesses (module docs).
                             unsafe {
                                 if *accumulate {
-                                    arrays[a.arr].accum_f64_unchecked(i as usize, v);
+                                    for (p, &v) in col.iter().enumerate() {
+                                        region
+                                            .accum_f64_unchecked((i0 + p as i64 * st) as usize, v);
+                                    }
                                 } else {
-                                    arrays[a.arr].write_f64_unchecked(i as usize, v);
+                                    for (p, &v) in col.iter().enumerate() {
+                                        region
+                                            .write_f64_unchecked((i0 + p as i64 * st) as usize, v);
+                                    }
                                 }
                             }
                         } else {
-                            let region = &arrays[a.arr];
-                            if i < 0 || i as usize >= region.len() {
-                                return Err(KernelFault {
-                                    arr: a.arr,
-                                    index: i,
-                                    len: region.len(),
-                                });
-                            }
-                            if *accumulate {
-                                region.fetch_add_f64(i as usize, v);
-                            } else {
-                                region.write_f64(i as usize, v);
+                            for (p, &v) in col.iter().enumerate() {
+                                let i = i0 + p as i64 * st;
+                                if i < 0 || i as usize >= region.len() {
+                                    return Err(KernelFault {
+                                        arr: a.arr,
+                                        index: i,
+                                        len: region.len(),
+                                    });
+                                }
+                                if *accumulate {
+                                    region.fetch_add_f64(i as usize, v);
+                                } else {
+                                    region.write_f64(i as usize, v);
+                                }
                             }
                         }
                     }
                 }
             }
-            for (i, a) in self.accesses.iter().enumerate() {
-                idxs[i] += a.stride;
-            }
-            abs[last] += 1;
+            s += w;
         }
         Ok(())
     }
@@ -1261,6 +1581,23 @@ mod tests {
         let c = compile(&l.kernel, &l.nest.trip_counts);
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| c.execute_run(&[], 0, 9)));
         assert!(r.is_err(), "a run past the trip count must panic");
+    }
+
+    #[test]
+    fn tile_over_an_empty_inner_level_runs_nothing() {
+        // Compiled against a box whose middle level is empty, a tile has
+        // no points: the walk must not run the middle level's index 0
+        // (here an unproven store that would fault).
+        let src = "fn main() {
+            forall i in 0..2 { forall j in 0..2 { for k in 0..3 {
+              a[i * 6 + j * 3 + k + 4] = 1;
+            } } }
+          }";
+        let a = SharedRegion::new(8);
+        let l = lower_src(src, &[("a", Value::Arr(a.clone()))]);
+        let c = compile(&l.kernel, &[2, 0, 3]);
+        assert_eq!(c.execute_tile(&[], 0, 2), Ok(()));
+        assert_eq!(a.to_f64_vec(), vec![0.0; 8]);
     }
 
     #[test]

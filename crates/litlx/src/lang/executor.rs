@@ -51,7 +51,7 @@
 //!   yields exactly the plan a fresh lowering would, and every unchecked
 //!   access stays licensed by the same proof:
 //!   `CompiledKernel::bind` asserts the lengths and distinctness, and
-//!   `execute_run` still asserts box membership.
+//!   `execute_tile` still asserts box membership.
 //! * **Misses.** A new point (a program parsed anew is a new point),
 //!   different bounds, hints or kernel mode, or any guarded answer
 //!   that changed: a number's bits, an array's length, the alias
@@ -72,7 +72,7 @@ use std::sync::Arc;
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
 use htvm_core::faults::describe_payload;
 use htvm_core::SharedRegion;
-use htvm_ssp::exec::{plan_native, run_partitioned_body, NestBody, PointBody, RunBody};
+use htvm_ssp::exec::{plan_native, run_partitioned_body, NestBody, PointBody, TileBody};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 use parking_lot::Mutex;
@@ -109,10 +109,11 @@ pub enum KernelMode {
     /// Point-at-a-time register-tape interpretation
     /// ([`super::lower::Kernel::execute`]).
     Interpreted,
-    /// Run-at-a-time execution of the optimized tape
+    /// Tile-at-a-time execution of the optimized tape
     /// ([`super::compile::compile`]): constant folding, dead-register
     /// elimination, strength-reduced per-level strides, hoisted bounds
-    /// proofs, and monomorphized native closures for common body shapes.
+    /// proofs, monomorphized native loops for common body shapes, and a
+    /// strip-mined tape for the rest.
     #[default]
     Compiled,
 }
@@ -423,8 +424,8 @@ impl SspExecutor<'_> {
     /// The plan — or the bail-out — comes from the point's cache entry
     /// when its key and guard match (module docs), and is made by
     /// [`SspExecutor::plan_fresh`] otherwise. Under
-    /// [`KernelMode::Compiled`] the groups execute the compiled kernel
-    /// run-at-a-time ([`NestBody::Run`]); under [`KernelMode::Interpreted`]
+    /// [`KernelMode::Compiled`] each group executes as one call of the
+    /// compiled kernel ([`NestBody::Tile`]); under [`KernelMode::Interpreted`]
     /// they execute point-at-a-time on the raw tape. The `Ok(Some(path))`
     /// value reports which, for the knowledge base.
     fn try_run(
@@ -453,12 +454,12 @@ impl SspExecutor<'_> {
         let (body, taken) = match &ready.code {
             CachedCode::Compiled(code) => {
                 let kernel = CompiledKernel::bind(code.clone(), arrays);
-                let run: Arc<RunBody> = Arc::new(move |prefix, t0, t1| {
+                let tile: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
                     kernel
-                        .execute_run(prefix, t0, t1)
+                        .execute_tile(outer, lo, hi)
                         .map_err(|f| f.to_string())
                 });
-                (NestBody::Run(run), ExecPathTaken::SspCompiled)
+                (NestBody::Tile(tile), ExecPathTaken::SspCompiled)
             }
             CachedCode::Interpreted(code) => {
                 let kernel = Kernel {

@@ -148,7 +148,7 @@ pub(crate) struct ExecShared {
     pub(crate) pool: Arc<Pool>,
     /// Session-level loop strategy.
     pub(crate) strategy: LoopStrategy,
-    /// Whether SSP loop bodies run compiled (run-at-a-time) or interpreted.
+    /// Whether SSP loop bodies run compiled (tile-at-a-time) or interpreted.
     pub(crate) kernel_mode: KernelMode,
     /// §4.1 knowledge base: pragma hints in, observed outcomes out.
     pub(crate) kb: Arc<Mutex<KnowledgeBase>>,
@@ -162,7 +162,7 @@ pub(crate) struct ExecShared {
     pub(crate) ssp_bailouts: AtomicU64,
     /// SSP executions that needed a cross-group signal wavefront.
     pub(crate) ssp_wavefronts: AtomicU64,
-    /// SSP executions that ran the compiled run-at-a-time kernel.
+    /// SSP executions that ran the compiled tile-at-a-time kernel.
     pub(crate) ssp_compiled: AtomicU64,
 }
 
@@ -190,7 +190,7 @@ pub struct RunOutput {
     pub ssp_bailouts: u64,
     /// SSP executions whose partition needed a signal wavefront.
     pub ssp_wavefronts: u64,
-    /// SSP executions that ran the compiled run-at-a-time kernel (0 when
+    /// SSP executions that ran the compiled tile-at-a-time kernel (0 when
     /// the interpreter was built with [`KernelMode::Interpreted`]).
     pub ssp_compiled: u64,
     /// `forall`s on the SSP path that reused the interpreter's cached
@@ -245,7 +245,7 @@ impl Interp {
     }
 
     /// Choose how SSP loop bodies execute (builder style): the default
-    /// [`KernelMode::Compiled`] run-at-a-time path, or the point-at-a-time
+    /// [`KernelMode::Compiled`] tile-at-a-time path, or the point-at-a-time
     /// tape interpreter ([`KernelMode::Interpreted`]). Program output is
     /// bit-identical either way; this exists for benchmarking and
     /// differential testing.
@@ -1071,7 +1071,7 @@ mod tests {
         assert_eq!(ssp.ssp_foralls, 3);
         assert_eq!(ssp.ssp_bailouts, 0);
         // The default kernel mode is compiled: every SSP forall ran the
-        // run-at-a-time path.
+        // tile-at-a-time path.
         assert_eq!(ssp.ssp_compiled, 3);
     }
 

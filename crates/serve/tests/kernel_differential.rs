@@ -4,7 +4,7 @@
 //!
 //! The kernel's nested `forall` stores past the end of a 10-element
 //! array (max index 31). Under [`KernelMode::Compiled`] the checked
-//! run-at-a-time body traps it as a `KernelFault`; under
+//! tile-at-a-time body traps it as a `KernelFault`; under
 //! [`KernelMode::Interpreted`] the point-at-a-time tape reports the
 //! same condition. Both are carried out of the request body by
 //! [`NativeParcel::fallible`] and recovered by the server as a

@@ -19,6 +19,13 @@
 //!   the paper's "group t+1 may only start its first d iterations after
 //!   group t finishes its last".
 //!
+//! [`run_partitioned_body`] also takes a **tile body** ([`TileBody`]): it
+//! is called once per group with the group's whole `ℓ`-range and walks
+//! the inner levels itself, so per-call setup is paid once per group
+//! rather than once per point (a compiled LITL-X kernel asserts its box
+//! and borrows its scratch once per tile). A point body goes through the
+//! same group machinery, with the executor walking the inner levels.
+//!
 //! The caller **helps**: while a wave is in flight it keeps claiming
 //! enabled groups from the ready queue, so execution completes even on a
 //! single-worker pool (the spawned pool jobs then drain as no-ops). This
@@ -41,23 +48,22 @@ use crate::ssp::{schedule_all_levels, LevelPlan, SspConfig};
 /// (as the wave's `Err`), never as a hang or an unwinding caller.
 pub type PointBody = dyn Fn(&[i64]) -> Result<(), String> + Send + Sync;
 
-/// One contiguous **run** of the nest's innermost level: receives the
-/// index vector of every level but the innermost (`prefix`, same
-/// absolute/0-based convention as [`PointBody`]) plus the half-open
-/// innermost range `t0..t1`, and iterates internally. Run-at-a-time
-/// bodies amortize per-point dispatch — a compiled kernel borrows its
-/// scratch once per run and walks strided indices instead of
-/// re-evaluating affine forms. Errors and panics surface exactly as for
-/// [`PointBody`].
-pub type RunBody = dyn Fn(&[i64], i64, i64) -> Result<(), String> + Send + Sync;
+/// One group's **tile** of the nest: receives the wave's outer index
+/// tuple (`outer`, one entry per level outside the partitioned level,
+/// 0-based) plus the group's half-open range `lo..hi` at the partitioned
+/// level (absolute, like [`PointBody`]'s entry there), and executes every
+/// point of the tile — each `ℓ`-iteration with all inner levels full and
+/// sequential, in lexicographic order. Errors and panics surface exactly
+/// as for [`PointBody`].
+pub type TileBody = dyn Fn(&[i64], i64, i64) -> Result<(), String> + Send + Sync;
 
 /// The two granularities a partitioned nest can execute at.
 #[derive(Clone)]
 pub enum NestBody {
     /// Call the body once per iteration point.
     Point(Arc<PointBody>),
-    /// Hand the body contiguous innermost runs (see [`RunBody`]).
-    Run(Arc<RunBody>),
+    /// Call the body once per group (see [`TileBody`]).
+    Tile(Arc<TileBody>),
 }
 
 /// What happened during a partitioned native run.
@@ -73,7 +79,9 @@ pub struct ExecReport {
     pub wavefront: bool,
     /// Iteration points executed.
     pub points: u64,
-    /// Innermost runs handed to a [`RunBody`] (0 for point-at-a-time).
+    /// Contiguous innermost runs those points form: one per group when
+    /// the partitioned level is the innermost, else one per index tuple
+    /// of the non-innermost levels. Derived from the geometry.
     pub runs: u64,
     /// Pool jobs spawned (one per group per wave).
     pub spawned: u64,
@@ -152,8 +160,6 @@ struct Wave {
     /// index. Keeping the minimum (not the first to arrive) makes a
     /// failing wave's error a function of the nest, not of the schedule.
     error: Mutex<Option<(u64, String)>>,
-    points: AtomicU64,
-    runs: AtomicU64,
     caller_ran: AtomicU64,
 }
 
@@ -247,66 +253,31 @@ impl Wave {
 
     /// Run every iteration point of group `g`: its `ℓ`-range, all inner
     /// levels sequential (lexicographic) inside each `ℓ`-iteration. A
-    /// [`NestBody::Run`] body receives each innermost span as one call
-    /// instead of one call per point.
+    /// [`NestBody::Tile`] body receives the whole range as one call.
     fn execute_group(&self, g: u64) -> Result<(), String> {
+        let (glo, ghi) = self.group_ranges[g as usize];
+        let (lo, hi) = (self.lo + glo as i64, self.lo + ghi as i64);
         match &self.body {
-            NestBody::Point(b) => self.execute_group_points(g, &**b),
-            NestBody::Run(b) => self.execute_group_runs(g, &**b),
+            NestBody::Point(b) => self.execute_group_points(lo, hi, &**b),
+            NestBody::Tile(t) => t(&self.outer, lo, hi),
         }
     }
 
-    fn execute_group_points(&self, g: u64, body: &PointBody) -> Result<(), String> {
-        let (glo, ghi) = self.group_ranges[g as usize];
+    /// The point-body adapter: walk the tile `lo..hi` (absolute at the
+    /// partitioned level) point by point, inner levels as an odometer.
+    fn execute_group_points(&self, lo: i64, hi: i64, body: &PointBody) -> Result<(), String> {
         let mut idx = vec![0i64; self.depth];
         idx[..self.level].copy_from_slice(&self.outer);
         let inner_total: u64 = self.inner_counts.iter().product();
-        for l in glo..ghi {
-            idx[self.level] = self.lo + l as i64;
+        for l in lo..hi {
+            idx[self.level] = l;
             for t in 0..inner_total {
                 let mut rem = t;
                 for (k, &n) in self.inner_counts.iter().enumerate().rev() {
                     idx[self.level + 1 + k] = (rem % n) as i64;
                     rem /= n;
                 }
-                self.points.fetch_add(1, Ordering::Relaxed);
                 body(&idx)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Run-granular traversal of group `g`: the same lexicographic point
-    /// order as [`Wave::execute_group_points`], delivered as contiguous
-    /// innermost spans. When the partitioned level *is* the innermost
-    /// one, each group contributes a single span (its `ℓ`-range);
-    /// otherwise every non-innermost index tuple yields one full
-    /// innermost span.
-    fn execute_group_runs(&self, g: u64, body: &RunBody) -> Result<(), String> {
-        let (glo, ghi) = self.group_ranges[g as usize];
-        if self.level + 1 == self.depth {
-            // The innermost level is partitioned: the group's range is
-            // one run, with the wave's outer tuple as the prefix.
-            self.points.fetch_add(ghi - glo, Ordering::Relaxed);
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            return body(&self.outer, self.lo + glo as i64, self.lo + ghi as i64);
-        }
-        let mid = &self.inner_counts[..self.inner_counts.len() - 1];
-        let n_last = *self.inner_counts.last().expect("level < depth - 1");
-        let mid_total: u64 = mid.iter().product();
-        let mut prefix = vec![0i64; self.depth - 1];
-        prefix[..self.level].copy_from_slice(&self.outer);
-        for l in glo..ghi {
-            prefix[self.level] = self.lo + l as i64;
-            for t in 0..mid_total {
-                let mut rem = t;
-                for (k, &n) in mid.iter().enumerate().rev() {
-                    prefix[self.level + 1 + k] = (rem % n) as i64;
-                    rem /= n;
-                }
-                self.points.fetch_add(n_last, Ordering::Relaxed);
-                self.runs.fetch_add(1, Ordering::Relaxed);
-                body(&prefix, 0, n_last as i64)?;
             }
         }
         Ok(())
@@ -343,10 +314,10 @@ pub fn run_partitioned(
     )
 }
 
-/// [`run_partitioned`] at either granularity: a [`NestBody::Run`] body
-/// receives contiguous innermost spans `(prefix, t0..t1)` instead of
-/// single points, with identical traversal order, wavefront chaining,
-/// placement and error/panic semantics.
+/// [`run_partitioned`] at either granularity: a [`NestBody::Tile`] body
+/// receives each group as one `(outer, lo..hi)` call instead of single
+/// points, with identical traversal order, wavefront chaining, placement
+/// and error/panic semantics.
 pub fn run_partitioned_body(
     pool: &Arc<Pool>,
     trip_counts: &[u64],
@@ -384,6 +355,12 @@ pub fn run_partitioned_body(
     let nd = pool.num_domains() as u64;
     let group_domains: Vec<u64> = (0..num_groups).map(|g| g % nd).collect();
     let waves: u64 = trip_counts[..level].iter().product();
+    let wave_points: u64 = trip_counts[level..].iter().product();
+    let wave_runs = if level + 1 == trip_counts.len() {
+        num_groups
+    } else {
+        trip_counts[level..trip_counts.len() - 1].iter().product()
+    };
     report.groups = num_groups;
     report.group_domains = group_domains.clone();
 
@@ -407,8 +384,6 @@ pub fn run_partitioned_body(
             slots: Mutex::new(Vec::new()),
             finished: AtomicU64::new(0),
             error: Mutex::new(None),
-            points: AtomicU64::new(0),
-            runs: AtomicU64::new(0),
             caller_ran: AtomicU64::new(0),
         });
         if part.wavefront {
@@ -459,8 +434,9 @@ pub fn run_partitioned_body(
         }
         report.spawned += num_groups;
         // Help until the wave drains — never block: the caller may *be* a
-        // pool worker (the LITL-X interpreter runs inside an LGT job), and
-        // parking it on a single-worker pool would deadlock the wave.
+        // pool worker (a pool job or a served request running a LITL-X
+        // program), and parking it on a single-worker pool would deadlock
+        // the wave.
         while wave.finished.load(Ordering::Acquire) < num_groups {
             if !wave.try_run_one(true) {
                 std::thread::yield_now();
@@ -468,12 +444,12 @@ pub fn run_partitioned_body(
         }
         report.waves += 1;
         report.caller_ran += wave.caller_ran.load(Ordering::Relaxed);
-        report.points += wave.points.load(Ordering::Relaxed);
-        report.runs += wave.runs.load(Ordering::Relaxed);
         let err = wave.error.lock().take();
         if let Some((_, e)) = err {
             return Err(e);
         }
+        report.points += wave_points;
+        report.runs += wave_runs;
     }
     Ok(report)
 }
@@ -744,8 +720,9 @@ mod tests {
         assert_eq!(sum.load(Ordering::SeqCst), 10 + 11 + 12 + 13);
     }
 
-    /// A run-granular body sees every point exactly once, as contiguous
-    /// innermost spans, when an *outer* level is partitioned.
+    /// A tile body sees every point exactly once — one call per group
+    /// per wave, walking the inner level itself — when an *outer* level
+    /// is partitioned.
     #[test]
     fn run_body_covers_every_point_once_outer_level() {
         let nest = LoopNest::matmul_like(4, 3, 5);
@@ -753,20 +730,25 @@ mod tests {
         let plan = plans.iter().find(|p| p.level == 1).unwrap();
         let part = PartitionPlan::new(plan, 3, 2);
         let seen: Arc<Vec<AtomicU64>> = Arc::new((0..60).map(|_| AtomicU64::new(0)).collect());
-        let s2 = seen.clone();
-        let body: Arc<RunBody> = Arc::new(move |prefix, t0, t1| {
-            assert_eq!(prefix.len(), 2, "all levels but the innermost");
-            for t in t0..t1 {
-                s2[((prefix[0] * 3 + prefix[1]) * 5 + t) as usize].fetch_add(1, Ordering::SeqCst);
+        let tiles = Arc::new(AtomicU64::new(0));
+        let (s2, t2) = (seen.clone(), tiles.clone());
+        let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
+            assert_eq!(outer.len(), 1, "the levels outside the partitioned one");
+            t2.fetch_add(1, Ordering::SeqCst);
+            for j in lo..hi {
+                for k in 0..5 {
+                    s2[((outer[0] * 3 + j) * 5 + k) as usize].fetch_add(1, Ordering::SeqCst);
+                }
             }
             Ok(())
         });
         let p = pool(Topology::flat(2));
         let rep =
-            run_partitioned_body(&p, &nest.trip_counts, 1, 0, &part, NestBody::Run(body)).unwrap();
+            run_partitioned_body(&p, &nest.trip_counts, 1, 0, &part, NestBody::Tile(body)).unwrap();
         p.wait_quiescent();
         assert_eq!(rep.points, 60);
         assert_eq!(rep.runs, 12, "one full innermost span per (i, j)");
+        assert_eq!(tiles.load(Ordering::SeqCst), rep.waves * rep.groups);
         for (i, c) in seen.iter().enumerate() {
             assert_eq!(c.load(Ordering::SeqCst), 1, "point {i}");
         }
@@ -781,32 +763,33 @@ mod tests {
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let part = PartitionPlan::new(&plans[0], 8, 4);
         let sum = Arc::new(AtomicU64::new(0));
-        let runs = Arc::new(AtomicU64::new(0));
-        let (s2, r2) = (sum.clone(), runs.clone());
-        let body: Arc<RunBody> = Arc::new(move |prefix, t0, t1| {
-            assert!(prefix.is_empty());
-            r2.fetch_add(1, Ordering::SeqCst);
-            for t in t0..t1 {
+        let tiles = Arc::new(AtomicU64::new(0));
+        let (s2, t2) = (sum.clone(), tiles.clone());
+        let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
+            assert!(outer.is_empty());
+            t2.fetch_add(1, Ordering::SeqCst);
+            for t in lo..hi {
                 s2.fetch_add(t as u64, Ordering::SeqCst);
             }
             Ok(())
         });
         let p = pool(Topology::flat(2));
-        let rep = run_partitioned_body(&p, &trips, 0, 100, &part, NestBody::Run(body)).unwrap();
+        let rep = run_partitioned_body(&p, &trips, 0, 100, &part, NestBody::Tile(body)).unwrap();
         p.wait_quiescent();
         assert_eq!(rep.points, 8);
-        assert_eq!(rep.runs, runs.load(Ordering::SeqCst));
+        assert_eq!(rep.runs, tiles.load(Ordering::SeqCst));
+        assert_eq!(rep.runs, rep.groups);
         assert_eq!(sum.load(Ordering::SeqCst), (100..108).sum::<u64>());
     }
 
-    /// Run-body errors propagate like point-body errors.
+    /// Tile-body errors propagate like point-body errors.
     #[test]
     fn run_body_errors_propagate() {
         let nest = LoopNest::elementwise(6, 4);
         let plan = plan_native_nest(&nest, &SspConfig::default(), &[0], 3).unwrap();
-        let body: Arc<RunBody> = Arc::new(|prefix, _, _| {
-            if prefix[0] == 4 {
-                Err("run failed".to_string())
+        let body: Arc<TileBody> = Arc::new(|_, lo, hi| {
+            if (lo..hi).contains(&4) {
+                Err("tile failed".to_string())
             } else {
                 Ok(())
             }
@@ -818,11 +801,11 @@ mod tests {
             0,
             0,
             &plan.partition,
-            NestBody::Run(body),
+            NestBody::Tile(body),
         )
         .unwrap_err();
         p.wait_quiescent();
-        assert!(err.contains("run failed"));
+        assert_eq!(err, "tile failed");
     }
 
     /// Planning restricted to `allowed_levels` never picks a forbidden

@@ -28,8 +28,11 @@
 //! environment (CI pins it to 64), which would silently shrink a
 //! `with_cases(256)` config below the acceptance bar.
 
-use htvm_core::Topology;
-use litlx::lang::{parse, Interp, KernelMode, LoopStrategy, Program, RunOutput};
+use htvm_core::{SharedRegion, Topology};
+use litlx::lang::{
+    compile, lower_forall, parse, Expr, Interp, KernelMode, LoopStrategy, LoweredForall, Program,
+    RunOutput, Stmt, Value,
+};
 
 /// Deterministic per-seed generator state (same scheme as
 /// `tests/ssp_native.rs`).
@@ -282,4 +285,236 @@ fn unproven_access_out_of_bounds_errors_identically() {
         e_compiled.contains("out of bounds"),
         "unexpected error: {e_compiled}"
     );
+}
+
+/// Run `src` on the SSP path under `mode` over four workers in two
+/// domains (several groups per wave).
+fn try_ssp(src: &str, mode: KernelMode) -> Result<RunOutput, String> {
+    Interp::with_topology(Topology::domains(2, 2))
+        .with_strategy(LoopStrategy::Ssp)
+        .with_kernel_mode(mode)
+        .run(&parse(src).unwrap())
+}
+
+/// Tile execution (each SSP group one `execute_tile` call) against the
+/// point-at-a-time interpreted kernel, on the nest shapes whose group
+/// walks differ: a 1-level map (the tile is one run), a matmul
+/// partitioned at level 0 (the tile walks `j` and `k`) and at level 1
+/// (one tile per group per `i` wave, walking `k`), and the wavefront
+/// scan (chained one-run tiles). Arrays must match bit for bit.
+#[test]
+fn tile_execution_matches_interpreted_bitwise() {
+    let matmul = |level: usize| {
+        format!(
+            "fn main() {{
+                let n = 9;
+                let a = array(n * n); let b = array(n * n); let c = array(n * n);
+                for q in 0..n * n {{ a[q] = q / 7 + 1 / 3; b[q] = q / 11 - 1 / 9; }}
+                @hint(pipeline = 1, level = {level})
+                forall i in 0..n {{ forall j in 0..n {{ for k in 0..n {{
+                    c[i * n + j] += a[i * n + k] * b[k * n + j];
+                }} }} }}
+                for q in 0..n * n {{ print(c[q]); }} }}"
+        )
+    };
+    let nests = [
+        (
+            "1-level map",
+            "fn main() {
+                let n = 150;
+                let a = array(n); let d = array(n);
+                for q in 0..n { a[q] = q / 7 - 3; }
+                forall i in 0..n { d[i] = a[i] * 0.25 + i % 9 - i / 3; }
+                for q in 0..n { print(d[q]); } }"
+                .to_string(),
+        ),
+        ("matmul, level 0", matmul(0)),
+        ("matmul, level 1", matmul(1)),
+        (
+            "wavefront scan",
+            "fn main() {
+                let n = 40;
+                let a = array(n + 1);
+                a[0] = 1 / 3;
+                forall i in 0..n { a[i + 1] = a[i] * 1 / 2 + i % 4; }
+                for q in 0..n + 1 { print(a[q]); } }"
+                .to_string(),
+        ),
+    ];
+    for (name, src) in &nests {
+        let interp = try_ssp(src, KernelMode::Interpreted).expect(name);
+        let tiled = try_ssp(src, KernelMode::Compiled).expect(name);
+        assert_eq!(interp.ssp_bailouts, 0, "{name}");
+        assert_eq!(tiled.ssp_compiled, tiled.ssp_foralls, "{name}");
+        assert!(tiled.ssp_foralls >= 1, "{name}");
+        assert_eq!(tiled.ssp_wavefronts, interp.ssp_wavefronts, "{name}");
+        assert_eq!(tiled.printed, interp.printed, "{name}");
+    }
+}
+
+/// A nest that faults on an unproven access: the tiled kernel fails with
+/// exactly the interpreted kernel's error (the lowest failing group's
+/// first failing point), not merely one of the same shape.
+#[test]
+fn tile_fault_matches_interpreted_error_text() {
+    for src in [
+        "fn main() {
+            let a = array(10);
+            forall i in 0..8 { forall j in 0..4 { a[i * 4 + j] = i + j; } }
+            print(a[0]); }",
+        "fn main() {
+            let t = array(12);
+            forall i in 0..16 { t[i + 3] += i % 5; }
+            print(t[0]); }",
+    ] {
+        let interp = try_ssp(src, KernelMode::Interpreted).expect_err("faults");
+        let tiled = try_ssp(src, KernelMode::Compiled).expect_err("faults");
+        assert!(interp.contains("out of bounds"), "{interp}");
+        assert_eq!(tiled, interp);
+    }
+}
+
+/// Lower the first `forall` of `main` (literal bounds) over `bindings`.
+fn lower_src(src: &str, bindings: &[(&str, Value)]) -> LoweredForall {
+    let p = parse(src).unwrap();
+    let main = p.get_fn("main").unwrap();
+    let Some(Stmt::Forall {
+        var,
+        from,
+        to,
+        body,
+        ..
+    }) = main.body.iter().find(|s| matches!(s, Stmt::Forall { .. }))
+    else {
+        panic!("no forall in {src}")
+    };
+    let literal = |e: &Expr| match e {
+        Expr::Num(n) => *n as i64,
+        Expr::Neg(x) => match x.as_ref() {
+            Expr::Num(n) => -*n as i64,
+            _ => panic!("test bounds must be literal"),
+        },
+        _ => panic!("test bounds must be literal"),
+    };
+    let resolve = |name: &str| {
+        bindings
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v.clone())
+    };
+    lower_forall(var, literal(from), literal(to), body, &resolve).unwrap()
+}
+
+/// Run a 1-level `forall` over `d` (and `a`, if the body names it) both
+/// ways: compiled as one tile, and point by point on the interpreted
+/// tape. Returns the compiled kernel's strip width, both results (`Err`
+/// text included) and both final `d` arrays as bit patterns.
+fn tile_vs_points(
+    src: &str,
+    d_len: usize,
+    a: &[f64],
+) -> (usize, [Result<(), String>; 2], [Vec<u64>; 2]) {
+    let mut results = Vec::new();
+    let mut arrays = Vec::new();
+    let mut strip = 0;
+    for compiled in [true, false] {
+        let d = SharedRegion::new(d_len);
+        let bindings = [
+            ("d", Value::Arr(d.clone())),
+            ("a", Value::Arr(SharedRegion::from_f64(a))),
+        ];
+        let l = lower_src(src, &bindings);
+        let n = l.nest.trip_counts[0] as i64;
+        let r = if compiled {
+            let k = compile(&l.kernel, &l.nest.trip_counts);
+            strip = k.info().strip;
+            k.execute_tile(&[], 0, n).map_err(|f| f.to_string())
+        } else {
+            (0..n).try_for_each(|i| l.kernel.execute(&[i]))
+        };
+        results.push(r);
+        arrays.push(d.to_f64_vec().iter().map(|v| v.to_bits()).collect());
+    }
+    let [rc, ri]: [Result<(), String>; 2] = results.try_into().unwrap();
+    let [ac, ai]: [Vec<u64>; 2] = arrays.try_into().unwrap();
+    (strip, [rc, ri], [ac, ai])
+}
+
+type Dividend = (&'static str, fn(f64) -> f64);
+
+/// Kernel `%` is f64 `%` bit for bit — integer fast path, wrapping
+/// counter and fmod fallback alike — at both strip widths, signed zeros
+/// included. The second store of each width-1 body gives `d` a second
+/// access slot, which is what narrows the strip.
+#[test]
+fn kernel_rem_matches_f64_rem_bitwise_at_both_strip_widths() {
+    let mut negative_zeros = 0;
+    for (lo, hi) in [(-40i64, 40i64), (0, 40)] {
+        for div in ["1", "(-1)", "7", "(-7)", "0.5"] {
+            let y: f64 = div.trim_matches(['(', ')']).parse().unwrap();
+            // Each dividend's source text and its value in f64.
+            let dividends: [Dividend; 4] = [
+                ("i", |i| i),
+                ("(i * 1)", |i| i),
+                ("(i * -1)", |i| -i),
+                ("(i * 0.5)", |i| i * 0.5),
+            ];
+            for (x, xf) in dividends {
+                let off = -lo;
+                for (strip, second) in [(64, ""), (1, " d[i + {off}] = d[i + {off}] * 1;")] {
+                    let second = second.replace("{off}", &off.to_string());
+                    let src = format!(
+                        "fn main() {{ forall i in {lo}..{hi} {{ d[i + {off}] = {x} % {div};{second} }} }}"
+                    );
+                    let (got, results, [tiled, points]) =
+                        tile_vs_points(&src, (hi - lo) as usize, &[]);
+                    assert_eq!(got, strip, "{src}");
+                    assert_eq!(results, [Ok(()), Ok(())], "{src}");
+                    assert_eq!(tiled, points, "{src}");
+                    for (k, &bits) in tiled.iter().enumerate() {
+                        let want = xf((lo + k as i64) as f64) % y;
+                        assert_eq!(bits, want.to_bits(), "{src} at i = {}", lo + k as i64);
+                        negative_zeros += (want == 0.0 && want.is_sign_negative()) as usize;
+                    }
+                }
+            }
+        }
+    }
+    assert!(negative_zeros > 0, "the sweep must produce -0.0 results");
+}
+
+/// The tape's strip width is a property of the body: one point for a
+/// body that loads and stores one array, or that has an unproven access,
+/// 64 otherwise — and the result, fault included, matches the
+/// interpreted kernel either way.
+#[test]
+fn tape_strip_width_follows_the_body_and_matches_interpreter() {
+    let a: Vec<f64> = (0..80).map(|q| q as f64 * 0.375 - 7.0).collect();
+    let cases = [
+        // Loads and stores `d`: two slots on a stored array.
+        (
+            "fn main() { forall i in 0..79 { d[i + 1] = d[i] * 0.5 + a[i]; } }",
+            80,
+            1,
+        ),
+        // `d[i + 3]` over `0..80` against length 80: unproven, and faults
+        // at i = 77 after the earlier points' stores.
+        (
+            "fn main() { forall i in 0..80 { d[i + 3] = a[i] + i % 6; } }",
+            80,
+            1,
+        ),
+        // Every access proven, `d` stored through one slot.
+        (
+            "fn main() { forall i in 0..80 { d[i] = a[i] * 3 + i % 6 - a[79 - i]; } }",
+            80,
+            64,
+        ),
+    ];
+    for (src, d_len, strip) in cases {
+        let (got, [rc, ri], [tiled, points]) = tile_vs_points(src, d_len, &a);
+        assert_eq!(got, strip, "{src}");
+        assert_eq!(rc, ri, "{src}");
+        assert_eq!(tiled, points, "{src}");
+    }
 }
