@@ -7,6 +7,11 @@
 //! count in the benchmark name to get per-point ns — the quantity the
 //! `e18` report rows track at full scale.
 //!
+//! The matmul reduction also runs at n = 48 (`matmul_110592pts`), the
+//! served large geometry: its `compiled` row drives one innermost run
+//! per call (never jammed), its `tile` row the whole nest as one tile,
+//! where four adjacent `j` runs share one loop.
+//!
 //! The `run_tape` matmul variant multiplies by a constant so the body
 //! stays off the monomorphized shapes (5 body instructions): it does one
 //! extra multiply per point versus the `compiled` variant, which is noise
@@ -19,6 +24,8 @@ use htvm_core::SharedRegion;
 use litlx::lang::{compile, lower_forall, parse, CompiledKernel, Expr, LoweredForall, Stmt, Value};
 
 const N: usize = 24;
+/// The served large matmul's size.
+const N_LARGE: usize = 48;
 
 /// Lower the first `forall` of `main` with literal bounds.
 fn lower_src(src: &str, bindings: &[(&str, Value)]) -> LoweredForall {
@@ -51,25 +58,25 @@ fn lower_src(src: &str, bindings: &[(&str, Value)]) -> LoweredForall {
     lower_forall(var, f(from), f(to), body, &resolve).unwrap()
 }
 
-fn matmul_src(scale: bool) -> String {
+fn matmul_src(n: usize, scale: bool) -> String {
     let rhs = if scale {
-        "a[i * 24 + k] * b[k * 24 + j] * 2"
+        format!("a[i * {n} + k] * b[k * {n} + j] * 2")
     } else {
-        "a[i * 24 + k] * b[k * 24 + j]"
+        format!("a[i * {n} + k] * b[k * {n} + j]")
     };
     format!(
-        "fn main() {{ forall i in 0..24 {{ forall j in 0..24 {{ for k in 0..24 {{
-            c[i * 24 + j] += {rhs};
+        "fn main() {{ forall i in 0..{n} {{ forall j in 0..{n} {{ for k in 0..{n} {{
+            c[i * {n} + j] += {rhs};
         }} }} }} }}"
     )
 }
 
-fn matmul_bindings() -> Vec<(&'static str, Value)> {
-    let data: Vec<f64> = (0..N * N).map(|q| (q % 7) as f64 * 0.25).collect();
+fn matmul_bindings(n: usize) -> Vec<(&'static str, Value)> {
+    let data: Vec<f64> = (0..n * n).map(|q| (q % 7) as f64 * 0.25).collect();
     vec![
         ("a", Value::Arr(SharedRegion::from_f64(&data))),
         ("b", Value::Arr(SharedRegion::from_f64(&data))),
-        ("c", Value::Arr(SharedRegion::new(N * N))),
+        ("c", Value::Arr(SharedRegion::new(n * n))),
     ]
 }
 
@@ -95,7 +102,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 
     // Point-at-a-time tape interpretation — the pre-compile hot path.
     {
-        let lowered = lower_src(&matmul_src(false), &matmul_bindings());
+        let lowered = lower_src(&matmul_src(N, false), &matmul_bindings(N));
         let kernel = lowered.kernel;
         let n = N as i64;
         g.bench_function("matmul_13824pts/point_tape", move |b| {
@@ -117,7 +124,7 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
 
     // Run-at-a-time on the optimized tape (monomorphization declined).
     {
-        let lowered = lower_src(&matmul_src(true), &matmul_bindings());
+        let lowered = lower_src(&matmul_src(N, true), &matmul_bindings(N));
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!(
             (compiled.info().plan, compiled.info().strip),
@@ -131,18 +138,19 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     }
 
     // Run-at-a-time through the monomorphized dot-accum loop, then the
-    // same kernel as one tile over the whole nest.
-    {
-        let lowered = lower_src(&matmul_src(false), &matmul_bindings());
+    // same kernel as one tile over the whole nest, at both sizes.
+    for n in [N, N_LARGE] {
+        let lowered = lower_src(&matmul_src(n, false), &matmul_bindings(n));
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!(compiled.info().plan, "dot-accum");
         let trips = lowered.nest.trip_counts.clone();
         let tiled = compiled.clone();
-        g.bench_function("matmul_13824pts/compiled", move |b| {
+        let pts = n * n * n;
+        g.bench_function(format!("matmul_{pts}pts/compiled"), move |b| {
             b.iter(|| run_all(&compiled, &trips))
         });
-        g.bench_function("matmul_13824pts/tile", move |b| {
-            b.iter(|| tiled.execute_tile(&[], 0, N as i64).expect("proven kernel"))
+        g.bench_function(format!("matmul_{pts}pts/tile"), move |b| {
+            b.iter(|| tiled.execute_tile(&[], 0, n as i64).expect("proven kernel"))
         });
     }
 

@@ -78,6 +78,9 @@ fn strip<'a, T>(
 }
 
 /// SplitMix64 — used to whiten user seeds and derive per-iteration seeds.
+/// A private copy of `htvm_core::faults::splitmix64`: this crate has no
+/// runtime dependencies (`htvm-core` depends on it under its `check`
+/// feature), so it cannot import the core's.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

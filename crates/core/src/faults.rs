@@ -255,10 +255,13 @@ fn parse_u64(val: &str) -> Result<u64, String> {
     }
 }
 
-/// The same mix the `htvm-check` scheduler uses: every injection decision
-/// is `splitmix64(seed ^ mix(n))` compared against the probability
-/// threshold, so a (plan, hit-order)-identical run replays identically.
-fn splitmix64(mut x: u64) -> u64 {
+/// SplitMix64, the workspace's one seeded mix (`htvm-check`'s scheduler
+/// keeps its own copy: it sits below `htvm-core` in the dependency graph).
+/// Every injection decision is `splitmix64(seed ^ mix(n))` compared
+/// against the probability threshold, so a (plan, hit-order)-identical
+/// run replays identically; `htvm_serve`'s retry jitter derives from it
+/// the same way.
+pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);

@@ -34,7 +34,16 @@
 //!    `Plan::DotAccum` (`c[..] += a[..] * b[..]` with an
 //!    innermost-invariant store, the matmul reduction) and
 //!    `Plan::FmaMap` (`d[..] = a[..] * b[..] (+ k)`, the elementwise
-//!    map). Everything else runs on the strip-mined tape, `Plan::Tape`:
+//!    map). One run of `DotAccum` is one serial add chain, bound by the
+//!    add latency, so a tile **jams** [`JAM`] adjacent runs — level
+//!    `last - 1` indices `j … j + 3` — into one loop with one
+//!    accumulator per run, each starting from its own `c` location
+//!    (`ic + r·cc`, `cc` the `c` slot's step at level `last - 1`). It
+//!    jams only when `cc ≠ 0` (the `c` locations are distinct) and at
+//!    least `JAM` runs of the tile remain at that level; the remaining
+//!    runs, and every [`CompiledKernel::execute_run`], take the one-run
+//!    loop, the same loop at width 1. Everything else runs on the
+//!    strip-mined tape, `Plan::Tape`:
 //!    each body instruction executes over a strip of innermost points
 //!    held in column registers, so instruction dispatch is paid once per
 //!    strip. The strip is [`STRIP`] points wide when every access is
@@ -60,6 +69,13 @@
 //!   read-add-write sequence. This requires the store array to be
 //!   distinct from both load arrays (checked at compile time; regions
 //!   are identity-deduplicated, and distinct regions never overlap).
+//! * a jammed `Plan::DotAccum` loop runs independent chains: each run's
+//!   accumulator adds that run's own products, in `k` order, onto the
+//!   value loaded from that run's own `c` location, and the jammed runs'
+//!   `c` locations are distinct (`cc ≠ 0`). Interleaving the chains
+//!   moves no product from one sum to another and reassociates nothing;
+//!   the loads it reorders read arrays no run stores, and the SSP
+//!   wavefront still serializes every other writer of those locations.
 //! * a wide strip runs instruction `k` for every point of the strip
 //!   before instruction `k + 1`. With every stored array touched by one
 //!   access slot only, no load reads an array the strip writes, and each
@@ -219,6 +235,22 @@ struct DotAccum {
     a: usize,
     b: usize,
     c: usize,
+    /// The index steps `[ca, cb, cc]` of slots `a`, `b`, `c` from one
+    /// innermost run to the next at level `last - 1` (zero in a one-level
+    /// nest): run `r` of a jam starts `r` steps on.
+    step: [i64; 3],
+}
+
+impl DotAccum {
+    /// Runs per dot-accum call (module docs, step 5): [`JAM`] when
+    /// adjacent runs store to distinct `c` locations (`cc != 0`), else 1.
+    fn jam(&self) -> usize {
+        if self.step[2] != 0 {
+            JAM
+        } else {
+            1
+        }
+    }
 }
 
 /// The `d[..] = a[..] * b[..] (+ k)` elementwise map; `k` is a
@@ -245,6 +277,9 @@ enum Plan {
 /// Points per strip of a wide strip-mined tape (module docs, step 5).
 pub const STRIP: usize = 64;
 
+/// Adjacent dot-accum runs jammed into one loop (module docs, step 5).
+pub const JAM: usize = 4;
+
 /// Introspection of a compilation, for tests, benches and reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompileInfo {
@@ -264,6 +299,9 @@ pub struct CompileInfo {
     /// Innermost points per strip of the tape executor: [`STRIP`] or 1
     /// (module docs, step 5).
     pub strip: usize,
+    /// Innermost runs per dot-accum call: [`JAM`] or 1 (module docs,
+    /// step 5); 1 for the other plans.
+    pub jam: usize,
 }
 
 /// The immutable result of compiling a kernel against one nest geometry
@@ -603,7 +641,7 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
     }
 
     // Pass 4: monomorphization over the residual body.
-    let plan = match_dot_accum(&body, &accesses)
+    let mut plan = match_dot_accum(&body, &accesses)
         .or_else(|| match_fma_map(&body, &accesses, &hoisted_reg))
         .unwrap_or(Plan::Tape);
 
@@ -645,6 +683,10 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
                     .map(|m| a.idx.coefs[m] * (trips[m] as i64 - 1))
                     .sum::<i64>()
         }));
+    }
+    if let (Plan::DotAccum(m), Some(k)) = (&mut plan, innermost.checked_sub(1)) {
+        let run_step = &carry[k * accesses.len()..];
+        m.step = [run_step[m.a], run_step[m.b], run_step[m.c]];
     }
 
     CompiledCode {
@@ -696,6 +738,7 @@ fn match_dot_accum(body: &[CInstr], accesses: &[RunAccess]) -> Option<Plan> {
         a: *sa,
         b: *sb,
         c: *sc,
+        step: [0; 3],
     }))
 }
 
@@ -884,6 +927,10 @@ impl CompiledKernel {
             body: c.body.len(),
             all_proven: c.accesses.iter().all(|a| a.proven),
             strip: c.strip,
+            jam: match &c.plan {
+                Plan::DotAccum(m) => m.jam(),
+                _ => 1,
+            },
         }
     }
 
@@ -988,15 +1035,35 @@ impl CompiledCode {
                 return self.run(arrays, regs, cols, abs, idxs, (hi - lo) as usize);
             }
             // Walk the levels `level..last` as an odometer (`level` over
-            // `lo..hi`, the rest full), one full innermost run per tuple.
+            // `lo..hi`, the rest full), one full innermost run per tuple —
+            // or, for a jamming dot-accum with `JAM` runs left at level
+            // `last - 1`, those runs in one call, the odometer then
+            // resuming from the last of them.
             let n_last = self.trips[last] as usize;
             let slots = self.accesses.len();
+            let end = |k: usize| self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
+            let jam = match &self.plan {
+                Plan::DotAccum(m) if m.jam() == JAM => Some(m),
+                _ => None,
+            };
             loop {
-                self.run(arrays, regs, cols, abs, idxs, n_last)?;
+                match jam {
+                    Some(m) if end(last - 1) - abs[last - 1] >= JAM as i64 => {
+                        // No preamble: the dot-accum body reads none of
+                        // its registers, and it has no effects.
+                        self.run_dot_accum::<JAM>(arrays, m, idxs, n_last);
+                        let skip = JAM as i64 - 1;
+                        abs[last - 1] += skip;
+                        let carry = &self.carry[(last - 1) * slots..last * slots];
+                        for (i, c) in idxs.iter_mut().zip(carry) {
+                            *i += skip * c;
+                        }
+                    }
+                    _ => self.run(arrays, regs, cols, abs, idxs, n_last)?,
+                }
                 let mut k = last - 1;
                 loop {
-                    let end = self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
-                    if abs[k] + 1 < end {
+                    if abs[k] + 1 < end(k) {
                         abs[k] += 1;
                         let carry = &self.carry[k * slots..(k + 1) * slots];
                         for (i, c) in idxs.iter_mut().zip(carry) {
@@ -1032,7 +1099,7 @@ impl CompiledCode {
         self.run_preamble(arrays, abs, idxs, regs);
         match &self.plan {
             Plan::DotAccum(m) => {
-                self.run_dot_accum(arrays, m, idxs, n);
+                self.run_dot_accum::<1>(arrays, m, idxs, n);
                 Ok(())
             }
             Plan::FmaMap(m) => {
@@ -1070,7 +1137,20 @@ impl CompiledCode {
         }
     }
 
-    fn run_dot_accum(&self, arrays: &[SharedRegion], m: &DotAccum, idxs: &[i64], n: usize) {
+    /// `R` adjacent innermost runs of the dot-accum shape in one loop:
+    /// run `r` starts `r` steps of level `last - 1` (`m.step`) past
+    /// `idxs` and keeps its own accumulator, so the `R` serial add chains
+    /// overlap. `R = 1` is the one-run loop; `R > 1` requires
+    /// `m.jam() == R` (distinct `c` locations) and `R` runs of the tile
+    /// left at level `last - 1`.
+    #[inline(always)]
+    fn run_dot_accum<const R: usize>(
+        &self,
+        arrays: &[SharedRegion],
+        m: &DotAccum,
+        idxs: &[i64],
+        n: usize,
+    ) {
         let (aa, ab, ac) = (
             &self.accesses[m.a],
             &self.accesses[m.b],
@@ -1078,42 +1158,65 @@ impl CompiledCode {
         );
         let aw = arrays[aa.arr].atomics();
         let bw = arrays[ab.arr].atomics();
-        let cr = &arrays[ac.arr];
+        let cw = arrays[ac.arr].atomics();
         let (da, db) = (aa.stride, ab.stride);
+        let [ca, cb, cc] = m.step;
         let mut ia = idxs[m.a];
         let mut ib = idxs[m.b];
         let ic = idxs[m.c];
         // SAFETY: every index below is the access's affine form evaluated
-        // at a point of the run; `execute_tile` asserted the tile lies in
-        // the compiled box and the matcher required full bounds proofs
-        // over that box. Keeping the accumulator in a register for the
-        // run is exact: products are added in iteration order onto the
+        // at a point of one of the `R` runs, which the caller guarantees
+        // lie in the tile; `execute_tile` asserted the tile lies in the
+        // compiled box and the matcher required full bounds proofs over
+        // that box. Keeping each run's accumulator in a register is
+        // exact: its products are added in iteration order onto its own
         // loaded value (bit-identical to per-point read-add-write — the
-        // SSP wavefront guarantees no concurrent writer), and the store
+        // SSP wavefront guarantees no concurrent writer), the `R` stored
+        // locations are distinct (`cc != 0` when `R > 1`), and the store
         // array is proven distinct from both load arrays.
         unsafe {
-            let mut s = cr.read_f64_unchecked(ic as usize);
+            let mut s: [f64; R] = std::array::from_fn(|r| lrel(cw, ic + r as i64 * cc));
+            // One `k` step of every chain, from the chain-0 indices. A
+            // slot whose run step is 0 is one location for every chain:
+            // it is loaded once (a relaxed-atomic load is never merged by
+            // the optimizer).
+            let mut k_step = |ia: i64, ib: i64| {
+                let (x0, y0) = (lrel(aw, ia), lrel(bw, ib));
+                for (r, s) in s.iter_mut().enumerate() {
+                    let r = r as i64;
+                    let x = if r == 0 || ca == 0 {
+                        x0
+                    } else {
+                        lrel(aw, ia + r * ca)
+                    };
+                    let y = if r == 0 || cb == 0 {
+                        y0
+                    } else {
+                        lrel(bw, ib + r * cb)
+                    };
+                    *s += x * y;
+                }
+            };
+            // Unrolled to 4 products per trip in all.
+            let unroll = (4 / R).max(1);
             let mut k = 0usize;
-            while k + 4 <= n {
-                let p0 = lrel(aw, ia) * lrel(bw, ib);
-                let p1 = lrel(aw, ia + da) * lrel(bw, ib + db);
-                let p2 = lrel(aw, ia + 2 * da) * lrel(bw, ib + 2 * db);
-                let p3 = lrel(aw, ia + 3 * da) * lrel(bw, ib + 3 * db);
-                s += p0;
-                s += p1;
-                s += p2;
-                s += p3;
-                ia += 4 * da;
-                ib += 4 * db;
-                k += 4;
+            while k + unroll <= n {
+                for u in 0..unroll as i64 {
+                    k_step(ia + u * da, ib + u * db);
+                }
+                ia += unroll as i64 * da;
+                ib += unroll as i64 * db;
+                k += unroll;
             }
             while k < n {
-                s += lrel(aw, ia) * lrel(bw, ib);
+                k_step(ia, ib);
                 ia += da;
                 ib += db;
                 k += 1;
             }
-            cr.write_f64_unchecked(ic as usize, s);
+            for (r, s) in s.into_iter().enumerate() {
+                srel(cw, ic + r as i64 * cc, s);
+            }
         }
     }
 
@@ -1598,6 +1701,53 @@ mod tests {
         let c = compile(&l.kernel, &[2, 0, 3]);
         assert_eq!(c.execute_tile(&[], 0, 2), Ok(()));
         assert_eq!(a.to_f64_vec(), vec![0.0; 8]);
+    }
+
+    #[test]
+    fn jam_leaves_the_last_runs_of_a_tile_to_the_one_run_loop() {
+        // `j` extent 7: a tile over all of `j` jams runs 0..4 and has
+        // exactly `JAM - 1` runs left; a tile of `JAM - 1` runs at the
+        // jam level itself never jams, and must stop at its `hi`.
+        let src = "fn main() {
+            forall i in 0..2 { forall j in 0..7 { for k in 0..5 {
+              c[i * 7 + j] += a[i * 5 + k] * b[k * 7 + j];
+            } } }
+          }";
+        let a = SharedRegion::from_f64(&(0..10).map(|v| v as f64 / 7.0 + 0.3).collect::<Vec<_>>());
+        let b = SharedRegion::from_f64(&(0..35).map(|v| v as f64 / 11.0 - 0.1).collect::<Vec<_>>());
+        let init: Vec<f64> = (0..14).map(|v| v as f64 / 13.0).collect();
+        let (c1, c2) = (SharedRegion::from_f64(&init), SharedRegion::from_f64(&init));
+        let bind = |c: &SharedRegion| {
+            vec![
+                ("a", Value::Arr(a.clone())),
+                ("b", Value::Arr(b.clone())),
+                ("c", Value::Arr(c.clone())),
+            ]
+        };
+        let l1 = lower_src(src, &bind(&c1));
+        for i in 0..2 {
+            for j in 0..7 {
+                for k in 0..5 {
+                    l1.kernel.execute(&[i, j, k]).unwrap();
+                }
+            }
+        }
+        let l2 = lower_src(src, &bind(&c2));
+        let c = compile(&l2.kernel, &l2.nest.trip_counts);
+        assert_eq!((c.info().plan, c.info().jam), ("dot-accum", JAM));
+        assert_eq!(JAM - 1, 3, "the tiles below assume JAM = 4");
+        c.execute_tile(&[0], 1, 4).unwrap();
+        assert_eq!(c2.read_f64(4), init[4], "a tile must stop at its hi");
+        c.execute_tile(&[0], 0, 1).unwrap();
+        c.execute_tile(&[0], 4, 7).unwrap();
+        c.execute_tile(&[], 1, 2).unwrap();
+        let bits = |r: &SharedRegion| {
+            r.to_f64_vec()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&c1), bits(&c2));
     }
 
     #[test]

@@ -28,6 +28,8 @@
 
 use std::time::Duration;
 
+use htvm_core::faults::splitmix64;
+
 /// Per-tenant retry policy (see the [module docs](self)).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -95,13 +97,6 @@ impl RetryPolicy {
         let scale = 512 + (h % 1025);
         Duration::from_nanos((step.as_nanos() as u64 / 1024).saturating_mul(scale))
     }
-}
-
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

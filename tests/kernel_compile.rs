@@ -5,8 +5,9 @@
 //!
 //! * **Interpreted SSP vs compiled SSP** is compared *bitwise on any
 //!   data, fractional included*: the compiler preserves the tape's
-//!   evaluation order exactly (single in-order accumulator for the
-//!   dot-accum shape, no reassociation — see `litlx::lang::compile`), and
+//!   evaluation order exactly (one in-order accumulator per run of the
+//!   dot-accum shape, jammed runs included, no reassociation — see
+//!   `litlx::lang::compile`), and
 //!   SSP group execution order is the sequential lexicographic order, so
 //!   the two paths perform the same float operations in the same order.
 //! * **Naive vs SSP** cannot be compared with a *parallel* naive run at
@@ -371,6 +372,92 @@ fn tile_fault_matches_interpreted_error_text() {
         let tiled = try_ssp(src, KernelMode::Compiled).expect_err("faults");
         assert!(interp.contains("out of bounds"), "{interp}");
         assert_eq!(tiled, interp);
+    }
+}
+
+/// The jammed dot-accum loop (`compile::JAM` adjacent `j` runs, one
+/// accumulator each) against the point-at-a-time interpreted kernel on
+/// fractional data, where a reassociated sum would change bits: every
+/// `j` extent from 1 to 9 (each remainder of the jam), the partition
+/// forced to level 0 (a tile walks every `j`) and to level 1 (tiles of a
+/// few `j` indices, so short tiles take the one-run remainder path), a
+/// transposed `a` (its index steps with `j`), a `b` that does not step
+/// with `j` (its load is shared by the chains), and a `c` index that does
+/// not depend on `j` (the runs write one location, so they must not jam).
+#[test]
+fn jammed_dot_accum_matches_interpreted_bitwise() {
+    // (name, `c`, `a`, `b` index; outer `j` keyword; runs per call).
+    let shapes = [
+        (
+            "matmul",
+            "i * nj + j",
+            "i * nk + k",
+            "k * nj + j",
+            "forall",
+            compile::JAM,
+        ),
+        (
+            "transposed a",
+            "i * nj + j",
+            "j * nk + k",
+            "k * nj + j",
+            "forall",
+            compile::JAM,
+        ),
+        (
+            "b fixed in j",
+            "i * nj + j",
+            "j * nk + k",
+            "k * 3 + i",
+            "forall",
+            compile::JAM,
+        ),
+        ("c fixed in j", "i", "i * nk + k", "k * nj + j", "for", 1),
+    ];
+    let program = |(c, a, b, kw): (&str, &str, &str, &str), nj: usize, level: usize| {
+        let nest = format!(
+            "forall i in 0..3 {{ {kw} j in 0..{nj} {{ for k in 0..5 {{
+                c[{c}] += a[{a}] * b[{b}];
+            }} }} }}"
+        )
+        .replace("nj", &nj.to_string())
+        .replace("nk", "5");
+        let hint = if kw == "forall" {
+            format!("@hint(pipeline = 1, level = {level})")
+        } else {
+            String::new()
+        };
+        format!(
+            "fn main() {{
+                let a = array(64); let b = array(64); let c = array(64);
+                for q in 0..64 {{ a[q] = q / 7 + 1 / 3; b[q] = q / 11 - 1 / 9; c[q] = q / 13; }}
+                {hint}
+                {nest}
+                for q in 0..64 {{ print(c[q]); }} }}"
+        )
+    };
+    for (name, c, a, b, kw, jam) in shapes {
+        for nj in 1..=9 {
+            // A `for` level cannot be the partitioned one.
+            let levels: &[usize] = if kw == "forall" { &[0, 1] } else { &[0] };
+            for &level in levels {
+                let src = program((c, a, b, kw), nj, level);
+                let case = format!("{name}, j extent {nj}, level {level}");
+                let bindings: Vec<(&str, Value)> = ["a", "b", "c"]
+                    .into_iter()
+                    .map(|v| (v, Value::Arr(SharedRegion::new(64))))
+                    .collect();
+                let l = lower_src(&src, &bindings);
+                let info = compile(&l.kernel, &l.nest.trip_counts).info();
+                assert_eq!((info.plan, info.jam), ("dot-accum", jam), "{case}");
+                let interp = try_ssp(&src, KernelMode::Interpreted).expect(&case);
+                let jammed = try_ssp(&src, KernelMode::Compiled).expect(&case);
+                assert_eq!(interp.ssp_bailouts, 0, "{case}");
+                assert_eq!(jammed.ssp_compiled, jammed.ssp_foralls, "{case}");
+                assert!(jammed.ssp_foralls >= 1, "{case}");
+                assert_eq!(jammed.printed, interp.printed, "{case}");
+            }
+        }
     }
 }
 
