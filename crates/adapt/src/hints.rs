@@ -85,9 +85,10 @@ impl StructuredHint {
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct KnowledgeBase {
     hints: BTreeMap<String, Vec<StructuredHint>>,
-    /// Measured makespans per (point, policy-name) — the execution side of
-    /// the database, fed back by the continuous compiler.
-    outcomes: BTreeMap<(String, String), u64>,
+    /// Measured makespans per point, then per policy name — the execution
+    /// side of the database, fed back by the continuous compiler. Nested
+    /// so a lookup borrows its keys and a repeat record updates in place.
+    outcomes: BTreeMap<String, BTreeMap<String, u64>>,
 }
 
 impl KnowledgeBase {
@@ -114,24 +115,30 @@ impl KnowledgeBase {
 
     /// Record a measured outcome.
     pub fn record_outcome(&mut self, point: &str, policy: &str, makespan: u64) {
-        self.outcomes
-            .insert((point.to_string(), policy.to_string()), makespan);
+        let policies = match self.outcomes.get_mut(point) {
+            Some(p) => p,
+            None => self.outcomes.entry(point.to_string()).or_default(),
+        };
+        match policies.get_mut(policy) {
+            Some(m) => *m = makespan,
+            None => {
+                policies.insert(policy.to_string(), makespan);
+            }
+        }
     }
 
     /// Recorded makespan of one specific policy at a point.
     pub fn recorded(&self, point: &str, policy: &str) -> Option<u64> {
-        self.outcomes
-            .get(&(point.to_string(), policy.to_string()))
-            .copied()
+        self.outcomes.get(point)?.get(policy).copied()
     }
 
-    /// Best recorded policy at a point.
+    /// Best recorded policy at a point (the first by name among equals).
     pub fn best_recorded(&self, point: &str) -> Option<(&str, u64)> {
         self.outcomes
+            .get(point)?
             .iter()
-            .filter(|((p, _), _)| p == point)
             .min_by_key(|(_, &m)| m)
-            .map(|((_, pol), &m)| (pol.as_str(), m))
+            .map(|(pol, &m)| (pol.as_str(), m))
     }
 
     /// The §4.1 pruning step: reduce a loop-scheduling policy portfolio to
@@ -270,10 +277,12 @@ impl KnowledgeBase {
                 ));
             }
         }
-        for ((point, policy), makespan) in &self.outcomes {
-            check(point)?;
-            check(policy)?;
-            out.push_str(&format!("outcome\t{point}\t{policy}\t{makespan}\n"));
+        for (point, policies) in &self.outcomes {
+            for (policy, makespan) in policies {
+                check(point)?;
+                check(policy)?;
+                out.push_str(&format!("outcome\t{point}\t{policy}\t{makespan}\n"));
+            }
         }
         Ok(out)
     }

@@ -10,10 +10,11 @@
 //!   failing loop reports its lowest failing iteration's error.
 //! * `SspExecutor` — the §3.3 pipeline: lower the nest to
 //!   `htvm_ssp::ir::LoopNest` ([`super::lower`]), schedule every level,
-//!   pick one, partition it into thread groups, and run the groups on the
-//!   native pool with domain placement and a `SyncSlot` wavefront
-//!   (`htvm_ssp::exec`). Anything the lowering cannot prove affine bails
-//!   back to the naive path.
+//!   pick one, partition it into thread groups, and run the groups —
+//!   spread on the native pool with domain placement and a `SyncSlot`
+//!   wavefront, or inline on the calling thread when spreading does not
+//!   pay (`htvm_ssp::exec`). Anything the lowering cannot prove affine
+//!   bails back to the naive path.
 //!
 //! The choice is the adaptive loop of §4.1: `@hint(pipeline)` pragmas are
 //! written into the knowledge base and force the path; recorded outcomes
@@ -61,7 +62,10 @@
 //!
 //! The knowledge-base decision and the outcome record still run on every
 //! loop, so [`LoopStrategy::Adaptive`] keeps learning; only the planning
-//! is reused. [`RunOutput::ssp_plan_hits`](super::RunOutput::ssp_plan_hits)
+//! is reused. A cached plan also carries its measured cost per point,
+//! which, with the interpreter's measured pool wake, places each of its
+//! waves ([`RunOutput::ssp_inline_waves`](super::RunOutput::ssp_inline_waves)).
+//! [`RunOutput::ssp_plan_hits`](super::RunOutput::ssp_plan_hits)
 //! counts the reuses, and the cache keeps at most
 //! [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY) points.
 
@@ -72,7 +76,9 @@ use std::sync::Arc;
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
 use htvm_core::faults::describe_payload;
 use htvm_core::SharedRegion;
-use htvm_ssp::exec::{plan_native, run_partitioned_body, NestBody, PointBody, TileBody};
+use htvm_ssp::exec::{
+    plan_native, run_partitioned_body, spread_pays, NestBody, Placement, PointBody, TileBody,
+};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 use parking_lot::Mutex;
@@ -428,6 +434,15 @@ impl SspExecutor<'_> {
     /// compiled kernel ([`NestBody::Tile`]); under [`KernelMode::Interpreted`]
     /// they execute point-at-a-time on the raw tape. The `Ok(Some(path))`
     /// value reports which, for the knowledge base.
+    ///
+    /// The nest's waves are spread over the pool only when
+    /// [`spread_pays`], from the plan's measured cost per point (times a
+    /// wave's points) and the interpreter's measured pool wake (its
+    /// [`WakeMeter`](htvm_ssp::exec::WakeMeter)); otherwise they run
+    /// inline on this thread. Every successful run refreshes the cost
+    /// per point from the groups this thread ran itself; every spread
+    /// wave adds a wake sample. A fresh plan has no cost yet, so its
+    /// first run spreads.
     fn try_run(
         &self,
         scope: &Scope<'_>,
@@ -470,19 +485,36 @@ impl SspExecutor<'_> {
                 (NestBody::Point(point), ExecPathTaken::SspInterp)
             }
         };
+        let level = ready.exec.level_plan.level;
+        let part = &ready.exec.partition;
+        let wave_points: u64 = ready.trips[level..].iter().product();
+        let placement = if spread_pays(
+            part.groups(ready.trips[level]),
+            ready.ns_per_point().map(|ns| ns * wave_points as f64),
+            ex.wake.mean_ns(),
+        ) {
+            Placement::Spread(ex.wake.clone())
+        } else {
+            Placement::Inline
+        };
         let report = run_partitioned_body(
             &ex.pool,
             &ready.trips,
-            ready.exec.level_plan.level,
+            level,
             0, // the kernel translates 0-based indices via its own bounds
-            &ready.exec.partition,
+            part,
             body,
+            placement,
         )?;
+        ready.record_cost(report.caller_ns, report.caller_points);
         scope
             .shared
             .sgt_spawns
             .fetch_add(report.spawned, Ordering::Relaxed);
         ex.ssp_foralls.fetch_add(1, Ordering::Relaxed);
+        ex.ssp_waves.fetch_add(report.waves, Ordering::Relaxed);
+        ex.ssp_inline_waves
+            .fetch_add(report.inline_waves, Ordering::Relaxed);
         if report.wavefront {
             ex.ssp_wavefronts.fetch_add(1, Ordering::Relaxed);
         }
@@ -556,7 +588,7 @@ impl SspExecutor<'_> {
             }
             KernelMode::Interpreted => CachedCode::Interpreted(code),
         };
-        Some((ReadyPlan { trips, exec, code }, arrays))
+        Some((ReadyPlan::new(trips, exec, code), arrays))
     }
 }
 

@@ -29,6 +29,7 @@ use std::sync::Arc;
 use htvm_adapt::KnowledgeBase;
 use htvm_core::faults::describe_payload;
 use htvm_core::{Htvm, HtvmConfig, Pool, PoolStats, SharedRegion, Topology};
+use htvm_ssp::exec::WakeMeter;
 use parking_lot::Mutex;
 
 use super::ast::{BinOp, Expr, FnDef, Program, Stmt};
@@ -154,6 +155,8 @@ pub(crate) struct ExecShared {
     pub(crate) kb: Arc<Mutex<KnowledgeBase>>,
     /// The interpreter's SSP plan cache, shared by all its runs.
     pub(crate) plans: Arc<PlanCache>,
+    /// The interpreter's measured pool wake, shared by all its runs.
+    pub(crate) wake: Arc<WakeMeter>,
     /// `forall`s that reused a cached plan (or cached bail-out).
     pub(crate) ssp_plan_hits: AtomicU64,
     /// `forall`s executed through the SSP pipeline.
@@ -164,6 +167,10 @@ pub(crate) struct ExecShared {
     pub(crate) ssp_wavefronts: AtomicU64,
     /// SSP executions that ran the compiled tile-at-a-time kernel.
     pub(crate) ssp_compiled: AtomicU64,
+    /// Waves the SSP executions ran.
+    pub(crate) ssp_waves: AtomicU64,
+    /// Of those, the waves run inline on the calling thread.
+    pub(crate) ssp_inline_waves: AtomicU64,
 }
 
 impl Shared {
@@ -198,6 +205,14 @@ pub struct RunOutput {
     /// lowering, scheduling and compiling again (see
     /// [`mod@super::executor`]).
     pub ssp_plan_hits: u64,
+    /// Waves the SSP executions ran (one per index tuple of the levels
+    /// outside each nest's partitioned level).
+    pub ssp_waves: u64,
+    /// Of [`RunOutput::ssp_waves`], those run inline on the calling
+    /// thread rather than spread as one pool job per group: the wave's
+    /// measured work did not pay for the pool's measured wake (see
+    /// [`mod@htvm_ssp::exec`]). Every other wave was spread.
+    pub ssp_inline_waves: u64,
 }
 
 /// The LITL-X interpreter.
@@ -208,6 +223,7 @@ pub struct Interp {
     kernel_mode: KernelMode,
     kb: Arc<Mutex<KnowledgeBase>>,
     plans: Arc<PlanCache>,
+    wake: Arc<WakeMeter>,
 }
 
 pub(crate) enum Flow {
@@ -235,6 +251,7 @@ impl Interp {
             kernel_mode: KernelMode::default(),
             kb: Arc::new(Mutex::new(KnowledgeBase::new())),
             plans: Arc::new(PlanCache::default()),
+            wake: Arc::new(WakeMeter::default()),
         }
     }
 
@@ -323,11 +340,14 @@ impl Interp {
                 kernel_mode: self.kernel_mode,
                 kb: self.kb.clone(),
                 plans: self.plans.clone(),
+                wake: self.wake.clone(),
                 ssp_plan_hits: AtomicU64::new(0),
                 ssp_foralls: AtomicU64::new(0),
                 ssp_bailouts: AtomicU64::new(0),
                 ssp_wavefronts: AtomicU64::new(0),
                 ssp_compiled: AtomicU64::new(0),
+                ssp_waves: AtomicU64::new(0),
+                ssp_inline_waves: AtomicU64::new(0),
             },
             profile,
         });
@@ -361,6 +381,8 @@ impl Interp {
             ssp_wavefronts: shared.exec.ssp_wavefronts.load(Ordering::Relaxed),
             ssp_compiled: shared.exec.ssp_compiled.load(Ordering::Relaxed),
             ssp_plan_hits: shared.exec.ssp_plan_hits.load(Ordering::Relaxed),
+            ssp_waves: shared.exec.ssp_waves.load(Ordering::Relaxed),
+            ssp_inline_waves: shared.exec.ssp_inline_waves.load(Ordering::Relaxed),
         };
         Ok((out, shared.profile.clone()))
     }

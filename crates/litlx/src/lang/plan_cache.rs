@@ -100,6 +100,37 @@ pub(crate) struct ReadyPlan {
     pub(crate) exec: NestExecPlan,
     /// The kernel, in the interpreter's kernel mode.
     pub(crate) code: CachedCode,
+    /// The kernel's cost per point on the calling thread, as an `f64`'s
+    /// bits, from the latest run that timed any (0: not measured yet).
+    ns_per_point: AtomicU64,
+}
+
+impl ReadyPlan {
+    pub(crate) fn new(trips: Vec<u64>, exec: NestExecPlan, code: CachedCode) -> Self {
+        Self {
+            trips,
+            exec,
+            code,
+            ns_per_point: AtomicU64::new(0),
+        }
+    }
+
+    /// The measured cost per point, if any run has timed one.
+    pub(crate) fn ns_per_point(&self) -> Option<f64> {
+        match self.ns_per_point.load(Ordering::Relaxed) {
+            0 => None,
+            bits => Some(f64::from_bits(bits)),
+        }
+    }
+
+    /// Record a run's timing of `points` points that took `ns` in all.
+    pub(crate) fn record_cost(&self, ns: u64, points: u64) {
+        if points > 0 {
+            let per_point = ns as f64 / points as f64;
+            self.ns_per_point
+                .store(per_point.to_bits(), Ordering::Relaxed);
+        }
+    }
 }
 
 /// Immutable kernel code, rebound to each run's arrays.

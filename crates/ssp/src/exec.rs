@@ -10,14 +10,17 @@
 //!   one **wave**, joined before the next starts (outer-carried
 //!   dependences are satisfied by construction);
 //! * the `N_ℓ` iterations of level `ℓ` split into the plan's contiguous
-//!   **groups**; each group runs its `ℓ`-range (with all inner levels
-//!   sequential inside it) as one SGT-grain pool job, placed round-robin
-//!   across the pool's locality domains;
-//! * if the plan has a **wavefront** (a dependence carried at `ℓ`), groups
-//!   are chained through [`SyncSlot`]s: group `t+1` is enabled by the
-//!   signal group `t` delivers on completion — the conservative reading of
-//!   the paper's "group t+1 may only start its first d iterations after
-//!   group t finishes its last".
+//!   **groups**; each group runs its `ℓ`-range with all inner levels
+//!   sequential inside it;
+//! * each wave has a [`Placement`]. A **spread** wave runs each group as
+//!   one SGT-grain pool job, placed round-robin across the pool's
+//!   locality domains; if the plan has a **wavefront** (a dependence
+//!   carried at `ℓ`), its groups are chained through [`SyncSlot`]s: group
+//!   `t+1` is enabled by the signal group `t` delivers on completion — the
+//!   conservative reading of the paper's "group t+1 may only start its
+//!   first d iterations after group t finishes its last". An **inline**
+//!   wave runs its groups in index order on the calling thread, which
+//!   satisfies a wavefront by itself, and spawns nothing.
 //!
 //! [`run_partitioned_body`] also takes a **tile body** ([`TileBody`]): it
 //! is called once per group with the group's whole `ℓ`-range and walks
@@ -26,14 +29,42 @@
 //! and borrows its scratch once per tile). A point body goes through the
 //! same group machinery, with the executor walking the inner levels.
 //!
-//! The caller **helps**: while a wave is in flight it keeps claiming
-//! enabled groups from the ready queue, so execution completes even on a
-//! single-worker pool (the spawned pool jobs then drain as no-ops). This
-//! is the same help-first discipline the LITL-X naive `forall` uses.
+//! In a spread wave the caller **helps**: while the wave is in flight it
+//! keeps claiming enabled groups from the ready queue, so execution
+//! completes even on a single-worker pool (the spawned pool jobs then
+//! drain as no-ops). This is the same help-first discipline the LITL-X
+//! naive `forall` uses.
+//!
+//! # Placement
+//!
+//! Spreading a wave of `g` groups costs a pool wake and then `work / g`
+//! (the groups run side by side); running it inline costs `work`.
+//! [`spread_pays`] is that break-even, `work·(g−1) > wake·g`; a single
+//! group never pays. Both costs are measured in situ, by the runs
+//! themselves, with no calibration pass:
+//!
+//! * **work** — the calling thread times the groups it runs itself: all
+//!   of them inline, the ones it helped with when spread
+//!   ([`ExecReport::caller_ns`] over [`ExecReport::caller_points`] is its
+//!   cost per point);
+//! * **wake** — the first pool job of each spread wave records how long
+//!   after the wave was built it started, into the [`WakeMeter`] the
+//!   wave was spread with. It records even when it starts after the
+//!   caller drained the wave alone, so slow wakes count as fully as fast
+//!   ones.
+//!
+//! A caller that lacks either measurement spreads — the behaviour before
+//! placement existed, and the run that produces both measurements. Both
+//! placements give the same result: every point runs once in the same
+//! per-group order, and a failing wave ends with the error of its
+//! lowest-indexed failing group (`group g panicked: …` for a panic).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use htvm_core::{DomainId, Pool, SyncSlot};
 use parking_lot::Mutex;
@@ -66,8 +97,57 @@ pub enum NestBody {
     Tile(Arc<TileBody>),
 }
 
+/// Where a wave's groups run (module docs, "Placement").
+#[derive(Debug, Clone)]
+pub enum Placement {
+    /// Every group in index order on the calling thread: no pool job, no
+    /// ready queue, no chain slots.
+    Inline,
+    /// One pool job per group, placed round-robin over the pool's
+    /// domains and chained under a wavefront; the caller helps. Each
+    /// wave's first job records its wake into the meter.
+    Spread(Arc<WakeMeter>),
+}
+
+/// Whether spreading a wave of `groups` groups pays, given the wave's
+/// measured work on one thread (`work_ns`) and the pool's measured
+/// spawn→start latency (`wake_ns`): only when
+/// `work·(groups − 1) > wake·groups`. One group never pays; with more, a
+/// missing measurement spreads, which is how it gets measured.
+pub fn spread_pays(groups: u64, work_ns: Option<f64>, wake_ns: Option<f64>) -> bool {
+    match (work_ns, wake_ns) {
+        _ if groups <= 1 => false,
+        (Some(work), Some(wake)) => work * (groups - 1) as f64 > wake * groups as f64,
+        _ => true,
+    }
+}
+
+/// The mean spawn→start latency of the first pool job of every wave
+/// spread with this meter, in nanoseconds. A caller keeps one per pool
+/// and spreads its waves with it (a LITL-X interpreter keeps one).
+#[derive(Debug, Default)]
+pub struct WakeMeter {
+    sum_ns: AtomicU64,
+    /// Latencies recorded; published after their sum, so a reader's sum
+    /// covers at least the samples it counts.
+    samples: AtomicU64,
+}
+
+impl WakeMeter {
+    /// The mean latency, `None` before the first sample.
+    pub fn mean_ns(&self) -> Option<f64> {
+        let n = self.samples.load(Ordering::Acquire);
+        (n > 0).then(|| self.sum_ns.load(Ordering::Relaxed) as f64 / n as f64)
+    }
+
+    fn record(&self, ns: u64) {
+        self.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.samples.fetch_add(1, Ordering::Release);
+    }
+}
+
 /// What happened during a partitioned native run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecReport {
     /// The partitioned (pipelined) level.
     pub level: usize,
@@ -75,6 +155,8 @@ pub struct ExecReport {
     pub groups: u64,
     /// Waves executed (product of the outer trip counts).
     pub waves: u64,
+    /// Waves that ran [`Placement::Inline`]; the others were spread.
+    pub inline_waves: u64,
     /// Whether groups were chained through a signal wavefront.
     pub wavefront: bool,
     /// Iteration points executed.
@@ -83,13 +165,19 @@ pub struct ExecReport {
     /// the partitioned level is the innermost, else one per index tuple
     /// of the non-innermost levels. Derived from the geometry.
     pub runs: u64,
-    /// Pool jobs spawned (one per group per wave).
+    /// Pool jobs spawned (one per group per spread wave).
     pub spawned: u64,
-    /// Groups executed by the helping caller rather than a pool worker.
+    /// Groups executed by the calling thread rather than a pool worker
+    /// (every group of an inline wave).
     pub caller_ran: u64,
+    /// Wall time the calling thread spent running those groups, in
+    /// nanoseconds.
+    pub caller_ns: u64,
+    /// Iteration points in those groups.
+    pub caller_points: u64,
     /// Intended locality-domain placement, one entry per group (round-robin
-    /// over the pool's domains; also recorded in
-    /// [`htvm_core::PoolStats::domain_spawns`]).
+    /// over the pool's domains; a spread wave's spawns are also recorded
+    /// in [`htvm_core::PoolStats::domain_spawns`]).
     pub group_domains: Vec<u64>,
 }
 
@@ -137,18 +225,84 @@ pub fn plan_native_nest(
     plan_native(&nest.trip_counts, &plans, allowed_levels, threads)
 }
 
-/// One wave's state, shared by the helping caller and the spawned pool
-/// jobs. Owns the full geometry so pool jobs need no borrows.
-struct Wave {
-    // Geometry.
-    outer: Vec<i64>,
-    inner_counts: Vec<u64>,
+/// A run's nest geometry and body, the same for all of its waves:
+/// borrowed by inline waves, owned behind an `Arc` by spread ones (their
+/// pool jobs may outlive the run).
+struct Geometry<'t> {
+    trips: Cow<'t, [u64]>,
     level: usize,
-    depth: usize,
-    group_ranges: Vec<(u64, u64)>,
+    /// Iterations per group at the partitioned level (the last group may
+    /// be short).
+    group: u64,
+    /// Absolute index of the partitioned level's first iteration.
     lo: i64,
     body: NestBody,
-    // Scheduling.
+}
+
+impl Geometry<'_> {
+    /// Group `g`'s absolute range at the partitioned level.
+    fn range(&self, g: u64) -> (i64, i64) {
+        let start = g * self.group;
+        let end = (start + self.group).min(self.trips[self.level]);
+        (self.lo + start as i64, self.lo + end as i64)
+    }
+
+    /// Iteration points in group `g`.
+    fn points(&self, g: u64) -> u64 {
+        let (lo, hi) = self.range(g);
+        (hi - lo) as u64 * self.trips[self.level + 1..].iter().product::<u64>()
+    }
+
+    /// Run every iteration point of group `g` of the wave at `outer`: its
+    /// `ℓ`-range, all inner levels sequential (lexicographic) inside each
+    /// `ℓ`-iteration. A [`NestBody::Tile`] body receives the whole range
+    /// as one call. A panic comes back as the group's error.
+    fn run_group(&self, outer: &[i64], g: u64) -> Result<(), String> {
+        let (lo, hi) = self.range(g);
+        catch_unwind(AssertUnwindSafe(|| match &self.body {
+            NestBody::Point(b) => self.walk_points(outer, lo, hi, &**b),
+            NestBody::Tile(t) => t(outer, lo, hi),
+        }))
+        .unwrap_or_else(|p| Err(format!("group {g} panicked: {}", panic_message(p.as_ref()))))
+    }
+
+    /// The point-body adapter: walk the tile `lo..hi` (absolute at the
+    /// partitioned level) point by point, inner levels as an odometer.
+    fn walk_points(&self, outer: &[i64], lo: i64, hi: i64, body: &PointBody) -> Result<(), String> {
+        let inner = &self.trips[self.level + 1..];
+        let mut idx = vec![0i64; self.trips.len()];
+        idx[..self.level].copy_from_slice(outer);
+        let inner_total: u64 = inner.iter().product();
+        for l in lo..hi {
+            idx[self.level] = l;
+            for t in 0..inner_total {
+                let mut rem = t;
+                for (k, &n) in inner.iter().enumerate().rev() {
+                    idx[self.level + 1 + k] = (rem % n) as i64;
+                    rem /= n;
+                }
+                body(&idx)?;
+            }
+        }
+        Ok(())
+    }
+
+    fn to_owned(&self) -> Geometry<'static> {
+        Geometry {
+            trips: Cow::Owned(self.trips.to_vec()),
+            level: self.level,
+            group: self.group,
+            lo: self.lo,
+            body: self.body.clone(),
+        }
+    }
+}
+
+/// One spread wave's state, shared by the helping caller and the spawned
+/// pool jobs.
+struct Wave {
+    geom: Arc<Geometry<'static>>,
+    outer: Vec<i64>,
     ready: Mutex<VecDeque<u64>>,
     /// Chain slots (`slots[g]` enables group `g`); filled before the wave
     /// is released. The slot actions hold the `Wave` in an `Arc` cycle
@@ -160,27 +314,28 @@ struct Wave {
     /// index. Keeping the minimum (not the first to arrive) makes a
     /// failing wave's error a function of the nest, not of the schedule.
     error: Mutex<Option<(u64, String)>>,
-    caller_ran: AtomicU64,
+    /// When the wave was built, just before its first spawn.
+    built: Instant,
+    /// Where the first pool job records how long after `built` it started.
+    wake: Arc<WakeMeter>,
+    /// Whether a pool job has started.
+    woken: AtomicBool,
 }
 
 /// Completion bookkeeping for one claimed group, run from `Drop` so it
-/// happens **even when the group's body unwinds**: the successor slot is
+/// happens **even when the group's run unwinds**: the successor slot is
 /// signalled and `finished` is incremented no matter how the group ends.
-/// Without this, a panicking [`PointBody`] on a pool worker would be
-/// contained by the pool's `catch_unwind` while the wave never learns the
-/// group died — `run_partitioned`'s help loop then livelocks forever on
-/// `finished < num_groups`.
+/// Without this, a group dying on a pool worker would be contained by the
+/// pool's `catch_unwind` while the wave never learns the group died —
+/// the caller's help loop then livelocks forever on `finished <
+/// num_groups`.
 struct GroupDone<'a> {
-    wave: &'a Arc<Wave>,
+    wave: &'a Wave,
     group: u64,
-    by_caller: bool,
 }
 
 impl Drop for GroupDone<'_> {
     fn drop(&mut self) {
-        if self.by_caller {
-            self.wave.caller_ran.fetch_add(1, Ordering::Relaxed);
-        }
         // Enable the successor (wavefront chains only; parallel waves have
         // every slot released up front). A dead group must still signal,
         // or the rest of the chain starves behind it.
@@ -210,84 +365,61 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 impl Wave {
-    /// Claim one enabled group. Returns `false` if none is ready.
+    /// Claim one enabled group, if any is ready.
+    fn claim(&self) -> Option<u64> {
+        self.ready.lock().pop_front()
+    }
+
+    /// A pool job: the wave's first one records its wake, then each runs
+    /// one group if any is left. The helping caller may have claimed them all already; the
+    /// queue pop decides, so nothing runs twice and late pickups are
+    /// no-ops.
+    fn job(&self) {
+        if !self.woken.load(Ordering::Relaxed) && !self.woken.swap(true, Ordering::Relaxed) {
+            self.wake.record(self.built.elapsed().as_nanos() as u64);
+        }
+        if let Some(g) = self.claim() {
+            self.run(g);
+        }
+    }
+
+    /// Run claimed group `g`.
     ///
-    /// Panic-safe: the body runs under `catch_unwind`, a panic is recorded
-    /// as the wave's error, and the [`GroupDone`] drop guard performs the
-    /// completion bookkeeping on every exit path — so neither a panicking
-    /// body nor an unwinding caller can wedge the wave. A group is skipped
-    /// only when a lower-indexed group has already failed: every group
-    /// below the current error still runs, so the wave ends holding the
-    /// error of its lowest-indexed failing group (each group runs its
-    /// points in order, so that is the first failing point of the lowest
-    /// failing group) whatever order the groups ran in. Because the panic
-    /// is caught *here*, it never reaches the pool's own containment:
-    /// `PoolStats::panics` deliberately stays at zero for SSP body panics
-    /// — the wave's `Err("group N panicked: …")` is their reporting
-    /// channel, and the pool counter keeps meaning "panics that escaped a
-    /// job unhandled".
-    fn try_run_one(self: &Arc<Self>, by_caller: bool) -> bool {
-        let Some(g) = self.ready.lock().pop_front() else {
-            return false;
-        };
+    /// Panic-safe: the group's panic comes back from
+    /// [`Geometry::run_group`] as its error, and the [`GroupDone`] drop
+    /// guard performs the completion bookkeeping on every exit path — so
+    /// neither a panicking body nor an unwinding caller can wedge the
+    /// wave. A group is skipped only when a lower-indexed group has
+    /// already failed: every group below the current error still runs, so
+    /// the wave ends holding the error of its lowest-indexed failing group
+    /// (each group runs its points in order, so that is the first failing
+    /// point of the lowest failing group) whatever order the groups ran
+    /// in. Because the panic is caught *here*, it never reaches the pool's
+    /// own containment: `PoolStats::panics` deliberately stays at zero for
+    /// SSP body panics — the wave's `Err("group N panicked: …")` is their
+    /// reporting channel, and the pool counter keeps meaning "panics that
+    /// escaped a job unhandled".
+    fn run(&self, g: u64) {
         let _done = GroupDone {
             wave: self,
             group: g,
-            by_caller,
         };
         if precedes(&self.error.lock(), g) {
-            let outcome =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.execute_group(g)))
-                    .unwrap_or_else(|p| {
-                        Err(format!("group {g} panicked: {}", panic_message(p.as_ref())))
-                    });
-            if let Err(e) = outcome {
+            if let Err(e) = self.geom.run_group(&self.outer, g) {
                 let mut slot = self.error.lock();
                 if precedes(&slot, g) {
                     *slot = Some((g, e));
                 }
             }
         }
-        true
-    }
-
-    /// Run every iteration point of group `g`: its `ℓ`-range, all inner
-    /// levels sequential (lexicographic) inside each `ℓ`-iteration. A
-    /// [`NestBody::Tile`] body receives the whole range as one call.
-    fn execute_group(&self, g: u64) -> Result<(), String> {
-        let (glo, ghi) = self.group_ranges[g as usize];
-        let (lo, hi) = (self.lo + glo as i64, self.lo + ghi as i64);
-        match &self.body {
-            NestBody::Point(b) => self.execute_group_points(lo, hi, &**b),
-            NestBody::Tile(t) => t(&self.outer, lo, hi),
-        }
-    }
-
-    /// The point-body adapter: walk the tile `lo..hi` (absolute at the
-    /// partitioned level) point by point, inner levels as an odometer.
-    fn execute_group_points(&self, lo: i64, hi: i64, body: &PointBody) -> Result<(), String> {
-        let mut idx = vec![0i64; self.depth];
-        idx[..self.level].copy_from_slice(&self.outer);
-        let inner_total: u64 = self.inner_counts.iter().product();
-        for l in lo..hi {
-            idx[self.level] = l;
-            for t in 0..inner_total {
-                let mut rem = t;
-                for (k, &n) in self.inner_counts.iter().enumerate().rev() {
-                    idx[self.level + 1 + k] = (rem % n) as i64;
-                    rem /= n;
-                }
-                body(&idx)?;
-            }
-        }
-        Ok(())
     }
 }
 
-/// Execute a partitioned nest on the native pool. `trip_counts` describe
-/// the rectangular nest (outermost first); `level_lo` is the absolute
-/// value of the partitioned level's first iteration (the body sees
-/// absolute indices at `level` — callers whose loops start at 0 pass 0).
+/// Execute a partitioned nest on the native pool, every wave spread.
+/// `trip_counts` describe the rectangular nest (outermost first);
+/// `level_lo` is the absolute value of the partitioned level's first
+/// iteration (the body sees absolute indices at `level` — callers whose
+/// loops start at 0 pass 0).
 ///
 /// Returns the error of the first failing wave's lowest-indexed failing
 /// group — the same error whatever order the groups ran in — after
@@ -311,13 +443,15 @@ pub fn run_partitioned(
         level_lo,
         part,
         NestBody::Point(body),
+        Placement::Spread(Arc::default()),
     )
 }
 
-/// [`run_partitioned`] at either granularity: a [`NestBody::Tile`] body
-/// receives each group as one `(outer, lo..hi)` call instead of single
-/// points, with identical traversal order, wavefront chaining, placement
-/// and error/panic semantics.
+/// [`run_partitioned`] at either granularity and either placement: a
+/// [`NestBody::Tile`] body receives each group as one `(outer, lo..hi)`
+/// call instead of single points, with identical traversal order,
+/// wavefront chaining and error/panic semantics. Every wave of one call
+/// has the same shape, so `placement` applies to all of them.
 pub fn run_partitioned_body(
     pool: &Arc<Pool>,
     trip_counts: &[u64],
@@ -325,6 +459,7 @@ pub fn run_partitioned_body(
     level_lo: i64,
     part: &PartitionPlan,
     body: NestBody,
+    placement: Placement,
 ) -> Result<ExecReport, String> {
     if level >= trip_counts.len() {
         return Err(format!(
@@ -334,26 +469,23 @@ pub fn run_partitioned_body(
     }
     let mut report = ExecReport {
         level,
-        groups: 0,
-        waves: 0,
         wavefront: part.wavefront,
-        points: 0,
-        runs: 0,
-        spawned: 0,
-        caller_ran: 0,
-        group_domains: Vec::new(),
+        ..ExecReport::default()
     };
     if trip_counts.contains(&0) {
         return Ok(report); // nothing to run
     }
-    let n_l = trip_counts[level];
-    let group_size = part.group.max(1);
-    let group_ranges: Vec<(u64, u64)> = (0..n_l.div_ceil(group_size))
-        .map(|g| (g * group_size, ((g + 1) * group_size).min(n_l)))
-        .collect();
-    let num_groups = group_ranges.len() as u64;
+    let geom = Geometry {
+        trips: Cow::Borrowed(trip_counts),
+        level,
+        group: part.group.max(1),
+        lo: level_lo,
+        body,
+    };
+    let num_groups = part.groups(trip_counts[level]);
     let nd = pool.num_domains() as u64;
-    let group_domains: Vec<u64> = (0..num_groups).map(|g| g % nd).collect();
+    report.groups = num_groups;
+    report.group_domains = (0..num_groups).map(|g| g % nd).collect();
     let waves: u64 = trip_counts[..level].iter().product();
     let wave_points: u64 = trip_counts[level..].iter().product();
     let wave_runs = if level + 1 == trip_counts.len() {
@@ -361,97 +493,130 @@ pub fn run_partitioned_body(
     } else {
         trip_counts[level..trip_counts.len() - 1].iter().product()
     };
-    report.groups = num_groups;
-    report.group_domains = group_domains.clone();
-
+    let spread = match placement {
+        Placement::Inline => None,
+        Placement::Spread(wake) => Some((Arc::new(geom.to_owned()), wake)),
+    };
+    let mut outer = vec![0i64; level];
     for w in 0..waves {
         // Decompose the wave number into the outer index tuple.
-        let mut outer = vec![0i64; level];
         let mut rem = w;
         for (k, &n) in trip_counts[..level].iter().enumerate().rev() {
             outer[k] = (rem % n) as i64;
             rem /= n;
         }
-        let wave = Arc::new(Wave {
-            outer,
-            inner_counts: trip_counts[level + 1..].to_vec(),
-            level,
-            depth: trip_counts.len(),
-            group_ranges: group_ranges.clone(),
-            lo: level_lo,
-            body: body.clone(),
-            ready: Mutex::new(VecDeque::with_capacity(num_groups as usize)),
-            slots: Mutex::new(Vec::new()),
-            finished: AtomicU64::new(0),
-            error: Mutex::new(None),
-            caller_ran: AtomicU64::new(0),
-        });
-        if part.wavefront {
-            // Build the enable slots with one guard signal each, so no
-            // group can fire before the whole chain (and its successor
-            // slots) is in place. Slot g's action enqueues group g and
-            // spawns a pickup job into the group's home domain.
-            let slots: Vec<Arc<SyncSlot>> = (0..num_groups)
-                .map(|g| {
-                    let chain = if g > 0 { 1 } else { 0 };
-                    let wv = wave.clone();
-                    let pl = pool.clone();
-                    let domain = DomainId(group_domains[g as usize]);
-                    SyncSlot::with_action(1 + chain, move || {
-                        wv.ready.lock().push_back(g);
-                        let wv2 = wv.clone();
-                        pl.spawn_in(domain, move |_| {
-                            // The helping caller may have claimed this
-                            // group already; the queue pop decides, so
-                            // nothing runs twice and late pickups are
-                            // no-ops.
-                            wv2.try_run_one(false);
-                        });
-                    })
-                })
-                .collect();
-            *wave.slots.lock() = slots.clone();
-            // Release the guard signals: group 0 becomes ready; the rest
-            // of the chain fires as predecessors finish.
-            for s in &slots {
-                s.signal();
-            }
-        } else {
-            // No wavefront: every group is ready at once — enqueue them
-            // all and batch-spawn the pickup jobs (the batch delivers at
-            // most one targeted wake per job, grouped by home domain).
-            {
-                let mut q = wave.ready.lock();
-                q.extend(0..num_groups);
-            }
-            pool.spawn_batch_in((0..num_groups).map(|g| {
-                let wv = wave.clone();
-                let job = move |_: &htvm_core::WorkerCtx<'_>| {
-                    wv.try_run_one(false);
-                };
-                (DomainId(group_domains[g as usize]), job)
-            }));
-        }
-        report.spawned += num_groups;
-        // Help until the wave drains — never block: the caller may *be* a
-        // pool worker (a pool job or a served request running a LITL-X
-        // program), and parking it on a single-worker pool would deadlock
-        // the wave.
-        while wave.finished.load(Ordering::Acquire) < num_groups {
-            if !wave.try_run_one(true) {
-                std::thread::yield_now();
+        match &spread {
+            None => run_inline(&geom, &outer, num_groups, wave_points, &mut report)?,
+            Some((geom, wake)) => {
+                run_spread(pool, geom, wake, &outer, part.wavefront, &mut report)?
             }
         }
         report.waves += 1;
-        report.caller_ran += wave.caller_ran.load(Ordering::Relaxed);
-        let err = wave.error.lock().take();
-        if let Some((_, e)) = err {
-            return Err(e);
-        }
         report.points += wave_points;
         report.runs += wave_runs;
     }
     Ok(report)
+}
+
+/// One inline wave: its groups in index order on the calling thread,
+/// stopping at the first failure — the lowest failing group.
+fn run_inline(
+    geom: &Geometry<'_>,
+    outer: &[i64],
+    num_groups: u64,
+    wave_points: u64,
+    report: &mut ExecReport,
+) -> Result<(), String> {
+    let start = Instant::now();
+    for g in 0..num_groups {
+        geom.run_group(outer, g)?;
+    }
+    report.caller_ns += start.elapsed().as_nanos() as u64;
+    report.caller_points += wave_points;
+    report.caller_ran += num_groups;
+    report.inline_waves += 1;
+    Ok(())
+}
+
+/// One spread wave: a pool job per group, the caller helping until the
+/// wave drains.
+fn run_spread(
+    pool: &Arc<Pool>,
+    geom: &Arc<Geometry<'static>>,
+    wake: &Arc<WakeMeter>,
+    outer: &[i64],
+    wavefront: bool,
+    report: &mut ExecReport,
+) -> Result<(), String> {
+    let num_groups = report.groups;
+    let nd = pool.num_domains() as u64;
+    let wave = Arc::new(Wave {
+        geom: geom.clone(),
+        outer: outer.to_vec(),
+        ready: Mutex::new(VecDeque::with_capacity(num_groups as usize)),
+        slots: Mutex::new(Vec::new()),
+        finished: AtomicU64::new(0),
+        error: Mutex::new(None),
+        built: Instant::now(),
+        wake: wake.clone(),
+        woken: AtomicBool::new(false),
+    });
+    if wavefront {
+        // Build the enable slots with one guard signal each, so no group
+        // can fire before the whole chain (and its successor slots) is in
+        // place. Slot g's action enqueues group g and spawns a pickup job
+        // into the group's home domain.
+        let slots: Vec<Arc<SyncSlot>> = (0..num_groups)
+            .map(|g| {
+                let chain = if g > 0 { 1 } else { 0 };
+                let wv = wave.clone();
+                let pl = pool.clone();
+                SyncSlot::with_action(1 + chain, move || {
+                    wv.ready.lock().push_back(g);
+                    let wv2 = wv.clone();
+                    pl.spawn_in(DomainId(g % nd), move |_| wv2.job());
+                })
+            })
+            .collect();
+        *wave.slots.lock() = slots.clone();
+        // Release the guard signals: group 0 becomes ready; the rest of
+        // the chain fires as predecessors finish.
+        for s in &slots {
+            s.signal();
+        }
+    } else {
+        // No wavefront: every group is ready at once — enqueue them all
+        // and batch-spawn the pickup jobs (the batch delivers at most one
+        // targeted wake per job, grouped by home domain).
+        wave.ready.lock().extend(0..num_groups);
+        pool.spawn_batch_in((0..num_groups).map(|g| {
+            let wv = wave.clone();
+            (DomainId(g % nd), move |_: &htvm_core::WorkerCtx<'_>| {
+                wv.job()
+            })
+        }));
+    }
+    report.spawned += num_groups;
+    // Help until the wave drains — never block: the caller may *be* a pool
+    // worker (a pool job or a served request running a LITL-X program),
+    // and parking it on a single-worker pool would deadlock the wave.
+    while wave.finished.load(Ordering::Acquire) < num_groups {
+        match wave.claim() {
+            Some(g) => {
+                let start = Instant::now();
+                wave.run(g);
+                report.caller_ns += start.elapsed().as_nanos() as u64;
+                report.caller_points += geom.points(g);
+                report.caller_ran += 1;
+            }
+            None => std::thread::yield_now(),
+        }
+    }
+    let err = wave.error.lock().take();
+    match err {
+        Some((_, e)) => Err(e),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -459,10 +624,72 @@ mod tests {
     use super::*;
     use crate::ir::LoopNest;
     use htvm_core::Topology;
-    use std::sync::atomic::AtomicBool;
+
+    /// Every scenario below runs under both placements (a fresh meter
+    /// each time).
+    fn placements() -> [Placement; 2] {
+        [Placement::Spread(Arc::default()), Placement::Inline]
+    }
 
     fn pool(topo: Topology) -> Arc<Pool> {
         Arc::new(Pool::with_topology(topo))
+    }
+
+    /// [`run_partitioned_body`] at `placement`, checking the counters that
+    /// differ between placements: an inline run spawns nothing and its
+    /// caller runs (and times) every group; a spread run spawns one job
+    /// per group per wave, and its caller runs at most all of them.
+    fn run_at(
+        p: &Arc<Pool>,
+        trips: &[u64],
+        level: usize,
+        lo: i64,
+        part: &PartitionPlan,
+        body: NestBody,
+        placement: &Placement,
+    ) -> Result<ExecReport, String> {
+        let out = run_partitioned_body(p, trips, level, lo, part, body, placement.clone());
+        if let Ok(rep) = &out {
+            let all = rep.waves * rep.groups;
+            match placement {
+                Placement::Inline => {
+                    assert_eq!(rep.inline_waves, rep.waves);
+                    assert_eq!(rep.spawned, 0);
+                    assert_eq!(rep.caller_ran, all);
+                    assert_eq!(rep.caller_points, rep.points);
+                }
+                Placement::Spread(wake) => {
+                    assert_eq!(rep.inline_waves, 0);
+                    assert_eq!(rep.spawned, all);
+                    assert!(rep.caller_ran <= all);
+                    assert!(rep.caller_points <= rep.points);
+                    // Each wave's first job records its wake — those that
+                    // start late, once the pool drains.
+                    p.wait_quiescent();
+                    assert_eq!(wake.samples.load(Ordering::Acquire), rep.waves);
+                }
+            }
+        }
+        out
+    }
+
+    /// The placement-independent outcome of a run: its `Result`, with
+    /// the report cut down to what both placements must agree on.
+    type Outcome = Result<(u64, u64, u64, u64, bool, Vec<u64>), String>;
+
+    fn outcome(out: &Result<ExecReport, String>) -> Outcome {
+        out.as_ref()
+            .map(|r| {
+                let domains = r.group_domains.clone();
+                (r.points, r.runs, r.waves, r.groups, r.wavefront, domains)
+            })
+            .map_err(Clone::clone)
+    }
+
+    /// Both placements ended the same way.
+    fn assert_same(outcomes: &[Outcome]) {
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes[0], outcomes[1], "spread vs inline");
     }
 
     /// Every point of a parallel 2-D nest runs exactly once.
@@ -471,29 +698,43 @@ mod tests {
         let nest = LoopNest::elementwise(8, 6);
         let plan = plan_native_nest(&nest, &SspConfig::default(), &[0, 1], 4).unwrap();
         assert!(!plan.partition.wavefront);
-        let seen: Arc<Vec<AtomicU64>> = Arc::new((0..48).map(|_| AtomicU64::new(0)).collect());
-        let s2 = seen.clone();
-        let body: Arc<PointBody> = Arc::new(move |idx| {
-            s2[(idx[0] * 6 + idx[1]) as usize].fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        });
-        let p = pool(Topology::domains(2, 2));
         let level = plan.level_plan.level;
-        let rep = run_partitioned(&p, &nest.trip_counts, level, 0, &plan.partition, body).unwrap();
-        p.wait_quiescent();
-        assert_eq!(rep.points, 48);
-        assert!(rep.groups >= 2);
-        for (i, c) in seen.iter().enumerate() {
-            assert_eq!(
-                c.load(Ordering::SeqCst),
-                1,
-                "point {i} ran a wrong number of times"
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let seen: Arc<Vec<AtomicU64>> = Arc::new((0..48).map(|_| AtomicU64::new(0)).collect());
+            let s2 = seen.clone();
+            let body: Arc<PointBody> = Arc::new(move |idx| {
+                s2[(idx[0] * 6 + idx[1]) as usize].fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            let p = pool(Topology::domains(2, 2));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                level,
+                0,
+                &plan.partition,
+                NestBody::Point(body),
+                &placement,
             );
+            p.wait_quiescent();
+            let rep = out.clone().unwrap();
+            assert_eq!(rep.points, 48);
+            assert!(rep.groups >= 2);
+            for (i, c) in seen.iter().enumerate() {
+                assert_eq!(
+                    c.load(Ordering::SeqCst),
+                    1,
+                    "point {i} ran a wrong number of times ({placement:?})"
+                );
+            }
+            // Placement is round-robin over the 2 domains.
+            assert!(rep.group_domains.contains(&0));
+            assert!(rep.group_domains.contains(&1));
+            assert_eq!(p.stats().total_domain_spawns(), rep.spawned);
+            outcomes.push(outcome(&out));
         }
-        // Placement is round-robin over the 2 domains.
-        assert!(rep.group_domains.contains(&0));
-        assert!(rep.group_domains.contains(&1));
-        assert_eq!(p.stats().total_domain_spawns(), rep.spawned);
+        assert_same(&outcomes);
     }
 
     /// A dependence carried at the partitioned level runs as a wavefront:
@@ -506,25 +747,39 @@ mod tests {
         let plan = plans.iter().find(|p| p.level == 0).unwrap();
         let part = PartitionPlan::new(plan, 16, 4);
         assert!(part.wavefront);
-        let flags: Arc<Vec<AtomicBool>> =
-            Arc::new((0..16).map(|_| AtomicBool::new(false)).collect());
-        let f2 = flags.clone();
-        let body: Arc<PointBody> = Arc::new(move |idx| {
-            let t = idx[0] as usize;
-            if t > 0 && !f2[t - 1].load(Ordering::SeqCst) {
-                return Err(format!("iteration {t} ran before {}", t - 1));
-            }
-            if idx[1] == 3 {
-                f2[t].store(true, Ordering::SeqCst);
-            }
-            Ok(())
-        });
-        let p = pool(Topology::domains(2, 2));
-        let rep = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body).unwrap();
-        p.wait_quiescent();
-        assert!(rep.wavefront);
-        assert_eq!(rep.points, 64);
-        assert_eq!(rep.groups, 4);
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let flags: Arc<Vec<AtomicBool>> =
+                Arc::new((0..16).map(|_| AtomicBool::new(false)).collect());
+            let f2 = flags.clone();
+            let body: Arc<PointBody> = Arc::new(move |idx| {
+                let t = idx[0] as usize;
+                if t > 0 && !f2[t - 1].load(Ordering::SeqCst) {
+                    return Err(format!("iteration {t} ran before {}", t - 1));
+                }
+                if idx[1] == 3 {
+                    f2[t].store(true, Ordering::SeqCst);
+                }
+                Ok(())
+            });
+            let p = pool(Topology::domains(2, 2));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                0,
+                0,
+                &part,
+                NestBody::Point(body),
+                &placement,
+            );
+            p.wait_quiescent();
+            let rep = out.clone().unwrap();
+            assert!(rep.wavefront);
+            assert_eq!(rep.points, 64);
+            assert_eq!(rep.groups, 4);
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// Outer levels run as sequentially joined waves.
@@ -535,22 +790,40 @@ mod tests {
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let plan = plans.iter().find(|p| p.level == 1).unwrap();
         let part = PartitionPlan::new(plan, 4, 4);
-        let max_seen_wave = Arc::new(AtomicU64::new(0));
-        let m2 = max_seen_wave.clone();
-        let body: Arc<PointBody> = Arc::new(move |idx| {
-            let w = idx[0] as u64;
-            let prev = m2.fetch_max(w, Ordering::SeqCst);
-            if prev > w {
-                return Err(format!("wave {w} ran after wave {prev}"));
-            }
-            Ok(())
-        });
-        let p = pool(Topology::flat(2));
-        let rep = run_partitioned(&p, &nest.trip_counts, 1, 0, &part, body).unwrap();
-        p.wait_quiescent();
-        assert_eq!(rep.waves, 3);
-        assert_eq!(rep.points, 24);
-        assert_eq!(rep.spawned, 12);
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let max_seen_wave = Arc::new(AtomicU64::new(0));
+            let m2 = max_seen_wave.clone();
+            let body: Arc<PointBody> = Arc::new(move |idx| {
+                let w = idx[0] as u64;
+                let prev = m2.fetch_max(w, Ordering::SeqCst);
+                if prev > w {
+                    return Err(format!("wave {w} ran after wave {prev}"));
+                }
+                Ok(())
+            });
+            let p = pool(Topology::flat(2));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                1,
+                0,
+                &part,
+                NestBody::Point(body),
+                &placement,
+            );
+            p.wait_quiescent();
+            let rep = out.clone().unwrap();
+            assert_eq!(rep.waves, 3);
+            assert_eq!(rep.points, 24);
+            let spawned = match placement {
+                Placement::Spread(_) => 12,
+                Placement::Inline => 0,
+            };
+            assert_eq!(rep.spawned, spawned);
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// Single-worker pools must not deadlock: the caller helps.
@@ -560,16 +833,29 @@ mod tests {
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let plan = plans.iter().find(|p| p.level == 0).unwrap();
         let part = PartitionPlan::new(plan, 8, 4);
-        let count = Arc::new(AtomicU64::new(0));
-        let c2 = count.clone();
-        let body: Arc<PointBody> = Arc::new(move |_| {
-            c2.fetch_add(1, Ordering::SeqCst);
-            Ok(())
-        });
-        let p = pool(Topology::flat(1));
-        let rep = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body).unwrap();
-        assert_eq!(count.load(Ordering::SeqCst), 64);
-        assert_eq!(rep.points, 64);
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let count = Arc::new(AtomicU64::new(0));
+            let c2 = count.clone();
+            let body: Arc<PointBody> = Arc::new(move |_| {
+                c2.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            });
+            let p = pool(Topology::flat(1));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                0,
+                0,
+                &part,
+                NestBody::Point(body),
+                &placement,
+            );
+            assert_eq!(count.load(Ordering::SeqCst), 64);
+            assert_eq!(out.as_ref().unwrap().points, 64);
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// Body errors surface and abort after the wave in flight.
@@ -585,9 +871,22 @@ mod tests {
             }
         });
         let p = pool(Topology::flat(2));
-        let err = run_partitioned(&p, &nest.trip_counts, 0, 0, &plan.partition, body).unwrap_err();
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                0,
+                0,
+                &plan.partition,
+                NestBody::Point(body.clone()),
+                &placement,
+            );
+            assert!(out.as_ref().unwrap_err().contains("injected failure"));
+            outcomes.push(outcome(&out));
+        }
         p.wait_quiescent();
-        assert!(err.contains("injected failure"));
+        assert_same(&outcomes);
     }
 
     /// A wave with several failing groups reports the lowest-indexed
@@ -610,10 +909,20 @@ mod tests {
             _ => Ok(()),
         });
         let p = pool(Topology::domains(2, 1));
-        for _ in 0..10 {
-            let err =
-                run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body.clone()).unwrap_err();
-            assert_eq!(err, "group 2 failed");
+        for placement in placements() {
+            for _ in 0..10 {
+                let err = run_at(
+                    &p,
+                    &nest.trip_counts,
+                    0,
+                    0,
+                    &part,
+                    NestBody::Point(body.clone()),
+                    &placement,
+                )
+                .unwrap_err();
+                assert_eq!(err, "group 2 failed", "{placement:?}");
+            }
         }
         p.wait_quiescent();
     }
@@ -636,10 +945,28 @@ mod tests {
             Ok(())
         });
         let p = pool(Topology::flat(1));
-        let err = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body).unwrap_err();
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                0,
+                0,
+                &part,
+                NestBody::Point(body.clone()),
+                &placement,
+            );
+            let err = out.as_ref().unwrap_err();
+            assert!(err.contains("panicked"), "err: {err}");
+            assert!(err.contains("injected panic"), "err: {err}");
+            outcomes.push(outcome(&out));
+        }
         p.wait_quiescent();
-        assert!(err.contains("panicked"), "err: {err}");
-        assert!(err.contains("injected panic"), "err: {err}");
+        assert_same(&outcomes);
+        assert_eq!(
+            outcomes[1],
+            Err("group 1 panicked: injected panic at t=3".to_string())
+        );
     }
 
     /// Same on a grouped multi-worker topology and a parallel (no
@@ -659,10 +986,23 @@ mod tests {
         });
         let p = pool(Topology::domains(2, 2));
         let level = plan.level_plan.level;
-        let err =
-            run_partitioned(&p, &nest.trip_counts, level, 0, &plan.partition, body).unwrap_err();
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                level,
+                0,
+                &plan.partition,
+                NestBody::Point(body.clone()),
+                &placement,
+            );
+            let err = out.as_ref().unwrap_err();
+            assert!(err.contains("panicked"), "err: {err}");
+            outcomes.push(outcome(&out));
+        }
         p.wait_quiescent();
-        assert!(err.contains("panicked"), "err: {err}");
+        assert_same(&outcomes);
         // The pool survives and takes new work afterwards.
         let done = Arc::new(AtomicU64::new(0));
         let d = done.clone();
@@ -681,24 +1021,38 @@ mod tests {
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let plan = plans.iter().find(|p| p.level == 1).unwrap();
         let part = PartitionPlan::new(plan, 4, 4);
-        let max_wave = Arc::new(AtomicU64::new(0));
-        let m2 = max_wave.clone();
-        let body: Arc<PointBody> = Arc::new(move |idx| {
-            m2.fetch_max(idx[0] as u64, Ordering::SeqCst);
-            if idx[0] == 0 {
-                panic!("first wave dies");
-            }
-            Ok(())
-        });
-        let p = pool(Topology::flat(2));
-        let err = run_partitioned(&p, &nest.trip_counts, 1, 0, &part, body).unwrap_err();
-        p.wait_quiescent();
-        assert!(err.contains("panicked"), "err: {err}");
-        assert_eq!(
-            max_wave.load(Ordering::SeqCst),
-            0,
-            "no wave after the dead one may start"
-        );
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let max_wave = Arc::new(AtomicU64::new(0));
+            let m2 = max_wave.clone();
+            let body: Arc<PointBody> = Arc::new(move |idx| {
+                m2.fetch_max(idx[0] as u64, Ordering::SeqCst);
+                if idx[0] == 0 {
+                    panic!("first wave dies");
+                }
+                Ok(())
+            });
+            let p = pool(Topology::flat(2));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                1,
+                0,
+                &part,
+                NestBody::Point(body),
+                &placement,
+            );
+            p.wait_quiescent();
+            let err = out.as_ref().unwrap_err();
+            assert!(err.contains("panicked"), "err: {err}");
+            assert_eq!(
+                max_wave.load(Ordering::SeqCst),
+                0,
+                "no wave after the dead one may start"
+            );
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// `level_lo` translates the partitioned level's indices.
@@ -708,16 +1062,21 @@ mod tests {
         let nest = LoopNest::elementwise(4, 1);
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let part = PartitionPlan::new(&plans[0], 4, 2);
-        let sum = Arc::new(AtomicU64::new(0));
-        let s2 = sum.clone();
-        let body: Arc<PointBody> = Arc::new(move |idx| {
-            s2.fetch_add(idx[0] as u64, Ordering::SeqCst);
-            Ok(())
-        });
-        let p = pool(Topology::flat(2));
-        run_partitioned(&p, &trips, 0, 10, &part, body).unwrap();
-        p.wait_quiescent();
-        assert_eq!(sum.load(Ordering::SeqCst), 10 + 11 + 12 + 13);
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let sum = Arc::new(AtomicU64::new(0));
+            let s2 = sum.clone();
+            let body: Arc<PointBody> = Arc::new(move |idx| {
+                s2.fetch_add(idx[0] as u64, Ordering::SeqCst);
+                Ok(())
+            });
+            let p = pool(Topology::flat(2));
+            let out = run_at(&p, &trips, 0, 10, &part, NestBody::Point(body), &placement);
+            p.wait_quiescent();
+            assert_eq!(sum.load(Ordering::SeqCst), 10 + 11 + 12 + 13);
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// A tile body sees every point exactly once — one call per group
@@ -729,29 +1088,42 @@ mod tests {
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let plan = plans.iter().find(|p| p.level == 1).unwrap();
         let part = PartitionPlan::new(plan, 3, 2);
-        let seen: Arc<Vec<AtomicU64>> = Arc::new((0..60).map(|_| AtomicU64::new(0)).collect());
-        let tiles = Arc::new(AtomicU64::new(0));
-        let (s2, t2) = (seen.clone(), tiles.clone());
-        let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
-            assert_eq!(outer.len(), 1, "the levels outside the partitioned one");
-            t2.fetch_add(1, Ordering::SeqCst);
-            for j in lo..hi {
-                for k in 0..5 {
-                    s2[((outer[0] * 3 + j) * 5 + k) as usize].fetch_add(1, Ordering::SeqCst);
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let seen: Arc<Vec<AtomicU64>> = Arc::new((0..60).map(|_| AtomicU64::new(0)).collect());
+            let tiles = Arc::new(AtomicU64::new(0));
+            let (s2, t2) = (seen.clone(), tiles.clone());
+            let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
+                assert_eq!(outer.len(), 1, "the levels outside the partitioned one");
+                t2.fetch_add(1, Ordering::SeqCst);
+                for j in lo..hi {
+                    for k in 0..5 {
+                        s2[((outer[0] * 3 + j) * 5 + k) as usize].fetch_add(1, Ordering::SeqCst);
+                    }
                 }
+                Ok(())
+            });
+            let p = pool(Topology::flat(2));
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                1,
+                0,
+                &part,
+                NestBody::Tile(body),
+                &placement,
+            );
+            p.wait_quiescent();
+            let rep = out.clone().unwrap();
+            assert_eq!(rep.points, 60);
+            assert_eq!(rep.runs, 12, "one full innermost span per (i, j)");
+            assert_eq!(tiles.load(Ordering::SeqCst), rep.waves * rep.groups);
+            for (i, c) in seen.iter().enumerate() {
+                assert_eq!(c.load(Ordering::SeqCst), 1, "point {i} ({placement:?})");
             }
-            Ok(())
-        });
-        let p = pool(Topology::flat(2));
-        let rep =
-            run_partitioned_body(&p, &nest.trip_counts, 1, 0, &part, NestBody::Tile(body)).unwrap();
-        p.wait_quiescent();
-        assert_eq!(rep.points, 60);
-        assert_eq!(rep.runs, 12, "one full innermost span per (i, j)");
-        assert_eq!(tiles.load(Ordering::SeqCst), rep.waves * rep.groups);
-        for (i, c) in seen.iter().enumerate() {
-            assert_eq!(c.load(Ordering::SeqCst), 1, "point {i}");
+            outcomes.push(outcome(&out));
         }
+        assert_same(&outcomes);
     }
 
     /// When the partitioned level *is* the innermost one, each group's
@@ -762,24 +1134,30 @@ mod tests {
         let nest = LoopNest::elementwise(8, 1);
         let plans = schedule_all_levels(&nest, &SspConfig::default());
         let part = PartitionPlan::new(&plans[0], 8, 4);
-        let sum = Arc::new(AtomicU64::new(0));
-        let tiles = Arc::new(AtomicU64::new(0));
-        let (s2, t2) = (sum.clone(), tiles.clone());
-        let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
-            assert!(outer.is_empty());
-            t2.fetch_add(1, Ordering::SeqCst);
-            for t in lo..hi {
-                s2.fetch_add(t as u64, Ordering::SeqCst);
-            }
-            Ok(())
-        });
-        let p = pool(Topology::flat(2));
-        let rep = run_partitioned_body(&p, &trips, 0, 100, &part, NestBody::Tile(body)).unwrap();
-        p.wait_quiescent();
-        assert_eq!(rep.points, 8);
-        assert_eq!(rep.runs, tiles.load(Ordering::SeqCst));
-        assert_eq!(rep.runs, rep.groups);
-        assert_eq!(sum.load(Ordering::SeqCst), (100..108).sum::<u64>());
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let sum = Arc::new(AtomicU64::new(0));
+            let tiles = Arc::new(AtomicU64::new(0));
+            let (s2, t2) = (sum.clone(), tiles.clone());
+            let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
+                assert!(outer.is_empty());
+                t2.fetch_add(1, Ordering::SeqCst);
+                for t in lo..hi {
+                    s2.fetch_add(t as u64, Ordering::SeqCst);
+                }
+                Ok(())
+            });
+            let p = pool(Topology::flat(2));
+            let out = run_at(&p, &trips, 0, 100, &part, NestBody::Tile(body), &placement);
+            p.wait_quiescent();
+            let rep = out.clone().unwrap();
+            assert_eq!(rep.points, 8);
+            assert_eq!(rep.runs, tiles.load(Ordering::SeqCst));
+            assert_eq!(rep.runs, rep.groups);
+            assert_eq!(sum.load(Ordering::SeqCst), (100..108).sum::<u64>());
+            outcomes.push(outcome(&out));
+        }
+        assert_same(&outcomes);
     }
 
     /// Tile-body errors propagate like point-body errors.
@@ -795,17 +1173,62 @@ mod tests {
             }
         });
         let p = pool(Topology::flat(2));
-        let err = run_partitioned_body(
-            &p,
-            &nest.trip_counts,
-            0,
-            0,
-            &plan.partition,
-            NestBody::Tile(body),
-        )
-        .unwrap_err();
+        let mut outcomes = Vec::new();
+        for placement in placements() {
+            let out = run_at(
+                &p,
+                &nest.trip_counts,
+                0,
+                0,
+                &plan.partition,
+                NestBody::Tile(body.clone()),
+                &placement,
+            );
+            assert_eq!(out.as_ref().unwrap_err(), "tile failed");
+            outcomes.push(outcome(&out));
+        }
         p.wait_quiescent();
-        assert_eq!(err, "tile failed");
+        assert_same(&outcomes);
+    }
+
+    /// The break-even `work·(g−1) > wake·g` with injected costs: below
+    /// and at it a wave stays inline, above it spreading pays; one group
+    /// never pays; a missing measurement spreads.
+    #[test]
+    fn spread_pays_above_the_break_even() {
+        let wake = Some(10.0);
+        // g = 2: spreading pays once work > 2·wake.
+        assert!(!spread_pays(2, Some(19.0), wake));
+        assert!(!spread_pays(2, Some(20.0), wake));
+        assert!(spread_pays(2, Some(21.0), wake));
+        // g = 4: once work > 4/3·wake.
+        assert!(!spread_pays(4, Some(13.0), wake));
+        assert!(spread_pays(4, Some(14.0), wake));
+        // A free wake pays for any measured work.
+        assert!(spread_pays(2, Some(1.0), Some(0.0)));
+        // One group: never, measured or not.
+        for (work, wake) in [(Some(1e9), Some(0.0)), (None, None), (None, wake)] {
+            assert!(!spread_pays(1, work, wake));
+        }
+        // Cold start: either measurement missing spreads.
+        for (work, wake) in [(None, wake), (Some(1.0), None), (None, None)] {
+            assert!(spread_pays(2, work, wake));
+            assert!(spread_pays(8, work, wake));
+        }
+    }
+
+    /// The meter's mean is over every recorded wake; none yet is `None`.
+    #[test]
+    fn wake_meter_means_its_samples() {
+        let m = WakeMeter::default();
+        assert_eq!((m.mean_ns(), m.samples.load(Ordering::Acquire)), (None, 0));
+        for ns in [1_000, 3_000, 80_000] {
+            m.record(ns);
+        }
+        assert_eq!(
+            (m.mean_ns(), m.samples.load(Ordering::Acquire)),
+            (Some(28_000.0), 3)
+        );
     }
 
     /// Planning restricted to `allowed_levels` never picks a forbidden

@@ -44,6 +44,12 @@ impl PartitionPlan {
             max_distance,
         }
     }
+
+    /// Groups the split forms over `n_l` iterations: `group` each, the
+    /// last possibly short.
+    pub fn groups(&self, n_l: u64) -> u64 {
+        n_l.div_ceil(self.group.max(1))
+    }
 }
 
 /// Analytic model of SSP + threading.
