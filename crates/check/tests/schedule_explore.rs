@@ -95,6 +95,12 @@ const SEED_DEATH_VS_RETIRE: u64 = 0xd1342543de82ef95;
 const SEED_DEATH_VS_SPAWN: u64 = 0x94d049bb133111eb;
 const SEED_DISPATCHER_RESTART_VS_SUBMIT: u64 = 0xbf58476d1ce4e5b7;
 
+/// Submit-side dispatch passes racing the dispatcher thread's predicate
+/// wait (`submit_pass_vs_dispatcher_scenario`). The full sweep passes
+/// under this base seed; committed so the exact explored schedules
+/// replay forever.
+const SEED_SUBMIT_PASS_VS_DISPATCHER: u64 = 0x5851f42d4c957f2d;
+
 /// Shared per-test setup: install the between-iterations reset of core's
 /// process-wide epoch registry (required for seed-exact replay of deque
 /// scenarios) and build a bounds config.
@@ -907,6 +913,197 @@ fn cancelled_in_queue_resolves_exactly_one_of_executed_or_rejected() {
     .unwrap_or_else(|f| panic!("{f}"));
 }
 
+/// Submit-side dispatch passes vs the dispatcher thread's predicate
+/// wait, mirroring `htvm_serve::server`: a pass runs under one lock and
+/// moves queued requests into the pool while in-flight capacity is
+/// free; a submitter pushes, then runs a pass if `try_lock` wins and
+/// kicks the dispatcher otherwise (or if its pass left runnable work);
+/// a completion that frees capacity at the cap kicks; a kick sets a
+/// flag under the wake lock and notifies; the dispatcher runs a pass,
+/// then waits only while no kick is pending, and clears the flag
+/// before its next pass. Capacity is 1 and one request completes, so
+/// the second request goes out only through a pass after that
+/// completion — a lost kick strands it.
+///
+/// Invariants: every admitted request is dispatched exactly once, and
+/// the dispatcher never commits to a wait while runnable work is queued
+/// with no kick pending and no submitter or completer still on its way
+/// to a pass or a kick (`obligations`). A kick that is only a bare
+/// notify, without the flag, breaks the second: the notify lands
+/// between the dispatcher's pass and its wait and is lost.
+struct PassModel {
+    queue: AdmissionQueue<usize>,
+    in_flight: htvm_check::prim::AtomicUsize,
+    /// Threads between admitting work (or freeing capacity) and their
+    /// pass or kick.
+    obligations: htvm_check::prim::AtomicUsize,
+    pass_lock: htvm_check::prim::Mutex<()>,
+    pending: htvm_check::prim::Mutex<bool>,
+    wake_cv: htvm_check::prim::Condvar,
+    shutdown: htvm_check::prim::AtomicBool,
+    /// Total dispatched, for the completer and the final wait.
+    out: htvm_check::prim::Mutex<usize>,
+    out_cv: htvm_check::prim::Condvar,
+    per_request: Vec<AtomicUsize>,
+}
+
+const PASS_MODEL_CAP: usize = 1;
+
+impl PassModel {
+    /// `server::pass`, reduced to the cap and the queue. Returns `more`.
+    fn pass(&self) -> bool {
+        use std::sync::atomic::Ordering::SeqCst;
+        while self.in_flight.load(SeqCst) < PASS_MODEL_CAP {
+            let Some(i) = self.queue.pop() else { break };
+            self.in_flight.fetch_add(1, SeqCst);
+            self.per_request[i].fetch_add(1, StdOrdering::SeqCst);
+            *self.out.lock() += 1;
+            self.out_cv.notify_all();
+        }
+        self.in_flight.load(SeqCst) < PASS_MODEL_CAP && !self.queue.is_empty()
+    }
+
+    /// `ServerInner::kick`.
+    fn kick(&self) {
+        let mut pending = self.pending.lock();
+        if !*pending {
+            *pending = true;
+            self.wake_cv.notify_one();
+        }
+    }
+
+    /// `TenantHandle::submit_with_token` after admission:
+    /// `dispatch_or_kick`.
+    fn submit(&self, i: usize) {
+        use std::sync::atomic::Ordering::SeqCst;
+        self.obligations.fetch_add(1, SeqCst);
+        self.queue.try_push(i).unwrap_or_else(|_| panic!("fits"));
+        let more = match self.pass_lock.try_lock() {
+            Some(_g) => self.pass(),
+            None => true,
+        };
+        if more {
+            self.kick();
+        }
+        self.obligations.fetch_sub(1, SeqCst);
+    }
+
+    /// `FinishGuard::drop`'s capacity release.
+    fn complete(&self) {
+        use std::sync::atomic::Ordering::SeqCst;
+        self.obligations.fetch_add(1, SeqCst);
+        if self.in_flight.fetch_sub(1, SeqCst) >= PASS_MODEL_CAP {
+            self.kick();
+        }
+        self.obligations.fetch_sub(1, SeqCst);
+    }
+
+    /// `server::dispatcher_loop`, minus the fault point and backoffs.
+    fn dispatcher(&self) {
+        use std::sync::atomic::Ordering::SeqCst;
+        loop {
+            let stopping = self.shutdown.load(SeqCst);
+            let more = {
+                let _g = self.pass_lock.lock();
+                self.pass()
+            };
+            if stopping {
+                return;
+            }
+            if more {
+                continue;
+            }
+            let mut pending = self.pending.lock();
+            if !*pending {
+                let runnable =
+                    self.in_flight.load(SeqCst) < PASS_MODEL_CAP && !self.queue.is_empty();
+                assert!(
+                    !runnable || self.obligations.load(SeqCst) > 0,
+                    "dispatcher waits with work queued and no kick pending"
+                );
+                self.wake_cv.wait(&mut pending);
+            }
+            *pending = false;
+        }
+    }
+
+    fn await_out(&self, n: usize) {
+        let mut out = self.out.lock();
+        while *out < n {
+            self.out_cv.wait(&mut out);
+        }
+    }
+}
+
+fn submit_pass_vs_dispatcher_scenario() {
+    let m = Arc::new(PassModel {
+        queue: AdmissionQueue::new(2),
+        in_flight: htvm_check::prim::AtomicUsize::new(0),
+        obligations: htvm_check::prim::AtomicUsize::new(0),
+        pass_lock: htvm_check::prim::Mutex::new(()),
+        pending: htvm_check::prim::Mutex::new(false),
+        wake_cv: htvm_check::prim::Condvar::new(),
+        shutdown: htvm_check::prim::AtomicBool::new(false),
+        out: htvm_check::prim::Mutex::new(0),
+        out_cv: htvm_check::prim::Condvar::new(),
+        per_request: (0..2).map(|_| AtomicUsize::new(0)).collect(),
+    });
+    let dispatcher = {
+        let m = m.clone();
+        htvm_check::thread::spawn(move || m.dispatcher())
+    };
+    let submitters: Vec<_> = (0..2)
+        .map(|i| {
+            let m = m.clone();
+            htvm_check::thread::spawn(move || m.submit(i))
+        })
+        .collect();
+    // The one completion: whichever request went out first finishes,
+    // freeing the only slot.
+    let completer = {
+        let m = m.clone();
+        htvm_check::thread::spawn(move || {
+            m.await_out(1);
+            m.complete();
+        })
+    };
+    for s in submitters {
+        s.join();
+    }
+    completer.join();
+    // No kick from here on until both are out: a stranded request
+    // deadlocks this wait, and the explorer reports it.
+    m.await_out(2);
+    m.shutdown.store(true, std::sync::atomic::Ordering::SeqCst);
+    m.kick();
+    dispatcher.join();
+    for (i, r) in m.per_request.iter().enumerate() {
+        assert_eq!(
+            r.load(StdOrdering::SeqCst),
+            1,
+            "request {i} must be dispatched exactly once"
+        );
+    }
+    assert!(m.queue.is_empty(), "nothing left queued");
+}
+
+#[test]
+fn submit_pass_and_dispatcher_never_strand_a_request() {
+    for bound in [None, Some(3)] {
+        let c = Config {
+            preemption_bound: bound,
+            ..cfg(400)
+        };
+        explore(
+            "submit-pass-vs-dispatcher",
+            &c,
+            SEED_SUBMIT_PASS_VS_DISPATCHER,
+            submit_pass_vs_dispatcher_scenario,
+        )
+        .unwrap_or_else(|f| panic!("(bound {bound:?}) {f}"));
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Supervision (PR 10): worker death vs retire/spawn, dispatcher restart.
 // ---------------------------------------------------------------------------
@@ -1289,6 +1486,13 @@ fn committed_corpus_regressions_pass() {
         dispatcher_restart_vs_submit_scenario,
     )
     .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
+    check_corpus(
+        "submit-pass-vs-dispatcher",
+        &cfg(1),
+        &[SEED_SUBMIT_PASS_VS_DISPATCHER],
+        submit_pass_vs_dispatcher_scenario,
+    )
+    .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
 }
 
 /// Mutant seeds: these schedules must keep *failing* against the committed
@@ -1334,6 +1538,10 @@ fn fresh_random_seeds_hold_invariants() {
         ),
         ("admission-queue-handoff", admission_handoff_scenario),
         ("cancel-vs-dispatch", cancel_vs_dispatch_scenario),
+        (
+            "submit-pass-vs-dispatcher",
+            submit_pass_vs_dispatcher_scenario,
+        ),
         (
             "sync-slot-racer-accounting",
             sync_slot_zero_count_racers_scenario,

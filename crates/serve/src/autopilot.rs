@@ -43,8 +43,8 @@ use parking_lot::Mutex;
 /// Sentinel domain meaning "burst": no pin, requests dispatch unaffine.
 const BURST: u64 = u64::MAX;
 
-/// A movable home pin for a tenant's subtree. The dispatcher reads it
-/// on every dispatch; the autopilot (or a manual controller) writes it.
+/// A movable home pin for a tenant's subtree. Every dispatch reads it;
+/// the autopilot (or a manual controller) writes it.
 #[derive(Debug)]
 pub struct Bubble {
     domain: AtomicU64,
@@ -87,7 +87,7 @@ impl Bubble {
 pub(crate) struct BubbleTenant {
     /// Stable identity across ticks (the tenant's slot id).
     pub id: usize,
-    /// The movable pin the dispatcher reads.
+    /// The movable pin every dispatch reads.
     pub bubble: Arc<Bubble>,
     /// Cumulative executed jobs for the tenant (its pool-tag slice).
     pub executed: u64,

@@ -4,14 +4,29 @@
 //! Every admitted request resolves to **exactly one** [`Outcome`],
 //! delivered through a dataflow [`IVar`] — the same write-once cell
 //! the runtime uses for LGT results. Exactly-once is enforced by a
-//! per-request **settle gate** (`ReqState::settle`): a single CAS
-//! that elects the one resolver among every party that might race to
+//! per-request **settle gate** (`ReqState`), a three-state cell that
+//! elects the one resolver among every party that might race to
 //! deliver an outcome — the finish guard on a worker, the cancel hook
-//! on the client's token, a shed on the dispatcher, a supervision
-//! drop during a dispatcher restart. The [`CancelToken`] state
-//! machine still arbitrates *claim vs cancel* per attempt, but with
-//! retries a request can span several attempt tokens, so the token
-//! CAS alone is no longer the request-level authority.
+//! on the client's token, a shed or close on a dispatch pass, a
+//! supervision drop during a dispatcher restart:
+//!
+//! ```text
+//!   OPEN ──enter──► RUNNING ──complete / fail──► SETTLED
+//!    │  ◄──reopen──┘ (failed attempt parked for a retry)
+//!    └──cancel hook / rejection / unrun drop──────► SETTLED
+//! ```
+//!
+//! A body runs only after its attempt wins `OPEN → RUNNING`, and the
+//! cancel hook settles only from `OPEN`: a cancel that lands while the
+//! body runs loses (the request settles `Completed`/`Failed` from the
+//! attempt), and a cancel that settles first makes the attempt skip
+//! the body. So a request whose body runs is never reported
+//! `Cancelled`: a cancel settles it only while no attempt body runs —
+//! before the first, or while a failed attempt's retry waits out its
+//! backoff. The [`CancelToken`] state machine
+//! still arbitrates *claim vs cancel* per attempt, but the root token
+//! stays pending while an attempt runs under its child, so the token
+//! CAS alone is not the request-level authority.
 //!
 //! Failures are **typed, never silent**: a panicking body, an
 //! injected fault, a kernel trap — all settle as
@@ -20,7 +35,7 @@
 //! the finish guard's drop path settles the request even when the
 //! executing thread is killed mid-flight.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -121,42 +136,82 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// Gate states (see the [module docs](self)).
+const OPEN: u8 = 0;
+const RUNNING: u8 = 1;
+const SETTLED: u8 = 2;
+
 /// Shared per-request state: the write-once outcome cell plus the
 /// settle gate that elects its single writer.
 pub(crate) struct ReqState {
     pub(crate) outcome: IVar<Outcome>,
-    settled: AtomicBool,
+    /// `SeqCst` throughout: a retry's reopen-then-check-the-token and
+    /// a cancel's resolve-the-token-then-settle must not both miss
+    /// each other, which needs the gate and the token's state in one
+    /// total order.
+    gate: AtomicU8,
 }
 
 impl ReqState {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(Self {
             outcome: IVar::new(),
-            settled: AtomicBool::new(false),
+            gate: AtomicU8::new(OPEN),
         })
     }
 
-    /// Deliver the request's one outcome. The first caller wins the
-    /// gate, runs `count` (its accounting bump), writes the cell, and
-    /// gets `true`; every later caller is a no-op returning `false`.
-    /// Counting only on a win is what keeps the conservation ledger
-    /// exact under races between finish, cancel, shed and supervision
-    /// paths; counting *before* the cell is written means any thread
-    /// that observes the outcome (the `put` releases, `wait`'s read
-    /// acquires) also observes the bump — so a ledger read taken
-    /// after `wait` returns never runs ahead of the stats.
-    pub(crate) fn settle(&self, outcome: Outcome, count: impl FnOnce()) -> bool {
-        if self
-            .settled
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+    /// An attempt is about to run its body: `OPEN → RUNNING`. `false`
+    /// means the request already settled (a cancel won before the
+    /// body started) and the body must not run.
+    pub(crate) fn enter(&self) -> bool {
+        self.gate
+            .compare_exchange(OPEN, RUNNING, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
-        {
+    }
+
+    /// A failed attempt hands the request to its retry: `RUNNING →
+    /// OPEN`, so the next attempt can enter and a cancel can settle
+    /// the request while it waits out its backoff. A no-op for a
+    /// request whose body never ran (a shed retry).
+    pub(crate) fn reopen(&self) {
+        let _ = self
+            .gate
+            .compare_exchange(RUNNING, OPEN, Ordering::SeqCst, Ordering::SeqCst);
+    }
+
+    /// Deliver the request's one outcome from outside any running
+    /// attempt (cancel hook, rejection, an attempt dropped unrun):
+    /// settles only from `OPEN`. The winner runs `count` (its
+    /// accounting bump), writes the cell, and gets `true`; every other
+    /// caller is a no-op returning `false`. Counting only on a win is
+    /// what keeps the conservation ledger exact; counting *before* the
+    /// cell is written means any thread that observes the outcome (the
+    /// `put` releases, `wait`'s read acquires) also observes the bump —
+    /// so a ledger read taken after `wait` returns never runs ahead of
+    /// the stats.
+    pub(crate) fn settle(&self, outcome: Outcome, count: impl FnOnce()) -> bool {
+        let won = self
+            .gate
+            .compare_exchange(OPEN, SETTLED, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok();
+        if won {
             count();
             self.outcome.put(outcome);
-            true
-        } else {
-            false
         }
+        won
+    }
+
+    /// Deliver the outcome of the current attempt: settles from
+    /// `RUNNING` (the body returned or panicked) or from `OPEN` (the
+    /// attempt died before its body started), with the same counting
+    /// discipline as [`ReqState::settle`].
+    pub(crate) fn settle_attempt(&self, outcome: Outcome, count: impl FnOnce()) -> bool {
+        let won = self.gate.swap(SETTLED, Ordering::SeqCst) != SETTLED;
+        if won {
+            count();
+            self.outcome.put(outcome);
+        }
+        won
     }
 }
 
@@ -188,10 +243,11 @@ impl ResponseHandle {
     }
 
     /// Request cancellation. Returns `true` if this call resolved the
-    /// request to [`Outcome::Cancelled`]; `false` if it had already
-    /// settled or been claimed for execution (it will still resolve —
-    /// e.g. to `Completed`/`Failed` — and a running body can observe
-    /// the request via its token's `cancel_requested`).
+    /// request to [`Outcome::Cancelled`] — no attempt body runs after
+    /// it; `false` if it had already settled or its body is running (it
+    /// will still resolve — e.g. to `Completed`/`Failed` — and a
+    /// running body can observe the request via its token's
+    /// `cancel_requested`).
     pub fn cancel(&self) -> bool {
         self.token.cancel() && matches!(self.try_outcome(), Some(Outcome::Cancelled))
     }

@@ -4,54 +4,70 @@
 //! # Architecture
 //!
 //! ```text
-//! client threads                dispatcher thread            pool workers
-//! ──────────────                ─────────────────            ────────────
-//! TenantHandle::submit ──► AdmissionQueue (bounded, per ──► Wdrr::round ──►
-//!   │ QueueFull/TenantClosed     tenant; typed backpressure)   │
-//!   ▼                                                          ▼
-//! ResponseHandle                 shed overload /        Pool::spawn_with
-//!   wait / cancel                drain closed tenants    (token + tag +
-//!                                                         home domain)
+//! client thread (TenantHandle::submit)                      pool workers
+//! ────────────────────────────────────                      ────────────
+//! admit ──► AdmissionQueue (bounded, per tenant;
+//!   │         QueueFull/TenantClosed)
+//!   ▼
+//! arm cancel hook
+//!   ▼
+//! dispatch lock free? ──yes──► dispatch pass ──────────► Pool::spawn_with
+//!   │                          retire closed tenants,     (token + tag +
+//!   no (a pass is running)     shed, due retries,          home domain)
+//!   ▼                          Wdrr::round                       │
+//! kick ──► dispatcher thread: runs the same pass ◄── completion at the
+//!          for contended submits, capacity freed      in-flight cap kicks
+//!          at the cap, retry backoffs, close and
+//!          shutdown; sleeps when nothing is kicked
 //! ```
 //!
 //! Each tenant owns a long-lived subtree of the machine: a home
 //! locality domain its requests are homed to (`SpawnOpts::domain`), a
 //! [`htvm_core::PoolTag`] slicing the pool's counters per tenant, and
-//! a weight feeding the [`Wdrr`] dispatcher. A single
-//! dispatcher thread moves requests from admission queues into the
-//! pool's injectors; the pool itself stays a pure work-stealing
-//! substrate — the serving policy (fairness, shedding, cancellation)
-//! lives entirely above it.
+//! a weight feeding the [`Wdrr`] dispatcher. One **dispatch pass**
+//! moves requests from admission queues into the pool's injectors; it
+//! runs under a single lock, so only one thread decides dispatch at a
+//! time, whichever thread that is. A submitting thread that finds the
+//! lock free runs the pass itself, so an uncontended request reaches
+//! the pool without crossing a sleeping thread. The dispatcher thread
+//! runs the pass only when kicked, and the kick is a flag under
+//! `wake_lock`, so no kick is lost between a pass and the wait. The
+//! pool itself stays a pure work-stealing substrate — the serving
+//! policy (fairness, shedding, cancellation) lives entirely above it.
 //!
 //! # Exactly-once resolution
 //!
 //! Every admitted request resolves exactly once, through the
-//! request's **settle gate** (`ReqState::settle`, a single CAS that
-//! elects the one resolver) layered over the per-attempt
+//! request's **settle gate** (`ReqState`: open → attempt running →
+//! settled, see `request.rs`) layered over the per-attempt
 //! [`CancelToken`] state machine (see `htvm_core::cancel`):
 //!
 //! * **Completed/Failed** — each dispatched attempt runs under its own
-//!   *attempt token* (a `child()` of the request's root token) with the
-//!   body wrapped in `catch_unwind`: a normal return settles
-//!   `Completed`; a panic is classified into a typed [`RequestFault`]
-//!   (injected fault site / kernel trap / plain panic) and — once the
-//!   tenant's [`RetryPolicy`] is exhausted — settles `Failed`. The
-//!   unwind is re-raised so the pool's containment and kill-propagation
+//!   *attempt token* (a `child()` of the request's root token). Its job
+//!   wrapper enters the gate's running state before calling the body,
+//!   and skips the body if the request already settled. The body is
+//!   wrapped in `catch_unwind`: a normal return settles `Completed`; a
+//!   panic is classified into a typed [`RequestFault`] (injected fault
+//!   site / kernel trap / plain panic) and — once the tenant's
+//!   [`RetryPolicy`] is exhausted — settles `Failed`. The unwind is
+//!   re-raised so the pool's containment and kill-propagation
 //!   accounting stay intact.
 //! * **Cancelled** — the hook armed on the root token at admission
-//!   settles from whichever thread wins the root CAS; an attempt
-//!   dropped unrun at the pool's grain boundary (the *attempt* token
-//!   observed the root's cancel or deadline through the parent chain)
-//!   settles from the finish guard's drop path instead.
-//! * **Rejected** — the dispatcher claims the root token before
-//!   shedding (overload, tenant close, shutdown): if the claim loses, a
+//!   settles from whichever thread wins the root CAS, but only while no
+//!   attempt body runs (the root stays pending under a running child,
+//!   so the gate, not the token, decides). An attempt dropped unrun at
+//!   the pool's grain boundary (the *attempt* token observed the root's
+//!   cancel or deadline through the parent chain) settles from the
+//!   finish guard's drop path instead.
+//! * **Rejected** — a pass claims the root token before shedding
+//!   (overload, tenant close, shutdown): if the claim loses, a
 //!   concurrent cancel already resolved the request and the shed
 //!   becomes a no-op.
 //! * **Retried** — a failed or shed attempt whose tenant policy still
-//!   allows it settles *nothing*: the request parks in the tenant's
-//!   retry backlog until its backoff elapses, then re-dispatches as
-//!   attempt *n+1* with a fresh attempt token. Only the final attempt
-//!   settles, so the ledger still conserves.
+//!   allows it settles *nothing*: the request reopens its gate and
+//!   parks in the tenant's retry backlog until its backoff elapses,
+//!   then re-dispatches as attempt *n+1* with a fresh attempt token.
+//!   Only the final attempt settles, so the ledger still conserves.
 //!
 //! In-flight accounting never depends on who wins: the drop guard that
 //! decrements `in_flight` travels *inside* the job closure, so it runs
@@ -67,10 +83,14 @@
 //! dispatch loop in place; an injected *kill* lets the thread die and a
 //! drop-guard (`DispatcherWatch`) respawns a successor thread —
 //! admitted requests are untouched either way because the fault point
-//! (`serve.dispatch`) sits *before* any request is popped. `shutdown`
-//! joins the whole chain of successors. The [`Autopilot`] controller
-//! thread has the same restart harness (see `autopilot.rs`).
+//! (`serve.dispatch`) sits *before* the thread takes the dispatch lock,
+//! and the WDRR state lives in that lock, not on the thread. The fault
+//! point fires only on the dispatcher thread, never in a pass a
+//! submitter runs. `shutdown` joins the whole chain of successors. The
+//! [`Autopilot`] controller thread has the same restart harness (see
+//! `autopilot.rs`).
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -94,7 +114,7 @@ pub struct ServerConfig {
     /// Deficit credit per unit weight per dispatch round.
     pub quantum: u64,
     /// Maximum requests dispatched into the pool but not yet finished;
-    /// the dispatcher stalls (not the clients) when reached.
+    /// dispatch stalls (not the clients' submits) when reached.
     pub max_in_flight: usize,
     /// Admission-queue capacity for tenants that don't override it.
     pub default_queue_capacity: usize,
@@ -102,9 +122,6 @@ pub struct ServerConfig {
     /// exceed this, the dispatcher sheds newest-first from the
     /// lowest-weight backlogged tenant until back under.
     pub max_queued_total: usize,
-    /// How long the dispatcher sleeps when there is nothing to do
-    /// (submissions and completions also wake it explicitly).
-    pub idle_wait: Duration,
 }
 
 impl Default for ServerConfig {
@@ -114,7 +131,6 @@ impl Default for ServerConfig {
             max_in_flight: 64,
             default_queue_capacity: 64,
             max_queued_total: 1024,
-            idle_wait: Duration::from_micros(200),
         }
     }
 }
@@ -243,6 +259,34 @@ struct TenantShared {
     retry_q: Mutex<Vec<(Instant, Queued)>>,
 }
 
+/// The dispatch pass's state: the WDRR scheduler plus reusable
+/// scratch, so a pass allocates nothing once warm.
+struct DispatchState {
+    drr: Wdrr,
+    /// The tenant table as this pass sees it, by id (`None` for a
+    /// retired slot). Refilled at the start of each pass and cleared at
+    /// the end, keeping its capacity.
+    by_id: Vec<Option<Arc<TenantShared>>>,
+}
+
+/// What a dispatch pass left behind.
+struct PassOutcome {
+    /// Queued work remains while in-flight capacity is free: another
+    /// pass can dispatch more (a WDRR round accrues each tenant's
+    /// credit once per cycle).
+    more: bool,
+    /// The earliest not-yet-due retry backoff, if any.
+    next_due: Option<Instant>,
+}
+
+thread_local! {
+    /// Set while this thread runs a dispatch pass. A `Server` dropped
+    /// from inside a pass (a rejected request's closure held the last
+    /// handle) must not join a dispatcher thread that may be waiting
+    /// for the lock this thread holds.
+    static IN_PASS: Cell<bool> = const { Cell::new(false) };
+}
+
 struct ServerInner {
     pool: Arc<Pool>,
     cfg: ServerConfig,
@@ -251,7 +295,12 @@ struct ServerInner {
     tenants: Mutex<Vec<Option<Arc<TenantShared>>>>,
     in_flight: AtomicUsize,
     shutdown: AtomicBool,
-    wake_lock: Mutex<()>,
+    /// Held by whichever thread runs a dispatch pass: a submitter that
+    /// wins `try_lock`, or the dispatcher thread.
+    dispatch: Mutex<DispatchState>,
+    /// The dispatcher thread's kick flag: set by [`ServerInner::kick`],
+    /// cleared by the dispatcher before the pass that serves it.
+    wake_lock: Mutex<bool>,
     wake_cv: Condvar,
     /// The dispatcher thread plus any successors respawned after a
     /// kill; `shutdown` joins the whole chain.
@@ -262,10 +311,17 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    /// Wake the dispatcher (submission, completion, close, shutdown).
+    /// Ask the dispatcher thread for a pass (contended submit, capacity
+    /// freed at the cap, retry parked, close, shutdown). The flag makes
+    /// the kick stick: a kick that lands while the dispatcher is
+    /// mid-pass is seen before it next waits. Only the first kick of a
+    /// batch notifies.
     fn kick(&self) {
-        let _g = self.wake_lock.lock();
-        self.wake_cv.notify_one();
+        let mut pending = self.wake_lock.lock();
+        if !*pending {
+            *pending = true;
+            self.wake_cv.notify_one();
+        }
     }
 
     fn live_tenants(&self) -> Vec<Arc<TenantShared>> {
@@ -298,11 +354,19 @@ struct FinishGuard {
 }
 
 impl FinishGuard {
+    /// The body is about to run: move the gate to running. `false`
+    /// means a cancel settled the request between the grain boundary's
+    /// claim and here, and the body must not run.
+    fn enter(&mut self) -> bool {
+        self.resolved = !self.state.enter();
+        !self.resolved
+    }
+
     /// The body returned normally: settle `Completed`.
     fn complete(&mut self) {
         self.resolved = true;
         let counters = &self.tenant.counters;
-        self.state.settle(Outcome::Completed, || {
+        self.state.settle_attempt(Outcome::Completed, || {
             counters.completed.fetch_add(1, Ordering::Relaxed);
         });
     }
@@ -330,7 +394,7 @@ impl FinishGuard {
             }
         }
         let counters = &self.tenant.counters;
-        self.state.settle(Outcome::Failed(fault), || {
+        self.state.settle_attempt(Outcome::Failed(fault), || {
             counters.failed.fetch_add(1, Ordering::Relaxed);
         });
     }
@@ -372,8 +436,12 @@ impl Drop for FinishGuard {
                 self.fail(fault);
             }
         }
-        self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
-        self.inner.kick();
+        // A pass stalls only at the cap, so only a completion from the
+        // cap can unblock queued work; below it, nothing waits on us.
+        let prev = self.inner.in_flight.fetch_sub(1, Ordering::SeqCst);
+        if prev >= self.inner.cfg.max_in_flight {
+            self.inner.kick();
+        }
     }
 }
 
@@ -397,11 +465,6 @@ fn schedule_retry(
     if !policy.budget_allows(retried, c.submitted.load(Ordering::Relaxed)) {
         return Err(q);
     }
-    if q.token.is_cancelled() {
-        // The root's cancel hook already settled the request; the
-        // caller's settle will lose the gate and count nothing.
-        return Err(q);
-    }
     let backoff = policy.backoff_for(q.attempt, retried);
     if let Some(d) = q.token.deadline() {
         if Instant::now() + backoff >= d {
@@ -416,6 +479,16 @@ fn schedule_retry(
         // sweep sees our entry — never a stranded request.
         let mut rq = t.retry_q.lock();
         if inner.shutdown.load(Ordering::SeqCst) || t.queue.is_closed() {
+            return Err(q);
+        }
+        // Reopen before the entry is visible: the next attempt may be
+        // dispatched the moment the lock drops, and it must find the
+        // gate open to enter. Then look for a cancel: one that landed
+        // while the failed attempt ran found the gate running and
+        // settled nothing, so the caller settles; from here on a
+        // cancel's hook settles the parked request itself.
+        q.state.reopen();
+        if q.token.is_cancelled() {
             return Err(q);
         }
         q.attempt += 1;
@@ -508,11 +581,12 @@ impl TenantHandle {
                 // Arm the cancelled resolution only once the request is
                 // admitted, so a rejected submission never leaves a
                 // hook on the caller's token. Exactly-once still holds
-                // against everything the dispatcher may already have
+                // against everything a concurrent pass may already have
                 // done with the queued request: if the token resolved
-                // cancelled first the hook runs immediately (here), and
-                // if it was claimed (dispatched, or shed via the
-                // rejection claim) the hook is dropped unrun.
+                // cancelled first the hook runs immediately (here), if
+                // it was claimed (shed via the rejection claim) the hook
+                // is dropped unrun, and if an attempt body already runs
+                // the gate makes the hook a no-op.
                 {
                     let state = state.clone();
                     let counters = counters.clone();
@@ -522,7 +596,7 @@ impl TenantHandle {
                         });
                     });
                 }
-                self.inner.kick();
+                dispatch_or_kick(&self.inner);
                 Ok(ResponseHandle { state, token })
             }
             Err(AdmitError::Full(_)) => {
@@ -566,7 +640,7 @@ impl TenantHandle {
     }
 
     /// Stop admitting (idempotent). Queued requests resolve
-    /// `Rejected(TenantClosed)` at the dispatcher's next pass;
+    /// `Rejected(TenantClosed)` at the next dispatch pass;
     /// in-flight requests finish normally; the tenant's slot is
     /// retired once drained.
     pub fn close(&self) {
@@ -610,14 +684,18 @@ impl Server {
     pub fn on_pool(pool: Arc<Pool>, cfg: ServerConfig) -> Self {
         let inner = Arc::new(ServerInner {
             pool,
-            cfg,
             tenants: Mutex::new(Vec::new()),
             in_flight: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
-            wake_lock: Mutex::new(()),
+            dispatch: Mutex::new(DispatchState {
+                drr: Wdrr::new(cfg.quantum),
+                by_id: Vec::new(),
+            }),
+            wake_lock: Mutex::new(false),
             wake_cv: Condvar::new(),
             dispatcher: Mutex::new(Vec::new()),
             dispatcher_restarts: AtomicU64::new(0),
+            cfg,
         });
         let handle = {
             let inner = inner.clone();
@@ -645,9 +723,9 @@ impl Server {
         // Checked under the tenants lock, against a flag that is also
         // *stored* under it (see `Server::shutdown`): a registration
         // that passes this check inserted its tenant before the flag
-        // was set, so the dispatcher's final drain pass — which
-        // snapshots the tenants under the lock after observing the
-        // flag — is guaranteed to see and reject it. No tenant can
+        // was set, so the final drain pass — which snapshots the
+        // tenants under the lock after observing the flag — is
+        // guaranteed to see and reject it. No tenant can
         // slip in behind the final drain and strand its requests.
         assert!(
             !self.inner.shutdown.load(Ordering::SeqCst),
@@ -678,7 +756,6 @@ impl Server {
             tenants[id] = Some(shared.clone());
         }
         drop(tenants);
-        self.inner.kick();
         TenantHandle {
             shared,
             inner: self.inner.clone(),
@@ -720,8 +797,10 @@ impl Server {
     /// backlogs.
     pub fn queued_total(&self) -> usize {
         self.inner
-            .live_tenants()
+            .tenants
+            .lock()
             .iter()
+            .flatten()
             .map(|t| t.queue.len() + t.retry_q.lock().len())
             .sum()
     }
@@ -735,7 +814,7 @@ impl Server {
 
     /// Live (registered, not yet retired) tenants.
     pub fn tenant_count(&self) -> usize {
-        self.inner.live_tenants().len()
+        self.inner.tenants.lock().iter().flatten().count()
     }
 
     /// Block (politely yielding) until no request is queued or in
@@ -774,19 +853,20 @@ impl Server {
         // kill pushes its successor's handle before it exits (in its
         // watch guard's drop glue), so once `join` returns the push is
         // visible — loop until the list stays empty. A shutdown reached
-        // from the dispatcher thread itself (a `Server` released from a
-        // value it dispatched) must detach rather than self-join: std's
-        // join panics on the EDEADLK.
-        let me = std::thread::current().id();
+        // from inside a dispatch pass (a `Server` released from a
+        // request the pass dropped) detaches instead: this thread holds
+        // the dispatch lock the dispatcher needs for its final drain,
+        // and on the dispatcher thread itself std's join panics on the
+        // EDEADLK. The dispatcher drains and exits once the pass ends.
+        if IN_PASS.get() {
+            return;
+        }
         loop {
             let handles: Vec<JoinHandle<()>> = self.inner.dispatcher.lock().drain(..).collect();
             if handles.is_empty() {
                 break;
             }
             for h in handles {
-                if h.thread().id() == me {
-                    continue;
-                }
                 let _ = h.join();
             }
         }
@@ -810,8 +890,8 @@ impl std::fmt::Debug for Server {
 }
 
 /// Resolve a popped-but-never-dispatched request as `Rejected(reason)`.
-/// The dispatcher *claims* the root token first (disarming the cancel
-/// hook — if the claim loses, a concurrent cancel already resolved the
+/// The pass *claims* the root token first (disarming the cancel hook —
+/// if the claim loses, a concurrent cancel already resolved the
 /// request), then races the settle gate like every other resolver.
 fn resolve_rejected(q: Queued, reason: RejectReason, bucket: &AtomicU64) {
     if q.token.try_claim() {
@@ -850,20 +930,21 @@ impl Drop for DispatcherWatch {
 
 /// The dispatcher thread body: [`dispatcher_loop`] under the
 /// supervision harness. A contained panic restarts the loop in place
-/// (same thread, fresh `Wdrr` state); an injected kill is rethrown so
-/// the thread dies and [`DispatcherWatch`] respawns a successor. Both
-/// paths count in `dispatcher_restarts`. Requests are never lost to
-/// either: the `serve.dispatch` fault point fires before the pass pops
-/// anything, and everything queued simply waits for the next pass.
+/// (same thread; the WDRR state lives in the dispatch lock and
+/// carries over); an injected kill is rethrown so the thread dies and
+/// [`DispatcherWatch`] respawns a successor. Both paths count in
+/// `dispatcher_restarts`. Requests are never lost to either: the
+/// `serve.dispatch` fault point fires before the thread takes the
+/// dispatch lock, and everything queued simply waits for the next
+/// pass.
 fn dispatcher_thread(inner: Arc<ServerInner>) {
     let mut watch = DispatcherWatch {
         inner: inner.clone(),
         armed: true,
     };
     loop {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            dispatcher_loop(inner.clone())
-        }));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| dispatcher_loop(&inner)));
         match result {
             Ok(()) => break, // clean shutdown exit
             Err(payload) => {
@@ -879,144 +960,190 @@ fn dispatcher_thread(inner: Arc<ServerInner>) {
     watch.armed = false;
 }
 
-fn dispatcher_loop(inner: Arc<ServerInner>) {
-    let mut drr = Wdrr::new(inner.cfg.quantum);
+/// The dispatcher thread's loop: a pass, then sleep until kicked or
+/// until the earliest retry backoff is due. With nothing kicked and no
+/// backoff pending it waits with no timeout, so an idle server never
+/// wakes.
+fn dispatcher_loop(inner: &Arc<ServerInner>) {
     loop {
         // Fault-injection point for supervision tests: fires while no
         // request is held, so a panic/kill here strands nothing.
         htvm_core::fault_point!(inner.pool.fault_plane(), "serve.dispatch");
-        let shutting_down = inner.shutdown.load(Ordering::SeqCst);
-        let snapshot = inner.live_tenants();
-
-        // Retire closed tenants: drain their queues and retry backlogs
-        // with a typed rejection, then free the slot.
-        for t in &snapshot {
-            if shutting_down {
-                t.queue.close();
-            }
-            if t.queue.is_closed() {
-                let (reason, bucket) = if shutting_down {
-                    (RejectReason::ServerShutdown, &t.counters.shutdown_rejects)
-                } else {
-                    (RejectReason::TenantClosed, &t.counters.closed_rejects)
-                };
-                for q in t.queue.drain() {
-                    resolve_rejected(q, reason, bucket);
-                }
-                let parked: Vec<(Instant, Queued)> = std::mem::take(&mut *t.retry_q.lock());
-                for (_, q) in parked {
-                    resolve_rejected(q, reason, bucket);
-                }
-                drr.remove(t.id);
-                inner.tenants.lock()[t.id] = None;
-            }
-        }
-        if shutting_down {
+        let stopping = inner.shutdown.load(Ordering::SeqCst);
+        let out = run_pass(inner, &mut inner.dispatch.lock());
+        if stopping {
+            // That pass saw the flag and rejected everything queued.
             return;
         }
-        let live: Vec<Arc<TenantShared>> = snapshot
-            .into_iter()
-            .filter(|t| !t.queue.is_closed())
-            .collect();
-
-        // Shed overload: newest work from the lowest-weight backlogged
-        // tenant goes first, until back under the watermark. A tenant
-        // with a retry policy gets its shed work parked for a backoff
-        // instead of rejected — an unrun body is replayable by
-        // definition, so one-shot parcels are eligible too.
-        loop {
-            let total: usize = live.iter().map(|t| t.queue.len()).sum();
-            if total <= inner.cfg.max_queued_total {
-                break;
-            }
-            let Some(t) = live
-                .iter()
-                .filter(|t| !t.queue.is_empty())
-                .min_by_key(|t| t.weight)
-            else {
-                break;
-            };
-            match t.queue.pop_newest() {
-                Some(q) => {
-                    if let Err(q) = schedule_retry(&inner, t, q) {
-                        resolve_rejected(q, RejectReason::Overload, &t.counters.shed);
+        if out.more {
+            continue;
+        }
+        let mut pending = inner.wake_lock.lock();
+        if !*pending {
+            match out.next_due {
+                None => inner.wake_cv.wait(&mut pending),
+                Some(due) => {
+                    let now = Instant::now();
+                    if due > now {
+                        inner.wake_cv.wait_for(&mut pending, due - now);
                     }
                 }
-                None => continue,
             }
         }
+        // Cleared before the next pass, which serves every kick up to
+        // here; a kick after this point sets the flag again.
+        *pending = false;
+    }
+}
 
-        // Re-dispatch due retries directly under the in-flight cap:
-        // they won admission (and a DRR grant) once already — the
-        // backoff, not the round, is their pacing. `idle_wait` bounds
-        // how stale a due time can go unnoticed.
-        let mut dispatched = 0u64;
-        let now = Instant::now();
-        for t in &live {
-            loop {
-                if inner.in_flight.load(Ordering::SeqCst) >= inner.cfg.max_in_flight {
-                    break;
-                }
-                let due = {
-                    let mut rq = t.retry_q.lock();
-                    match rq.iter().position(|(due, _)| *due <= now) {
-                        Some(i) => rq.swap_remove(i).1,
-                        None => break,
-                    }
-                };
-                dispatch_queued(&inner, t, due);
-                dispatched += 1;
-            }
-        }
+/// Run a pass on the calling thread if no other thread is running one,
+/// and kick the dispatcher thread if that is not possible or the pass
+/// left runnable work behind. Never blocks on the dispatch lock: a
+/// contended lock means a pass is running, and the kick makes the
+/// dispatcher run another after it.
+fn dispatch_or_kick(inner: &Arc<ServerInner>) {
+    let more = match inner.dispatch.try_lock() {
+        Some(mut st) => run_pass(inner, &mut st).more,
+        None => true,
+    };
+    if more {
+        inner.kick();
+    }
+}
 
-        // Weighted dispatch under the in-flight cap. `drr` may still
-        // hold keys absent from `by_id`: a tenant that closed between
-        // the retire pass above and the `live` filter keeps its slot
-        // until the next pass retires it, so the round's closures must
-        // treat an unknown key as idle rather than index out of range.
-        let mut by_id: Vec<Option<&Arc<TenantShared>>> = Vec::new();
-        for t in &live {
-            if by_id.len() <= t.id {
-                by_id.resize(t.id + 1, None);
-            }
-            by_id[t.id] = Some(t);
-            drr.ensure(t.id, t.weight);
-        }
-        let capacity = inner
-            .cfg
-            .max_in_flight
-            .saturating_sub(inner.in_flight.load(Ordering::SeqCst)) as u64;
-        if capacity > 0 {
-            let inner_ref = &inner;
-            dispatched += drr.round(
-                capacity,
-                |k| {
-                    by_id
-                        .get(k)
-                        .copied()
-                        .flatten()
-                        .and_then(|t| t.queue.peek(|q| q.cost))
-                },
-                |k| {
-                    if let Some(t) = by_id.get(k).copied().flatten() {
-                        dispatch_one(inner_ref, t);
-                    }
-                },
-            );
-        }
+/// [`pass`] with the calling thread marked as inside it (see
+/// [`IN_PASS`]).
+fn run_pass(inner: &Arc<ServerInner>, st: &mut DispatchState) -> PassOutcome {
+    IN_PASS.set(true);
+    let out = pass(inner, st);
+    IN_PASS.set(false);
+    out
+}
 
-        if dispatched == 0 {
-            // Nothing moved this pass: sleep until a kick (submit,
-            // completion, close, shutdown) or the idle timeout — the
-            // timeout bounds the staleness of any kick that raced in
-            // between our snapshot and the wait, and keeps not-yet-due
-            // retry backoffs honored promptly.
-            let mut g = inner.wake_lock.lock();
-            if !inner.shutdown.load(Ordering::SeqCst) {
-                inner.wake_cv.wait_for(&mut g, inner.cfg.idle_wait);
+/// One dispatch pass: retire closed tenants, shed overload,
+/// re-dispatch due retries, and run a WDRR round under the in-flight
+/// cap. The caller holds the dispatch lock, so passes never overlap.
+fn pass(inner: &Arc<ServerInner>, st: &mut DispatchState) -> PassOutcome {
+    let DispatchState { drr, by_id } = st;
+    let shutting_down = inner.shutdown.load(Ordering::SeqCst);
+    by_id.clear();
+    by_id.extend(inner.tenants.lock().iter().cloned());
+
+    // Retire closed tenants: drain their queues and retry backlogs with
+    // a typed rejection, then free the slot. A tenant that closes after
+    // its check here stays live for this pass and retires on the next
+    // (its close kicks the dispatcher).
+    for slot in by_id.iter_mut() {
+        let Some(t) = slot.as_ref() else { continue };
+        if shutting_down {
+            t.queue.close();
+        }
+        if !t.queue.is_closed() {
+            continue;
+        }
+        let (reason, bucket) = if shutting_down {
+            (RejectReason::ServerShutdown, &t.counters.shutdown_rejects)
+        } else {
+            (RejectReason::TenantClosed, &t.counters.closed_rejects)
+        };
+        for q in t.queue.drain() {
+            resolve_rejected(q, reason, bucket);
+        }
+        let parked: Vec<(Instant, Queued)> = std::mem::take(&mut *t.retry_q.lock());
+        for (_, q) in parked {
+            resolve_rejected(q, reason, bucket);
+        }
+        drr.remove(t.id);
+        inner.tenants.lock()[t.id] = None;
+        *slot = None;
+    }
+    if shutting_down {
+        by_id.clear();
+        return PassOutcome {
+            more: false,
+            next_due: None,
+        };
+    }
+
+    // Shed overload: newest work from the lowest-weight backlogged
+    // tenant goes first, until back under the watermark. A tenant with
+    // a retry policy gets its shed work parked for a backoff instead of
+    // rejected — an unrun body is replayable by definition, so one-shot
+    // parcels are eligible too.
+    loop {
+        let total: usize = by_id.iter().flatten().map(|t| t.queue.len()).sum();
+        if total <= inner.cfg.max_queued_total {
+            break;
+        }
+        let Some(t) = by_id
+            .iter()
+            .flatten()
+            .filter(|t| !t.queue.is_empty())
+            .min_by_key(|t| t.weight)
+        else {
+            break;
+        };
+        if let Some(q) = t.queue.pop_newest() {
+            if let Err(q) = schedule_retry(inner, t, q) {
+                resolve_rejected(q, RejectReason::Overload, &t.counters.shed);
             }
         }
     }
+
+    // Re-dispatch due retries directly under the in-flight cap: they
+    // won admission (and a DRR grant) once already — the backoff, not
+    // the round, is their pacing. The dispatcher thread sleeps until
+    // the earliest backoff still pending. A due entry left behind by
+    // the cap needs no timer: the completion that frees the cap kicks.
+    let now = Instant::now();
+    let mut next_due: Option<Instant> = None;
+    for t in by_id.iter().flatten() {
+        if t.retry.is_none() {
+            continue; // schedule_retry never parks without a policy
+        }
+        while inner.in_flight.load(Ordering::SeqCst) < inner.cfg.max_in_flight {
+            let due = {
+                let mut rq = t.retry_q.lock();
+                match rq.iter().position(|(due, _)| *due <= now) {
+                    Some(i) => rq.swap_remove(i).1,
+                    None => break,
+                }
+            };
+            dispatch_queued(inner, t, due);
+        }
+        for (due, _) in t.retry_q.lock().iter() {
+            if *due > now && next_due.is_none_or(|n| *due < n) {
+                next_due = Some(*due);
+            }
+        }
+    }
+
+    // Weighted dispatch under the in-flight cap. A key with no tenant
+    // in `by_id` reads as idle rather than indexing out of range.
+    for t in by_id.iter().flatten() {
+        drr.ensure(t.id, t.weight);
+    }
+    let capacity = inner
+        .cfg
+        .max_in_flight
+        .saturating_sub(inner.in_flight.load(Ordering::SeqCst)) as u64;
+    if capacity > 0 {
+        let live = |k: usize| by_id.get(k).and_then(Option::as_ref);
+        drr.round(
+            capacity,
+            |k| live(k).and_then(|t| t.queue.peek(|q| q.cost)),
+            |k| {
+                if let Some(t) = live(k) {
+                    dispatch_one(inner, t);
+                }
+            },
+        );
+    }
+
+    let more = inner.in_flight.load(Ordering::SeqCst) < inner.cfg.max_in_flight
+        && by_id.iter().flatten().any(|t| !t.queue.is_empty());
+    by_id.clear();
+    PassOutcome { more, next_due }
 }
 
 /// Pop one request from `t` and hand it to the pool.
@@ -1063,6 +1190,9 @@ fn dispatch_queued(inner: &Arc<ServerInner>, t: &Arc<TenantShared>, q: Queued) {
             tag: Some(t.tag.clone()),
         },
         move |ctx| {
+            if !guard.enter() {
+                return;
+            }
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| action(ctx)));
             match result {
                 Ok(()) => guard.complete(),
@@ -1755,6 +1885,49 @@ mod tests {
         );
     }
 
+    /// Submit a gated request, then a second one behind it under
+    /// `max_in_flight: 1`, and release the gate. Submit-side passes
+    /// dispatch the first request but leave the second behind the cap,
+    /// so only a dispatcher-thread pass after the first completes can
+    /// dispatch it: the second request completing proves the
+    /// dispatcher thread survived its faults. Returns both outcomes.
+    fn serve_through_the_dispatcher(
+        server: &Server,
+        deadline: Instant,
+    ) -> (Option<Outcome>, Option<Outcome>) {
+        let tenant = server.register_tenant(TenantConfig::weighted(1));
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = gate.clone();
+        let first = tenant
+            .submit(NativeParcel::new(move |_| {
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }))
+            .unwrap();
+        while server.in_flight() == 0 {
+            assert!(Instant::now() < deadline, "first request never dispatched");
+            std::thread::yield_now();
+        }
+        let second = tenant.submit(NativeParcel::new(|_| {})).unwrap();
+        gate.store(true, Ordering::Release);
+        let left = || deadline.saturating_duration_since(Instant::now());
+        (first.wait_timeout(left()), second.wait_timeout(left()))
+    }
+
+    /// Wait, within `deadline`, until the dispatcher has restarted at
+    /// least `n` times.
+    fn await_restarts(server: &Server, n: u64, deadline: Instant) {
+        while server.dispatcher_restarts() < n {
+            assert!(
+                Instant::now() < deadline,
+                "restarts: {}",
+                server.dispatcher_restarts()
+            );
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn killed_dispatcher_respawns_and_keeps_serving() {
         use htvm_core::{FaultKind, FaultPlan, FaultRule, Topology};
@@ -1769,19 +1942,22 @@ mod tests {
                 .max(2),
         );
         let pool = Arc::new(Pool::with_fault_plan(Topology::domains(2, 1), 0, plan));
-        let server = Server::on_pool(pool, ServerConfig::default());
-        let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let h = tenant.submit(NativeParcel::new(|_| {})).unwrap();
+        let server = Server::on_pool(
+            pool,
+            ServerConfig {
+                max_in_flight: 1,
+                ..ServerConfig::default()
+            },
+        );
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (first, second) = serve_through_the_dispatcher(&server, deadline);
+        assert_eq!(first, Some(Outcome::Completed));
         assert_eq!(
-            h.wait_timeout(Duration::from_secs(30)),
+            second,
             Some(Outcome::Completed),
             "a killed dispatcher must not strand admitted requests"
         );
-        assert!(
-            server.dispatcher_restarts() >= 2,
-            "restarts: {}",
-            server.dispatcher_restarts()
-        );
+        await_restarts(&server, 2, deadline);
         server.shutdown();
     }
 
@@ -1795,15 +1971,58 @@ mod tests {
                 .max(3),
         );
         let pool = Arc::new(Pool::with_fault_plan(Topology::domains(2, 1), 0, plan));
-        let server = Server::on_pool(pool, ServerConfig::default());
-        let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let h = tenant.submit(NativeParcel::new(|_| {})).unwrap();
-        assert_eq!(
-            h.wait_timeout(Duration::from_secs(30)),
-            Some(Outcome::Completed)
+        let server = Server::on_pool(
+            pool,
+            ServerConfig {
+                max_in_flight: 1,
+                ..ServerConfig::default()
+            },
         );
-        assert!(server.dispatcher_restarts() >= 3);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let (first, second) = serve_through_the_dispatcher(&server, deadline);
+        assert_eq!(first, Some(Outcome::Completed));
+        assert_eq!(second, Some(Outcome::Completed));
+        await_restarts(&server, 3, deadline);
         server.shutdown();
+    }
+
+    #[test]
+    fn cancel_loses_to_a_running_body() {
+        // Regression: an attempt runs under a child of the root token
+        // and only the child is claimed at the grain boundary, so the
+        // root stayed pending while the body ran. A cancel then won the
+        // root CAS and settled `Cancelled` for a body that went on to
+        // run to completion, and its `Completed` lost the gate. The
+        // running body now holds the gate, and the cancel loses.
+        use std::sync::mpsc;
+        let server = quick_server(ServerConfig::default());
+        let tenant = server.register_tenant(TenantConfig::weighted(1));
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let ran = Arc::new(AtomicU64::new(0));
+        let r = ran.clone();
+        let h = tenant
+            .submit(NativeParcel::new(move |_| {
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+                r.fetch_add(1, Ordering::SeqCst);
+            }))
+            .unwrap();
+        started_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("body never started");
+        assert!(!h.cancel(), "a cancel resolved a request whose body runs");
+        assert!(
+            h.token().cancel_requested(),
+            "the running body can still observe the request"
+        );
+        release_tx.send(()).unwrap();
+        assert_eq!(h.wait(), Outcome::Completed);
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert!(server.wait_idle(Duration::from_secs(10)));
+        let stats = tenant.stats();
+        assert_eq!((stats.completed, stats.cancelled), (1, 0));
+        assert_eq!(stats.settled(), stats.submitted, "conservation");
     }
 
     #[test]
