@@ -4,17 +4,19 @@
 //! wall clock: a LITL-X matmul-like `forall` nest runs through the naive
 //! flat fan-out and through the SSP path (lower → level select →
 //! partition → domain-placed groups) — the latter both point-at-a-time on
-//! the tape interpreter (`ssp-interp`) and run-at-a-time on the compiled
+//! the tape interpreter (`ssp-interp`) and tile-at-a-time on the compiled
 //! kernel (`ssp-comp`, see `litlx::lang::compile`) — on a flat and on a
 //! grouped topology. The MD force loop runs the same comparison at the `exec`
 //! layer directly: a `[steps × cells]` nest whose step level carries the
-//! position dependence, partitioned at the cell level, vs a per-cell
-//! spawn-and-join per step.
+//! position dependence, partitioned at the cell level and spread (each
+//! group one tile of cells), vs a per-cell spawn-and-join per step.
 //!
 //! A third workload, `litlx-scan` (`a[i+1] = a[i] + i`), carries a true
 //! dependence at the only `forall` level: the SSP path must execute it as
-//! a `SyncSlot` wavefront (the `wavefronts` column) and reproduce the
-//! sequential result, where the naive fan-out is a data race.
+//! a wavefront (the `wavefronts` column) and reproduce the sequential
+//! result, where the naive fan-out is a data race. A wavefront wave is
+//! serial, so it runs inline on the interpreter thread: its SSP rows
+//! spawn nothing.
 //!
 //! Columns: wall time, SGT-grain spawns, `pipelined` (LITL-X rows: loops
 //! that took the SSP path; MD rows: groups per wave), remote-steal ratio
@@ -29,7 +31,7 @@ use htvm_apps::md::cell_list::CellList;
 use htvm_apps::md::forces::{force_on_particle, ForceParams};
 use htvm_apps::md::system::{MdSystem, SystemSpec};
 use htvm_core::{Pool, PoolStats, SharedRegion, Topology};
-use htvm_ssp::exec::{run_partitioned, PointBody};
+use htvm_ssp::exec::{run_partitioned, Placement, TileBody};
 use htvm_ssp::ir::{Dep, LoopNest, Op, OpKind};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_all_levels, select_level, sequential_cycles, SspConfig};
@@ -90,7 +92,7 @@ fn run_litlx(src: &str, topo: Topology, strategy: LoopStrategy, mode: KernelMode
         wall_ms = wall_ms.min(start.elapsed().as_secs_f64() * 1e3);
         out = Some(o);
     }
-    let out = out.expect("three timed runs");
+    let out = out.expect("five timed runs");
     LitlxRun {
         wall_ms,
         sgts: out.sgt_spawns,
@@ -321,7 +323,7 @@ pub fn e18_ssp_native(scale: Scale) -> Table {
             let pool = Arc::new(Pool::with_topology(topo.clone()));
             let part = PartitionPlan::new(cell_plan, cells, workers as u64);
             let buf = SharedRegion::new(sys.len() * 3 + 1);
-            let body: Arc<PointBody> = {
+            let body: Arc<TileBody> = {
                 let (sys, cl, params, buf, occupied) = (
                     sys.clone(),
                     cl.clone(),
@@ -329,14 +331,17 @@ pub fn e18_ssp_native(scale: Scale) -> Table {
                     buf.clone(),
                     occupied.clone(),
                 );
-                Arc::new(move |idx: &[i64]| {
-                    md_cell_body(&sys, &cl, &params, &buf, occupied[idx[1] as usize]);
+                Arc::new(move |_, lo, hi| {
+                    for c in lo..hi {
+                        md_cell_body(&sys, &cl, &params, &buf, occupied[c as usize]);
+                    }
                     Ok(())
                 })
             };
             let start = std::time::Instant::now();
-            let rep =
-                run_partitioned(&pool, &nest.trip_counts, 1, 0, &part, body).expect("md nest runs");
+            let spread = Placement::Spread(Arc::default());
+            let rep = run_partitioned(&pool, &nest.trip_counts, 1, 0, &part, body, spread)
+                .expect("md nest runs");
             let wall = start.elapsed().as_secs_f64() * 1e3;
             pool.wait_quiescent();
             let stats = pool.stats();

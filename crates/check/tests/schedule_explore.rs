@@ -101,6 +101,12 @@ const SEED_DISPATCHER_RESTART_VS_SUBMIT: u64 = 0xbf58476d1ce4e5b7;
 /// replay forever.
 const SEED_SUBMIT_PASS_VS_DISPATCHER: u64 = 0x5851f42d4c957f2d;
 
+/// A spread SSP wave's group claim: the helping caller and two pool jobs
+/// claiming groups from one cursor (`spread_wave_claim_scenario`). The
+/// full sweep passes under this base seed; committed so the exact
+/// explored schedules replay forever.
+const SEED_SPREAD_WAVE_CLAIM: u64 = 0x4f1bbcdcbfa53e0b;
+
 /// Shared per-test setup: install the between-iterations reset of core's
 /// process-wide epoch registry (required for seed-exact replay of deque
 /// scenarios) and build a bounds config.
@@ -1105,6 +1111,103 @@ fn submit_pass_and_dispatcher_never_strand_a_request() {
 }
 
 // ---------------------------------------------------------------------------
+// SSP spread wave: groups claimed from one cursor.
+// ---------------------------------------------------------------------------
+
+/// Groups per modelled wave.
+const WAVE_GROUPS: u64 = 3;
+
+/// `htvm_ssp::exec`'s spread wave, reduced to its claim protocol. Every
+/// group is ready at once, so a claim is one `fetch_add` on a cursor; a
+/// group runs unless a lower group has already failed, records itself as
+/// the wave's error if no lower group has, and counts itself finished.
+/// Groups 1 and 2 fail.
+///
+/// Invariants: once the caller returns (at `finished == WAVE_GROUPS`),
+/// every group has been handled exactly once and the error is group 1's,
+/// whichever order the groups ran in. A claim that loads the cursor and
+/// stores it back incremented lets two claimers take one group.
+struct WaveModel {
+    next: htvm_check::prim::AtomicU64,
+    finished: htvm_check::prim::AtomicU64,
+    /// The lowest failing group so far.
+    error: htvm_check::prim::Mutex<Option<u64>>,
+    handled: Vec<AtomicUsize>,
+}
+
+impl WaveModel {
+    /// `Wave::claim`.
+    fn claim(&self) -> Option<u64> {
+        let g = self.next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        (g < WAVE_GROUPS).then_some(g)
+    }
+
+    /// `Wave::run`: the body of group `g` fails iff `g >= 1`.
+    fn run(&self, g: u64) {
+        let precedes = |e: &Option<u64>| e.is_none_or(|eg| g < eg);
+        if precedes(&self.error.lock()) && g >= 1 {
+            let mut e = self.error.lock();
+            if precedes(&e) {
+                *e = Some(g);
+            }
+        }
+        self.handled[g as usize].fetch_add(1, StdOrdering::SeqCst);
+        self.finished
+            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+
+    /// `Wave::job`: one group, if any is left.
+    fn job(&self) {
+        if let Some(g) = self.claim() {
+            self.run(g);
+        }
+    }
+}
+
+fn spread_wave_claim_scenario() {
+    let m = Arc::new(WaveModel {
+        next: htvm_check::prim::AtomicU64::new(0),
+        finished: htvm_check::prim::AtomicU64::new(0),
+        error: htvm_check::prim::Mutex::new(None),
+        handled: (0..WAVE_GROUPS).map(|_| AtomicUsize::new(0)).collect(),
+    });
+    let jobs: Vec<_> = (0..2)
+        .map(|_| {
+            let m = m.clone();
+            htvm_check::thread::spawn(move || m.job())
+        })
+        .collect();
+    // `run_spread`'s caller: help until every group is claimed, then wait
+    // for the groups the jobs claimed.
+    while let Some(g) = m.claim() {
+        m.run(g);
+    }
+    while m.finished.load(std::sync::atomic::Ordering::SeqCst) < WAVE_GROUPS {}
+    for (g, h) in m.handled.iter().enumerate() {
+        assert_eq!(
+            h.load(StdOrdering::SeqCst),
+            1,
+            "group {g} must be handled exactly once"
+        );
+    }
+    assert_eq!(*m.error.lock(), Some(1), "the lowest failing group's error");
+    for j in jobs {
+        j.join();
+    }
+}
+
+#[test]
+fn spread_wave_claims_each_group_once_and_keeps_the_lowest_error() {
+    explore(
+        "spread-wave-claim",
+        &cfg(400),
+        SEED_SPREAD_WAVE_CLAIM,
+        spread_wave_claim_scenario,
+    )
+    .unwrap_or_else(|f| panic!("{f}"));
+}
+
+// ---------------------------------------------------------------------------
 // Supervision (PR 10): worker death vs retire/spawn, dispatcher restart.
 // ---------------------------------------------------------------------------
 
@@ -1493,6 +1596,13 @@ fn committed_corpus_regressions_pass() {
         submit_pass_vs_dispatcher_scenario,
     )
     .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
+    check_corpus(
+        "spread-wave-claim",
+        &cfg(1),
+        &[SEED_SPREAD_WAVE_CLAIM],
+        spread_wave_claim_scenario,
+    )
+    .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
 }
 
 /// Mutant seeds: these schedules must keep *failing* against the committed
@@ -1542,6 +1652,7 @@ fn fresh_random_seeds_hold_invariants() {
             "submit-pass-vs-dispatcher",
             submit_pass_vs_dispatcher_scenario,
         ),
+        ("spread-wave-claim", spread_wave_claim_scenario),
         (
             "sync-slot-racer-accounting",
             sync_slot_zero_count_racers_scenario,

@@ -10,11 +10,11 @@
 //!   failing loop reports its lowest failing iteration's error.
 //! * `SspExecutor` — the §3.3 pipeline: lower the nest to
 //!   `htvm_ssp::ir::LoopNest` ([`super::lower`]), schedule every level,
-//!   pick one, partition it into thread groups, and run the groups —
-//!   spread on the native pool with domain placement and a `SyncSlot`
-//!   wavefront, or inline on the calling thread when spreading does not
-//!   pay (`htvm_ssp::exec`). Anything the lowering cannot prove affine
-//!   bails back to the naive path.
+//!   pick one, partition it into thread groups, and run each group as
+//!   one tile of the kernel — spread on the native pool with domain
+//!   placement, or inline on the calling thread when spreading does not
+//!   pay or the groups form a wavefront (`htvm_ssp::exec`). Anything the
+//!   lowering cannot prove affine bails back to the naive path.
 //!
 //! The choice is the adaptive loop of §4.1: `@hint(pipeline)` pragmas are
 //! written into the knowledge base and force the path; recorded outcomes
@@ -76,9 +76,7 @@ use std::sync::Arc;
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
 use htvm_core::faults::describe_payload;
 use htvm_core::SharedRegion;
-use htvm_ssp::exec::{
-    plan_native, run_partitioned_body, spread_pays, NestBody, Placement, PointBody, TileBody,
-};
+use htvm_ssp::exec::{plan_native, run_partitioned, spread_pays, Placement, TileBody};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 use parking_lot::Mutex;
@@ -113,7 +111,7 @@ pub enum LoopStrategy {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelMode {
     /// Point-at-a-time register-tape interpretation
-    /// ([`super::lower::Kernel::execute`]).
+    /// ([`super::lower::Kernel::execute_tile`]).
     Interpreted,
     /// Tile-at-a-time execution of the optimized tape
     /// ([`super::compile::compile`]): constant folding, dead-register
@@ -150,21 +148,24 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
     let ex = &scope.shared.exec;
     let entry = ex.plans.point(spec.var, spec.body, &scope.shared.program);
     let point = entry.point.as_str();
-    // Lower `@hint(pipeline …)` pragmas into the knowledge base (once per
-    // point) so the policy — and future runs via the persisted database —
-    // sees them as §4.1 structured hints.
-    if let Some(kv) = pipeline_pragma(spec.hints) {
-        let mut kb = ex.kb.lock();
-        if !kb
-            .hints_at(point)
-            .iter()
-            .any(|h| h.get("pipeline").is_some())
-        {
-            kb.add_hint(point, pipeline::pipeline_hint(kv, 100));
-        }
-    }
+    let pragma = pipeline_pragma(spec.hints);
     let shape = estimate_shape(scope, spec, n);
-    let decision = pipeline::decide_loop_path(&ex.kb.lock(), point, shape);
+    let decision = {
+        let mut kb = ex.kb.lock();
+        // Lower `@hint(pipeline …)` pragmas into the knowledge base (once
+        // per point) so the policy — and future runs via the persisted
+        // database — sees them as §4.1 structured hints.
+        if let Some(kv) = pragma {
+            if !kb
+                .hints_at(point)
+                .iter()
+                .any(|h| h.get("pipeline").is_some())
+            {
+                kb.add_hint(point, pipeline::pipeline_hint(kv, 100));
+            }
+        }
+        pipeline::decide_loop_path(&kb, point, shape)
+    };
     use htvm_adapt::pipeline::DecisionReason;
     let path = match ex.strategy {
         // Session strategy caps the default; a hint always wins.
@@ -421,19 +422,19 @@ impl SspExecutor<'_> {
     /// bail, unschedulable levels, forced level invalid) — the caller
     /// falls back to naive. Runtime errors (out-of-bounds stores) are
     /// real errors. The interpreter thread is the *helping caller* of
-    /// `run_partitioned_body` — it claims ready groups itself — and that
-    /// call is panic-safe: a group that unwinds (kernel bug, poisoned
+    /// `run_partitioned` — it claims groups itself — and that call is
+    /// panic-safe: a group that unwinds (kernel bug, poisoned
     /// region, a compiled run asked for points outside the iteration box)
     /// comes back as this function's `Err` instead of wedging the help
     /// loop or unwinding through the interpreter.
     ///
     /// The plan — or the bail-out — comes from the point's cache entry
     /// when its key and guard match (module docs), and is made by
-    /// [`SspExecutor::plan_fresh`] otherwise. Under
-    /// [`KernelMode::Compiled`] each group executes as one call of the
-    /// compiled kernel ([`NestBody::Tile`]); under [`KernelMode::Interpreted`]
-    /// they execute point-at-a-time on the raw tape. The `Ok(Some(path))`
-    /// value reports which, for the knowledge base.
+    /// [`SspExecutor::plan_fresh`] otherwise. Each group executes as one
+    /// tile ([`TileBody`]): one call of the compiled kernel under
+    /// [`KernelMode::Compiled`], a point-at-a-time walk of the raw tape
+    /// ([`Kernel::execute_tile`]) under [`KernelMode::Interpreted`]. The
+    /// `Ok(Some(path))` value reports which, for the knowledge base.
     ///
     /// The nest's waves are spread over the pool only when
     /// [`spread_pays`], from the plan's measured cost per point (times a
@@ -442,7 +443,8 @@ impl SspExecutor<'_> {
     /// inline on this thread. Every successful run refreshes the cost
     /// per point from the groups this thread ran itself; every spread
     /// wave adds a wake sample. A fresh plan has no cost yet, so its
-    /// first run spreads.
+    /// first run spreads — unless its groups form a wavefront, whose
+    /// waves `htvm_ssp::exec` always runs inline.
     fn try_run(
         &self,
         scope: &Scope<'_>,
@@ -466,23 +468,24 @@ impl SspExecutor<'_> {
         let Some(ready) = &plan.ready else {
             return Ok(None);
         };
-        let (body, taken) = match &ready.code {
+        let (body, taken): (Arc<TileBody>, _) = match &ready.code {
             CachedCode::Compiled(code) => {
                 let kernel = CompiledKernel::bind(code.clone(), arrays);
-                let tile: Arc<TileBody> = Arc::new(move |outer, lo, hi| {
+                let tile = move |outer: &[i64], lo, hi| {
                     kernel
                         .execute_tile(outer, lo, hi)
                         .map_err(|f| f.to_string())
-                });
-                (NestBody::Tile(tile), ExecPathTaken::SspCompiled)
+                };
+                (Arc::new(tile), ExecPathTaken::SspCompiled)
             }
             CachedCode::Interpreted(code) => {
                 let kernel = Kernel {
                     code: code.clone(),
                     arrays,
                 };
-                let point: Arc<PointBody> = Arc::new(move |idx| kernel.execute(idx));
-                (NestBody::Point(point), ExecPathTaken::SspInterp)
+                let trips = ready.trips.clone();
+                let tile = move |outer: &[i64], lo, hi| kernel.execute_tile(&trips, outer, lo, hi);
+                (Arc::new(tile), ExecPathTaken::SspInterp)
             }
         };
         let level = ready.exec.level_plan.level;
@@ -497,7 +500,7 @@ impl SspExecutor<'_> {
         } else {
             Placement::Inline
         };
-        let report = run_partitioned_body(
+        let report = run_partitioned(
             &ex.pool,
             &ready.trips,
             level,

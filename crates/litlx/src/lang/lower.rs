@@ -258,6 +258,39 @@ impl Kernel {
             self.code.execute_in(&self.arrays, abs, regs)
         })
     }
+
+    /// Execute one tile of the `trips` box point by point: with `outer`
+    /// the 0-based indices of the levels outside level `outer.len()`,
+    /// every point whose index at that level lies in `lo..hi` (0-based),
+    /// inner levels full, in lexicographic order — one SSP group's work
+    /// ([`htvm_ssp::exec::TileBody`]), in the order
+    /// [`CompiledKernel::execute_tile`](super::compile::CompiledKernel::execute_tile)
+    /// runs it. The first failing point's error ends the tile. This is
+    /// the compiled kernel's differential oracle.
+    pub fn execute_tile(
+        &self,
+        trips: &[u64],
+        outer: &[i64],
+        lo: i64,
+        hi: i64,
+    ) -> Result<(), String> {
+        let level = outer.len();
+        let inner = &trips[level + 1..];
+        let mut idx = outer.to_vec();
+        idx.resize(trips.len(), 0);
+        for l in lo..hi {
+            idx[level] = l;
+            for t in 0..inner.iter().product::<u64>() {
+                let mut rem = t;
+                for (k, &n) in inner.iter().enumerate().rev() {
+                    idx[level + 1 + k] = (rem % n) as i64;
+                    rem /= n;
+                }
+                self.execute(&idx)?;
+            }
+        }
+        Ok(())
+    }
 }
 
 impl KernelCode {

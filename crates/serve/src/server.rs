@@ -1220,6 +1220,37 @@ mod tests {
         Server::on_pool(Arc::new(Pool::with_topology(Topology::domains(2, 1))), cfg)
     }
 
+    /// Submit a request on `tenant` whose body spins until its gate opens,
+    /// and return once the server has a request in flight (the blocker,
+    /// when it is the first; failing after 30 s): it then holds a worker
+    /// and an in-flight slot until the test stores `true` into the
+    /// returned gate.
+    fn gated_blocker(tenant: &TenantHandle) -> (Arc<AtomicBool>, ResponseHandle) {
+        let gate = Arc::new(AtomicBool::new(false));
+        let g = gate.clone();
+        let blocker = tenant
+            .submit(NativeParcel::new(move |_| {
+                while !g.load(Ordering::Acquire) {
+                    std::thread::yield_now();
+                }
+            }))
+            .unwrap();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        poll_until(deadline, "blocker never dispatched", || {
+            tenant.inner.in_flight.load(Ordering::SeqCst) > 0
+        });
+        (gate, blocker)
+    }
+
+    /// Spin until `pred` holds, failing with `what` once `deadline`
+    /// passes.
+    fn poll_until(deadline: Instant, what: &str, mut pred: impl FnMut() -> bool) {
+        while !pred() {
+            assert!(Instant::now() < deadline, "{what}");
+            std::thread::yield_now();
+        }
+    }
+
     #[test]
     fn submit_completes_and_counts() {
         let server = quick_server(ServerConfig::default());
@@ -1250,20 +1281,8 @@ mod tests {
             queue_capacity: Some(2),
             ..TenantConfig::default()
         });
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        // Wait until the blocker is actually in flight so the queue
-        // stays full behind it.
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        // The blocker is in flight, so the queue stays full behind it.
+        let (gate, blocker) = gated_blocker(&tenant);
         let mut accepted = Vec::new();
         let mut full = 0;
         for _ in 0..20 {
@@ -1289,15 +1308,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
+        let (gate, blocker) = gated_blocker(&tenant);
         let victim = tenant.submit(NativeParcel::new(|_| {})).unwrap();
         assert!(victim.cancel(), "queued request is cancellable");
         assert_eq!(victim.wait(), Outcome::Cancelled);
@@ -1352,18 +1363,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        let (gate, blocker) = gated_blocker(&tenant);
         let stranded = tenant.submit(NativeParcel::new(|_| {})).unwrap();
         tenant.close();
         assert!(matches!(
@@ -1379,10 +1379,9 @@ mod tests {
         assert!(server.wait_idle(Duration::from_secs(10)));
         // The slot retires and is reused by the next registration.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while server.tenant_count() != 0 {
-            assert!(Instant::now() < deadline, "tenant never retired");
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "tenant never retired", || {
+            server.tenant_count() == 0
+        });
         let next = server.register_tenant(TenantConfig::weighted(2));
         assert_eq!(next.id(), tenant.id(), "retired slot is reused");
     }
@@ -1417,22 +1416,17 @@ mod tests {
         let fresh = server.register_tenant(TenantConfig::weighted(1));
         let probe = fresh.submit(NativeParcel::new(|_| {})).unwrap();
         let deadline = Instant::now() + Duration::from_secs(30);
-        while probe.try_outcome().is_none() {
-            assert!(
-                Instant::now() < deadline,
-                "dispatcher died during tenant churn"
-            );
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "dispatcher died during tenant churn", || {
+            probe.try_outcome().is_some()
+        });
         assert_eq!(probe.wait(), Outcome::Completed);
         // Every churned request still settled exactly once (Completed
         // or Rejected(TenantClosed), depending on when its tenant's
         // close landed).
         for h in &handles {
-            while h.try_outcome().is_none() {
-                assert!(Instant::now() < deadline, "churned request never settled");
-                std::thread::yield_now();
-            }
+            poll_until(deadline, "churned request never settled", || {
+                h.try_outcome().is_some()
+            });
             assert!(matches!(
                 h.wait(),
                 Outcome::Completed | Outcome::Rejected(RejectReason::TenantClosed)
@@ -1457,18 +1451,7 @@ mod tests {
             queue_capacity: Some(1),
             ..TenantConfig::default()
         });
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        let (gate, blocker) = gated_blocker(&tenant);
         let queued = tenant.submit(NativeParcel::new(|_| {})).unwrap();
         let rejected_token = CancelToken::new();
         assert!(matches!(
@@ -1524,18 +1507,7 @@ mod tests {
         });
         let heavy = server.register_tenant(TenantConfig::weighted(8));
         let light = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = heavy
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        let (gate, blocker) = gated_blocker(&heavy);
         let mut handles = Vec::new();
         for _ in 0..4 {
             handles.push(light.submit(NativeParcel::new(|_| {})).unwrap());
@@ -1543,10 +1515,7 @@ mod tests {
         }
         // Wait for the dispatcher to act on the over-watermark queues.
         let deadline = Instant::now() + Duration::from_secs(10);
-        while light.stats().shed == 0 {
-            assert!(Instant::now() < deadline, "nothing was shed");
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "nothing was shed", || light.stats().shed > 0);
         gate.store(true, Ordering::Release);
         assert_eq!(blocker.wait(), Outcome::Completed);
         let outcomes: Vec<Outcome> = handles.iter().map(|h| h.wait()).collect();
@@ -1567,18 +1536,7 @@ mod tests {
             ..ServerConfig::default()
         });
         let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        let (gate, blocker) = gated_blocker(&tenant);
         let stranded = tenant.submit(NativeParcel::new(|_| {})).unwrap();
         gate.store(true, Ordering::Release);
         server.shutdown();
@@ -1667,17 +1625,15 @@ mod tests {
             );
         }
         let deadline = Instant::now() + Duration::from_secs(30);
-        while started.load(Ordering::SeqCst) < 2 {
-            assert!(Instant::now() < deadline, "blockers never both ran");
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "blockers never both ran", || {
+            started.load(Ordering::SeqCst) == 2
+        });
         for _ in 0..40 {
             handles.push(tenant.submit(NativeParcel::new(|_| {})).unwrap());
         }
-        while pool.stats().grows == 0 {
-            assert!(Instant::now() < deadline, "autopilot never grew the pool");
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "autopilot never grew the pool", || {
+            pool.stats().grows > 0
+        });
         gate.store(true, Ordering::Release);
         for h in &handles {
             assert_eq!(h.wait(), Outcome::Completed);
@@ -1685,10 +1641,9 @@ mod tests {
         assert!(server.wait_idle(Duration::from_secs(10)));
 
         // Idle streak: the controller hands the extra workers back.
-        while pool.stats().retires == 0 {
-            assert!(Instant::now() < deadline, "autopilot never retired");
-            std::thread::yield_now();
-        }
+        poll_until(deadline, "autopilot never retired", || {
+            pool.stats().retires > 0
+        });
         let stats = pilot.stats();
         assert!(stats.grows >= 1, "{stats:?}");
         pilot.stop();
@@ -1704,18 +1659,7 @@ mod tests {
         });
         let tenant = server.register_tenant(TenantConfig::weighted(1));
         let root = CancelToken::new();
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let blocker = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            std::thread::yield_now();
-        }
+        let (gate, blocker) = gated_blocker(&tenant);
         let children: Vec<_> = (0..4)
             .map(|_| {
                 tenant
@@ -1864,15 +1808,7 @@ mod tests {
     fn wait_timeout_returns_none_while_in_flight_then_the_outcome() {
         let server = quick_server(ServerConfig::default());
         let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let h = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
+        let (gate, h) = gated_blocker(&tenant);
         assert_eq!(
             h.wait_timeout(Duration::from_millis(10)),
             None,
@@ -1896,19 +1832,7 @@ mod tests {
         deadline: Instant,
     ) -> (Option<Outcome>, Option<Outcome>) {
         let tenant = server.register_tenant(TenantConfig::weighted(1));
-        let gate = Arc::new(AtomicBool::new(false));
-        let g = gate.clone();
-        let first = tenant
-            .submit(NativeParcel::new(move |_| {
-                while !g.load(Ordering::Acquire) {
-                    std::thread::yield_now();
-                }
-            }))
-            .unwrap();
-        while server.in_flight() == 0 {
-            assert!(Instant::now() < deadline, "first request never dispatched");
-            std::thread::yield_now();
-        }
+        let (gate, first) = gated_blocker(&tenant);
         let second = tenant.submit(NativeParcel::new(|_| {})).unwrap();
         gate.store(true, Ordering::Release);
         let left = || deadline.saturating_duration_since(Instant::now());
@@ -1918,14 +1842,8 @@ mod tests {
     /// Wait, within `deadline`, until the dispatcher has restarted at
     /// least `n` times.
     fn await_restarts(server: &Server, n: u64, deadline: Instant) {
-        while server.dispatcher_restarts() < n {
-            assert!(
-                Instant::now() < deadline,
-                "restarts: {}",
-                server.dispatcher_restarts()
-            );
-            std::thread::yield_now();
-        }
+        let what = format!("dispatcher restarted fewer than {n} times");
+        poll_until(deadline, &what, || server.dispatcher_restarts() >= n);
     }
 
     #[test]

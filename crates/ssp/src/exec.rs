@@ -2,38 +2,40 @@
 //! §3.3's "partition the software pipelined code into threads".
 //!
 //! [`run_partitioned`] takes a rectangular loop nest (trip counts), a
-//! pipelined level `ℓ`, a [`PartitionPlan`], and a *point body* (a closure
-//! executing one iteration point given its full index vector), and runs it
-//! on the native [`Pool`]:
+//! pipelined level `ℓ`, a [`PartitionPlan`], a **tile body**
+//! ([`TileBody`]) and a [`Placement`], and runs the nest on the native
+//! [`Pool`]:
 //!
 //! * levels outer to `ℓ` execute sequentially — each outer index tuple is
 //!   one **wave**, joined before the next starts (outer-carried
 //!   dependences are satisfied by construction);
 //! * the `N_ℓ` iterations of level `ℓ` split into the plan's contiguous
-//!   **groups**; each group runs its `ℓ`-range with all inner levels
-//!   sequential inside it;
-//! * each wave has a [`Placement`]. A **spread** wave runs each group as
-//!   one SGT-grain pool job, placed round-robin across the pool's
-//!   locality domains; if the plan has a **wavefront** (a dependence
-//!   carried at `ℓ`), its groups are chained through [`SyncSlot`]s: group
-//!   `t+1` is enabled by the signal group `t` delivers on completion — the
-//!   conservative reading of the paper's "group t+1 may only start its
-//!   first d iterations after group t finishes its last". An **inline**
-//!   wave runs its groups in index order on the calling thread, which
-//!   satisfies a wavefront by itself, and spawns nothing.
+//!   **groups**; the body is called once per group with the group's whole
+//!   `ℓ`-range and walks the inner levels itself, so per-call setup is
+//!   paid once per group rather than once per point (a compiled LITL-X
+//!   kernel asserts its box and borrows its scratch once per tile);
+//! * an **inline** wave runs its groups in index order on the calling
+//!   thread and spawns nothing. A **spread** wave spawns one SGT-grain
+//!   pool job per group in one batch, placed round-robin across the
+//!   pool's locality domains; every group is ready at once, so the jobs
+//!   and the calling thread claim groups from one atomic cursor.
 //!
-//! [`run_partitioned_body`] also takes a **tile body** ([`TileBody`]): it
-//! is called once per group with the group's whole `ℓ`-range and walks
-//! the inner levels itself, so per-call setup is paid once per group
-//! rather than once per point (a compiled LITL-X kernel asserts its box
-//! and borrows its scratch once per tile). A point body goes through the
-//! same group machinery, with the executor walking the inner levels.
+//! In a spread wave the caller **helps**: it claims groups until the
+//! cursor passes the last one, then waits for the groups the pool jobs
+//! claimed, so execution completes even on a single-worker pool (the
+//! spawned pool jobs then drain as no-ops). This is the same help-first
+//! discipline the LITL-X naive `forall` uses.
 //!
-//! In a spread wave the caller **helps**: while the wave is in flight it
-//! keeps claiming enabled groups from the ready queue, so execution
-//! completes even on a single-worker pool (the spawned pool jobs then
-//! drain as no-ops). This is the same help-first discipline the LITL-X
-//! naive `forall` uses.
+//! # Wavefronts run inline
+//!
+//! If the plan has a **wavefront** (a dependence carried at `ℓ`), group
+//! `t+1` may start only after group `t` has finished — the conservative
+//! reading of the paper's "group t+1 may only start its first d
+//! iterations after group t finishes its last". Such a wave is serial
+//! whichever threads run it: spread, it would pay a spawn and a hand-off
+//! per group and overlap nothing. So a wavefront wave always runs inline,
+//! whatever placement the caller passes, and index order satisfies the
+//! chain by itself.
 //!
 //! # Placement
 //!
@@ -59,53 +61,36 @@
 //! per-group order, and a failing wave ends with the error of its
 //! lowest-indexed failing group (`group g panicked: …` for a panic).
 
-use std::borrow::Cow;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use htvm_core::{DomainId, Pool, SyncSlot};
+use htvm_core::{DomainId, Pool, WorkerCtx};
 use parking_lot::Mutex;
 
 use crate::partition::PartitionPlan;
 use crate::ssp::{schedule_all_levels, LevelPlan, SspConfig};
 
-/// One iteration point of the nest: receives the full index vector
-/// (outermost level first; absolute at the partitioned level if a nonzero
-/// `level_lo` was given, 0-based elsewhere). Errors abort the run after
-/// the wave in flight; a **panic** is caught and surfaces the same way
-/// (as the wave's `Err`), never as a hang or an unwinding caller.
-pub type PointBody = dyn Fn(&[i64]) -> Result<(), String> + Send + Sync;
-
 /// One group's **tile** of the nest: receives the wave's outer index
 /// tuple (`outer`, one entry per level outside the partitioned level,
 /// 0-based) plus the group's half-open range `lo..hi` at the partitioned
-/// level (absolute, like [`PointBody`]'s entry there), and executes every
+/// level (absolute: offset by the run's `level_lo`), and executes every
 /// point of the tile — each `ℓ`-iteration with all inner levels full and
-/// sequential, in lexicographic order. Errors and panics surface exactly
-/// as for [`PointBody`].
+/// sequential, in lexicographic order. An error aborts the run after the
+/// wave in flight; a **panic** is caught and surfaces the same way (as
+/// the wave's `Err`), never as a hang or an unwinding caller.
 pub type TileBody = dyn Fn(&[i64], i64, i64) -> Result<(), String> + Send + Sync;
-
-/// The two granularities a partitioned nest can execute at.
-#[derive(Clone)]
-pub enum NestBody {
-    /// Call the body once per iteration point.
-    Point(Arc<PointBody>),
-    /// Call the body once per group (see [`TileBody`]).
-    Tile(Arc<TileBody>),
-}
 
 /// Where a wave's groups run (module docs, "Placement").
 #[derive(Debug, Clone)]
 pub enum Placement {
-    /// Every group in index order on the calling thread: no pool job, no
-    /// ready queue, no chain slots.
+    /// Every group in index order on the calling thread: no pool job.
     Inline,
     /// One pool job per group, placed round-robin over the pool's
-    /// domains and chained under a wavefront; the caller helps. Each
-    /// wave's first job records its wake into the meter.
+    /// domains; the caller helps. Each wave's first job records its wake
+    /// into the meter. A wavefront wave runs inline instead (module
+    /// docs).
     Spread(Arc<WakeMeter>),
 }
 
@@ -155,9 +140,11 @@ pub struct ExecReport {
     pub groups: u64,
     /// Waves executed (product of the outer trip counts).
     pub waves: u64,
-    /// Waves that ran [`Placement::Inline`]; the others were spread.
+    /// Waves that ran inline: every wave of a [`Placement::Inline`] or
+    /// wavefront run; the others were spread.
     pub inline_waves: u64,
-    /// Whether groups were chained through a signal wavefront.
+    /// Whether the plan has a signal wavefront (its waves then ran
+    /// inline).
     pub wavefront: bool,
     /// Iteration points executed.
     pub points: u64,
@@ -165,7 +152,9 @@ pub struct ExecReport {
     /// the partitioned level is the innermost, else one per index tuple
     /// of the non-innermost levels. Derived from the geometry.
     pub runs: u64,
-    /// Pool jobs spawned (one per group per spread wave).
+    /// Pool jobs spawned (one per group per spread wave), placed
+    /// round-robin over the pool's domains
+    /// ([`htvm_core::PoolStats::domain_spawns`] records where).
     pub spawned: u64,
     /// Groups executed by the calling thread rather than a pool worker
     /// (every group of an inline wave).
@@ -175,10 +164,6 @@ pub struct ExecReport {
     pub caller_ns: u64,
     /// Iteration points in those groups.
     pub caller_points: u64,
-    /// Intended locality-domain placement, one entry per group (round-robin
-    /// over the pool's domains; a spread wave's spawns are also recorded
-    /// in [`htvm_core::PoolStats::domain_spawns`]).
-    pub group_domains: Vec<u64>,
 }
 
 /// A level choice plus its thread partition, ready to execute.
@@ -225,96 +210,57 @@ pub fn plan_native_nest(
     plan_native(&nest.trip_counts, &plans, allowed_levels, threads)
 }
 
-/// A run's nest geometry and body, the same for all of its waves:
-/// borrowed by inline waves, owned behind an `Arc` by spread ones (their
-/// pool jobs may outlive the run).
-struct Geometry<'t> {
-    trips: Cow<'t, [u64]>,
-    level: usize,
-    /// Iterations per group at the partitioned level (the last group may
-    /// be short).
+/// A run's groups at the partitioned level and the body that runs them,
+/// the same for all of its waves (a spread wave's pool jobs hold a
+/// clone, since they may outlive the run).
+#[derive(Clone)]
+struct Geometry {
+    /// Iterations at the partitioned level.
+    n: u64,
+    /// Iterations per group (the last group may be short).
     group: u64,
+    /// Groups per wave.
+    groups: u64,
+    /// Points per iteration at the partitioned level (the product of the
+    /// inner trip counts).
+    inner: u64,
     /// Absolute index of the partitioned level's first iteration.
     lo: i64,
-    body: NestBody,
+    body: Arc<TileBody>,
 }
 
-impl Geometry<'_> {
+impl Geometry {
     /// Group `g`'s absolute range at the partitioned level.
     fn range(&self, g: u64) -> (i64, i64) {
         let start = g * self.group;
-        let end = (start + self.group).min(self.trips[self.level]);
+        let end = (start + self.group).min(self.n);
         (self.lo + start as i64, self.lo + end as i64)
     }
 
-    /// Iteration points in group `g`.
-    fn points(&self, g: u64) -> u64 {
-        let (lo, hi) = self.range(g);
-        (hi - lo) as u64 * self.trips[self.level + 1..].iter().product::<u64>()
-    }
-
-    /// Run every iteration point of group `g` of the wave at `outer`: its
-    /// `ℓ`-range, all inner levels sequential (lexicographic) inside each
-    /// `ℓ`-iteration. A [`NestBody::Tile`] body receives the whole range
-    /// as one call. A panic comes back as the group's error.
+    /// Run group `g` of the wave at `outer` as one tile. A panic comes
+    /// back as the group's error.
     fn run_group(&self, outer: &[i64], g: u64) -> Result<(), String> {
         let (lo, hi) = self.range(g);
-        catch_unwind(AssertUnwindSafe(|| match &self.body {
-            NestBody::Point(b) => self.walk_points(outer, lo, hi, &**b),
-            NestBody::Tile(t) => t(outer, lo, hi),
-        }))
-        .unwrap_or_else(|p| Err(format!("group {g} panicked: {}", panic_message(p.as_ref()))))
-    }
-
-    /// The point-body adapter: walk the tile `lo..hi` (absolute at the
-    /// partitioned level) point by point, inner levels as an odometer.
-    fn walk_points(&self, outer: &[i64], lo: i64, hi: i64, body: &PointBody) -> Result<(), String> {
-        let inner = &self.trips[self.level + 1..];
-        let mut idx = vec![0i64; self.trips.len()];
-        idx[..self.level].copy_from_slice(outer);
-        let inner_total: u64 = inner.iter().product();
-        for l in lo..hi {
-            idx[self.level] = l;
-            for t in 0..inner_total {
-                let mut rem = t;
-                for (k, &n) in inner.iter().enumerate().rev() {
-                    idx[self.level + 1 + k] = (rem % n) as i64;
-                    rem /= n;
-                }
-                body(&idx)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn to_owned(&self) -> Geometry<'static> {
-        Geometry {
-            trips: Cow::Owned(self.trips.to_vec()),
-            level: self.level,
-            group: self.group,
-            lo: self.lo,
-            body: self.body.clone(),
-        }
+        catch_unwind(AssertUnwindSafe(|| (self.body)(outer, lo, hi)))
+            .unwrap_or_else(|p| Err(format!("group {g} panicked: {}", panic_message(p.as_ref()))))
     }
 }
 
 /// One spread wave's state, shared by the helping caller and the spawned
 /// pool jobs.
 struct Wave {
-    geom: Arc<Geometry<'static>>,
+    geom: Geometry,
     outer: Vec<i64>,
-    ready: Mutex<VecDeque<u64>>,
-    /// Chain slots (`slots[g]` enables group `g`); filled before the wave
-    /// is released. The slot actions hold the `Wave` in an `Arc` cycle
-    /// that resolves once every slot has fired (every group is always
-    /// enabled, even on error, so no wave leaks).
-    slots: Mutex<Vec<Arc<SyncSlot>>>,
+    /// The next unclaimed group. Every group of a spread wave is ready at
+    /// once, so a claim is one `fetch_add`; a claim at or past
+    /// `geom.groups` finds the wave fully claimed.
+    next: AtomicU64,
     finished: AtomicU64,
     /// The error of the lowest-indexed failing group so far, with that
     /// index. Keeping the minimum (not the first to arrive) makes a
     /// failing wave's error a function of the nest, not of the schedule.
     error: Mutex<Option<(u64, String)>>,
-    /// When the wave was built, just before its first spawn.
+    /// When the wave was built, just before its spawn.
     built: Instant,
     /// Where the first pool job records how long after `built` it started.
     wake: Arc<WakeMeter>,
@@ -322,28 +268,16 @@ struct Wave {
     woken: AtomicBool,
 }
 
-/// Completion bookkeeping for one claimed group, run from `Drop` so it
-/// happens **even when the group's run unwinds**: the successor slot is
-/// signalled and `finished` is incremented no matter how the group ends.
-/// Without this, a group dying on a pool worker would be contained by the
-/// pool's `catch_unwind` while the wave never learns the group died —
-/// the caller's help loop then livelocks forever on `finished <
-/// num_groups`.
-struct GroupDone<'a> {
-    wave: &'a Wave,
-    group: u64,
-}
+/// Counts a claimed group finished from `Drop`, so it happens **even when
+/// the group's run unwinds**. Without this, a group dying on a pool
+/// worker would be contained by the pool's `catch_unwind` while the wave
+/// never learns the group died — the caller's wait then spins forever on
+/// `finished < groups`.
+struct GroupDone<'a>(&'a AtomicU64);
 
 impl Drop for GroupDone<'_> {
     fn drop(&mut self) {
-        // Enable the successor (wavefront chains only; parallel waves have
-        // every slot released up front). A dead group must still signal,
-        // or the rest of the chain starves behind it.
-        let next = self.wave.slots.lock().get(self.group as usize + 1).cloned();
-        if let Some(s) = next {
-            s.signal();
-        }
-        self.wave.finished.fetch_add(1, Ordering::Release);
+        self.0.fetch_add(1, Ordering::Release);
     }
 }
 
@@ -365,15 +299,16 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 impl Wave {
-    /// Claim one enabled group, if any is ready.
+    /// Claim the next group, if any is left.
     fn claim(&self) -> Option<u64> {
-        self.ready.lock().pop_front()
+        let g = self.next.fetch_add(1, Ordering::Relaxed);
+        (g < self.geom.groups).then_some(g)
     }
 
     /// A pool job: the wave's first one records its wake, then each runs
-    /// one group if any is left. The helping caller may have claimed them all already; the
-    /// queue pop decides, so nothing runs twice and late pickups are
-    /// no-ops.
+    /// one group if any is left. The helping caller may have claimed them
+    /// all already; the cursor decides, so nothing runs twice and late
+    /// pickups are no-ops.
     fn job(&self) {
         if !self.woken.load(Ordering::Relaxed) && !self.woken.swap(true, Ordering::Relaxed) {
             self.wake.record(self.built.elapsed().as_nanos() as u64);
@@ -387,23 +322,20 @@ impl Wave {
     ///
     /// Panic-safe: the group's panic comes back from
     /// [`Geometry::run_group`] as its error, and the [`GroupDone`] drop
-    /// guard performs the completion bookkeeping on every exit path — so
-    /// neither a panicking body nor an unwinding caller can wedge the
-    /// wave. A group is skipped only when a lower-indexed group has
-    /// already failed: every group below the current error still runs, so
-    /// the wave ends holding the error of its lowest-indexed failing group
-    /// (each group runs its points in order, so that is the first failing
-    /// point of the lowest failing group) whatever order the groups ran
-    /// in. Because the panic is caught *here*, it never reaches the pool's
-    /// own containment: `PoolStats::panics` deliberately stays at zero for
-    /// SSP body panics — the wave's `Err("group N panicked: …")` is their
-    /// reporting channel, and the pool counter keeps meaning "panics that
-    /// escaped a job unhandled".
+    /// guard counts the group finished on every exit path — so neither a
+    /// panicking body nor an unwinding caller can wedge the wave. A group
+    /// is skipped only when a lower-indexed group has already failed:
+    /// every group below the current error still runs, so the wave ends
+    /// holding the error of its lowest-indexed failing group (each group
+    /// runs its points in order, so that is the first failing point of
+    /// the lowest failing group) whatever order the groups ran in.
+    /// Because the panic is caught *here*, it never reaches the pool's
+    /// own containment: `PoolStats::panics` deliberately stays at zero
+    /// for SSP body panics — the wave's `Err("group N panicked: …")` is
+    /// their reporting channel, and the pool counter keeps meaning
+    /// "panics that escaped a job unhandled".
     fn run(&self, g: u64) {
-        let _done = GroupDone {
-            wave: self,
-            group: g,
-        };
+        let _done = GroupDone(&self.finished);
         if precedes(&self.error.lock(), g) {
             if let Err(e) = self.geom.run_group(&self.outer, g) {
                 let mut slot = self.error.lock();
@@ -415,50 +347,27 @@ impl Wave {
     }
 }
 
-/// Execute a partitioned nest on the native pool, every wave spread.
-/// `trip_counts` describe the rectangular nest (outermost first);
-/// `level_lo` is the absolute value of the partitioned level's first
-/// iteration (the body sees absolute indices at `level` — callers whose
-/// loops start at 0 pass 0).
+/// Execute a partitioned nest on the native pool. `trip_counts` describe
+/// the rectangular nest (outermost first); `level_lo` is the absolute
+/// value of the partitioned level's first iteration (the body sees
+/// absolute indices at `level` — callers whose loops start at 0 pass 0).
+/// Every wave of one call has the same shape, so `placement` applies to
+/// all of them; a wavefront plan runs inline whatever it says (module
+/// docs).
 ///
 /// Returns the error of the first failing wave's lowest-indexed failing
 /// group — the same error whatever order the groups ran in — after
 /// finishing the wave in flight. A body that panics (instead of returning
-/// `Err`) is caught wherever it ran — helping caller or pool worker —
-/// recorded as its group's error, and still signals its successor group,
-/// so the run ends in `Err` rather than livelocking on a group that will
-/// never finish.
+/// `Err`) is caught wherever it ran — calling thread or pool worker — and
+/// recorded as its group's error, so the run ends in `Err` rather than
+/// waiting on a group that will never finish.
 pub fn run_partitioned(
     pool: &Arc<Pool>,
     trip_counts: &[u64],
     level: usize,
     level_lo: i64,
     part: &PartitionPlan,
-    body: Arc<PointBody>,
-) -> Result<ExecReport, String> {
-    run_partitioned_body(
-        pool,
-        trip_counts,
-        level,
-        level_lo,
-        part,
-        NestBody::Point(body),
-        Placement::Spread(Arc::default()),
-    )
-}
-
-/// [`run_partitioned`] at either granularity and either placement: a
-/// [`NestBody::Tile`] body receives each group as one `(outer, lo..hi)`
-/// call instead of single points, with identical traversal order,
-/// wavefront chaining and error/panic semantics. Every wave of one call
-/// has the same shape, so `placement` applies to all of them.
-pub fn run_partitioned_body(
-    pool: &Arc<Pool>,
-    trip_counts: &[u64],
-    level: usize,
-    level_lo: i64,
-    part: &PartitionPlan,
-    body: NestBody,
+    body: Arc<TileBody>,
     placement: Placement,
 ) -> Result<ExecReport, String> {
     if level >= trip_counts.len() {
@@ -476,26 +385,24 @@ pub fn run_partitioned_body(
         return Ok(report); // nothing to run
     }
     let geom = Geometry {
-        trips: Cow::Borrowed(trip_counts),
-        level,
+        n: trip_counts[level],
         group: part.group.max(1),
+        groups: part.groups(trip_counts[level]),
+        inner: trip_counts[level + 1..].iter().product(),
         lo: level_lo,
         body,
     };
-    let num_groups = part.groups(trip_counts[level]);
-    let nd = pool.num_domains() as u64;
-    report.groups = num_groups;
-    report.group_domains = (0..num_groups).map(|g| g % nd).collect();
+    report.groups = geom.groups;
     let waves: u64 = trip_counts[..level].iter().product();
-    let wave_points: u64 = trip_counts[level..].iter().product();
+    let wave_points = geom.n * geom.inner;
     let wave_runs = if level + 1 == trip_counts.len() {
-        num_groups
+        geom.groups
     } else {
         trip_counts[level..trip_counts.len() - 1].iter().product()
     };
-    let spread = match placement {
-        Placement::Inline => None,
-        Placement::Spread(wake) => Some((Arc::new(geom.to_owned()), wake)),
+    let wake = match placement {
+        Placement::Spread(wake) if !part.wavefront => Some(wake),
+        _ => None,
     };
     let mut outer = vec![0i64; level];
     for w in 0..waves {
@@ -505,11 +412,9 @@ pub fn run_partitioned_body(
             outer[k] = (rem % n) as i64;
             rem /= n;
         }
-        match &spread {
-            None => run_inline(&geom, &outer, num_groups, wave_points, &mut report)?,
-            Some((geom, wake)) => {
-                run_spread(pool, geom, wake, &outer, part.wavefront, &mut report)?
-            }
+        match &wake {
+            None => run_inline(&geom, &outer, &mut report)?,
+            Some(wake) => run_spread(pool, &geom, wake, &outer, &mut report)?,
         }
         report.waves += 1;
         report.points += wave_points;
@@ -520,97 +425,60 @@ pub fn run_partitioned_body(
 
 /// One inline wave: its groups in index order on the calling thread,
 /// stopping at the first failure — the lowest failing group.
-fn run_inline(
-    geom: &Geometry<'_>,
-    outer: &[i64],
-    num_groups: u64,
-    wave_points: u64,
-    report: &mut ExecReport,
-) -> Result<(), String> {
+fn run_inline(geom: &Geometry, outer: &[i64], report: &mut ExecReport) -> Result<(), String> {
     let start = Instant::now();
-    for g in 0..num_groups {
+    for g in 0..geom.groups {
         geom.run_group(outer, g)?;
     }
     report.caller_ns += start.elapsed().as_nanos() as u64;
-    report.caller_points += wave_points;
-    report.caller_ran += num_groups;
+    report.caller_points += geom.n * geom.inner;
+    report.caller_ran += geom.groups;
     report.inline_waves += 1;
     Ok(())
 }
 
-/// One spread wave: a pool job per group, the caller helping until the
-/// wave drains.
+/// One spread wave: a batch of pool jobs, one per group, the caller
+/// helping until the wave drains.
 fn run_spread(
     pool: &Arc<Pool>,
-    geom: &Arc<Geometry<'static>>,
+    geom: &Geometry,
     wake: &Arc<WakeMeter>,
     outer: &[i64],
-    wavefront: bool,
     report: &mut ExecReport,
 ) -> Result<(), String> {
-    let num_groups = report.groups;
+    let groups = geom.groups;
     let nd = pool.num_domains() as u64;
     let wave = Arc::new(Wave {
         geom: geom.clone(),
         outer: outer.to_vec(),
-        ready: Mutex::new(VecDeque::with_capacity(num_groups as usize)),
-        slots: Mutex::new(Vec::new()),
+        next: AtomicU64::new(0),
         finished: AtomicU64::new(0),
         error: Mutex::new(None),
         built: Instant::now(),
         wake: wake.clone(),
         woken: AtomicBool::new(false),
     });
-    if wavefront {
-        // Build the enable slots with one guard signal each, so no group
-        // can fire before the whole chain (and its successor slots) is in
-        // place. Slot g's action enqueues group g and spawns a pickup job
-        // into the group's home domain.
-        let slots: Vec<Arc<SyncSlot>> = (0..num_groups)
-            .map(|g| {
-                let chain = if g > 0 { 1 } else { 0 };
-                let wv = wave.clone();
-                let pl = pool.clone();
-                SyncSlot::with_action(1 + chain, move || {
-                    wv.ready.lock().push_back(g);
-                    let wv2 = wv.clone();
-                    pl.spawn_in(DomainId(g % nd), move |_| wv2.job());
-                })
-            })
-            .collect();
-        *wave.slots.lock() = slots.clone();
-        // Release the guard signals: group 0 becomes ready; the rest of
-        // the chain fires as predecessors finish.
-        for s in &slots {
-            s.signal();
-        }
-    } else {
-        // No wavefront: every group is ready at once — enqueue them all
-        // and batch-spawn the pickup jobs (the batch delivers at most one
-        // targeted wake per job, grouped by home domain).
-        wave.ready.lock().extend(0..num_groups);
-        pool.spawn_batch_in((0..num_groups).map(|g| {
-            let wv = wave.clone();
-            (DomainId(g % nd), move |_: &htvm_core::WorkerCtx<'_>| {
-                wv.job()
-            })
-        }));
+    // The batch delivers at most one targeted wake per job, grouped by
+    // home domain.
+    pool.spawn_batch_in((0..groups).map(|g| {
+        let wv = wave.clone();
+        (DomainId(g % nd), move |_: &WorkerCtx<'_>| wv.job())
+    }));
+    report.spawned += groups;
+    // Help until every group is claimed, then wait for the ones the pool
+    // jobs claimed — never block: the caller may *be* a pool worker (a
+    // pool job or a served request running a LITL-X program), and parking
+    // it on a single-worker pool would deadlock the wave.
+    while let Some(g) = wave.claim() {
+        let start = Instant::now();
+        wave.run(g);
+        report.caller_ns += start.elapsed().as_nanos() as u64;
+        let (lo, hi) = geom.range(g);
+        report.caller_points += (hi - lo) as u64 * geom.inner;
+        report.caller_ran += 1;
     }
-    report.spawned += num_groups;
-    // Help until the wave drains — never block: the caller may *be* a pool
-    // worker (a pool job or a served request running a LITL-X program),
-    // and parking it on a single-worker pool would deadlock the wave.
-    while wave.finished.load(Ordering::Acquire) < num_groups {
-        match wave.claim() {
-            Some(g) => {
-                let start = Instant::now();
-                wave.run(g);
-                report.caller_ns += start.elapsed().as_nanos() as u64;
-                report.caller_points += geom.points(g);
-                report.caller_ran += 1;
-            }
-            None => std::thread::yield_now(),
-        }
+    while wave.finished.load(Ordering::Acquire) < groups {
+        std::thread::yield_now();
     }
     let err = wave.error.lock().take();
     match err {
@@ -635,30 +503,57 @@ mod tests {
         Arc::new(Pool::with_topology(topo))
     }
 
-    /// [`run_partitioned_body`] at `placement`, checking the counters that
-    /// differ between placements: an inline run spawns nothing and its
-    /// caller runs (and times) every group; a spread run spawns one job
-    /// per group per wave, and its caller runs at most all of them.
+    /// A tile body that calls `point` at every point of its tile in
+    /// lexicographic order, walking the inner levels of `trips`: the
+    /// scenarios below state their bodies per point.
+    fn pointwise(
+        trips: &[u64],
+        point: impl Fn(&[i64]) -> Result<(), String> + Send + Sync + 'static,
+    ) -> Arc<TileBody> {
+        fn walk(
+            trips: &[u64],
+            idx: &mut Vec<i64>,
+            point: &dyn Fn(&[i64]) -> Result<(), String>,
+        ) -> Result<(), String> {
+            let Some(&n) = trips.get(idx.len()) else {
+                return point(idx);
+            };
+            for i in 0..n as i64 {
+                idx.push(i);
+                walk(trips, idx, point)?;
+                idx.pop();
+            }
+            Ok(())
+        }
+        let trips = trips.to_vec();
+        Arc::new(move |outer, lo, hi| {
+            (lo..hi).try_for_each(|l| {
+                let mut idx = outer.to_vec();
+                idx.push(l);
+                walk(&trips, &mut idx, &point)
+            })
+        })
+    }
+
+    /// [`run_partitioned`] at `placement`, checking the counters that
+    /// differ between placements: an inline run — and a wavefront run,
+    /// whatever its placement — spawns nothing and its caller runs (and
+    /// times) every group; a spread run spawns one job per group per
+    /// wave, and its caller runs at most all of them.
     fn run_at(
         p: &Arc<Pool>,
         trips: &[u64],
         level: usize,
         lo: i64,
         part: &PartitionPlan,
-        body: NestBody,
+        body: Arc<TileBody>,
         placement: &Placement,
     ) -> Result<ExecReport, String> {
-        let out = run_partitioned_body(p, trips, level, lo, part, body, placement.clone());
+        let out = run_partitioned(p, trips, level, lo, part, body, placement.clone());
         if let Ok(rep) = &out {
             let all = rep.waves * rep.groups;
             match placement {
-                Placement::Inline => {
-                    assert_eq!(rep.inline_waves, rep.waves);
-                    assert_eq!(rep.spawned, 0);
-                    assert_eq!(rep.caller_ran, all);
-                    assert_eq!(rep.caller_points, rep.points);
-                }
-                Placement::Spread(wake) => {
+                Placement::Spread(wake) if !rep.wavefront => {
                     assert_eq!(rep.inline_waves, 0);
                     assert_eq!(rep.spawned, all);
                     assert!(rep.caller_ran <= all);
@@ -668,6 +563,12 @@ mod tests {
                     p.wait_quiescent();
                     assert_eq!(wake.samples.load(Ordering::Acquire), rep.waves);
                 }
+                _ => {
+                    assert_eq!(rep.inline_waves, rep.waves);
+                    assert_eq!(rep.spawned, 0);
+                    assert_eq!(rep.caller_ran, all);
+                    assert_eq!(rep.caller_points, rep.points);
+                }
             }
         }
         out
@@ -675,14 +576,11 @@ mod tests {
 
     /// The placement-independent outcome of a run: its `Result`, with
     /// the report cut down to what both placements must agree on.
-    type Outcome = Result<(u64, u64, u64, u64, bool, Vec<u64>), String>;
+    type Outcome = Result<(u64, u64, u64, u64, bool), String>;
 
     fn outcome(out: &Result<ExecReport, String>) -> Outcome {
         out.as_ref()
-            .map(|r| {
-                let domains = r.group_domains.clone();
-                (r.points, r.runs, r.waves, r.groups, r.wavefront, domains)
-            })
+            .map(|r| (r.points, r.runs, r.waves, r.groups, r.wavefront))
             .map_err(Clone::clone)
     }
 
@@ -703,7 +601,7 @@ mod tests {
         for placement in placements() {
             let seen: Arc<Vec<AtomicU64>> = Arc::new((0..48).map(|_| AtomicU64::new(0)).collect());
             let s2 = seen.clone();
-            let body: Arc<PointBody> = Arc::new(move |idx| {
+            let body = pointwise(&nest.trip_counts, move |idx| {
                 s2[(idx[0] * 6 + idx[1]) as usize].fetch_add(1, Ordering::SeqCst);
                 Ok(())
             });
@@ -714,7 +612,7 @@ mod tests {
                 level,
                 0,
                 &plan.partition,
-                NestBody::Point(body),
+                body,
                 &placement,
             );
             p.wait_quiescent();
@@ -728,10 +626,17 @@ mod tests {
                     "point {i} ran a wrong number of times ({placement:?})"
                 );
             }
-            // Placement is round-robin over the 2 domains.
-            assert!(rep.group_domains.contains(&0));
-            assert!(rep.group_domains.contains(&1));
-            assert_eq!(p.stats().total_domain_spawns(), rep.spawned);
+            let stats = p.stats();
+            assert_eq!(stats.total_domain_spawns(), rep.spawned);
+            if let Placement::Spread(_) = placement {
+                // Placement is round-robin over the 2 domains.
+                assert_eq!(stats.domain_spawns.len(), 2);
+                assert!(
+                    stats.domain_spawns.iter().all(|&d| d > 0),
+                    "{:?}",
+                    stats.domain_spawns
+                );
+            }
             outcomes.push(outcome(&out));
         }
         assert_same(&outcomes);
@@ -752,7 +657,7 @@ mod tests {
             let flags: Arc<Vec<AtomicBool>> =
                 Arc::new((0..16).map(|_| AtomicBool::new(false)).collect());
             let f2 = flags.clone();
-            let body: Arc<PointBody> = Arc::new(move |idx| {
+            let body = pointwise(&nest.trip_counts, move |idx| {
                 let t = idx[0] as usize;
                 if t > 0 && !f2[t - 1].load(Ordering::SeqCst) {
                     return Err(format!("iteration {t} ran before {}", t - 1));
@@ -763,15 +668,7 @@ mod tests {
                 Ok(())
             });
             let p = pool(Topology::domains(2, 2));
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                0,
-                0,
-                &part,
-                NestBody::Point(body),
-                &placement,
-            );
+            let out = run_at(&p, &nest.trip_counts, 0, 0, &part, body, &placement);
             p.wait_quiescent();
             let rep = out.clone().unwrap();
             assert!(rep.wavefront);
@@ -780,6 +677,31 @@ mod tests {
             outcomes.push(outcome(&out));
         }
         assert_same(&outcomes);
+    }
+
+    /// A wavefront wave is serial whoever runs it, so a wavefront plan
+    /// runs every wave inline even when asked to spread: no pool job, no
+    /// wake sample, every group run and timed by the calling thread.
+    #[test]
+    fn wavefront_plan_runs_inline_when_asked_to_spread() {
+        let nest = LoopNest::stencil_like(16, 4);
+        let plans = schedule_all_levels(&nest, &SspConfig::default());
+        let plan = plans.iter().find(|p| p.level == 0).unwrap();
+        let part = PartitionPlan::new(plan, 16, 4);
+        assert!(part.wavefront);
+        let wake = Arc::new(WakeMeter::default());
+        let p = pool(Topology::domains(2, 1));
+        let body = pointwise(&nest.trip_counts, |_| Ok(()));
+        let placement = Placement::Spread(wake.clone());
+        let rep = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body, placement).unwrap();
+        p.wait_quiescent();
+        assert_eq!((rep.waves, rep.groups, rep.points), (1, 4, 64));
+        assert_eq!(rep.spawned, 0);
+        assert_eq!(rep.inline_waves, rep.waves);
+        assert_eq!(rep.caller_ran, rep.waves * rep.groups);
+        assert_eq!(rep.caller_points, rep.points);
+        assert_eq!(p.stats().total_domain_spawns(), 0);
+        assert_eq!(wake.mean_ns(), None);
     }
 
     /// Outer levels run as sequentially joined waves.
@@ -794,7 +716,7 @@ mod tests {
         for placement in placements() {
             let max_seen_wave = Arc::new(AtomicU64::new(0));
             let m2 = max_seen_wave.clone();
-            let body: Arc<PointBody> = Arc::new(move |idx| {
+            let body = pointwise(&nest.trip_counts, move |idx| {
                 let w = idx[0] as u64;
                 let prev = m2.fetch_max(w, Ordering::SeqCst);
                 if prev > w {
@@ -803,15 +725,7 @@ mod tests {
                 Ok(())
             });
             let p = pool(Topology::flat(2));
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                1,
-                0,
-                &part,
-                NestBody::Point(body),
-                &placement,
-            );
+            let out = run_at(&p, &nest.trip_counts, 1, 0, &part, body, &placement);
             p.wait_quiescent();
             let rep = out.clone().unwrap();
             assert_eq!(rep.waves, 3);
@@ -831,31 +745,29 @@ mod tests {
     fn single_worker_pool_completes() {
         let nest = LoopNest::stencil_like(8, 8);
         let plans = schedule_all_levels(&nest, &SspConfig::default());
-        let plan = plans.iter().find(|p| p.level == 0).unwrap();
-        let part = PartitionPlan::new(plan, 8, 4);
         let mut outcomes = Vec::new();
-        for placement in placements() {
-            let count = Arc::new(AtomicU64::new(0));
-            let c2 = count.clone();
-            let body: Arc<PointBody> = Arc::new(move |_| {
-                c2.fetch_add(1, Ordering::SeqCst);
-                Ok(())
-            });
-            let p = pool(Topology::flat(1));
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                0,
-                0,
-                &part,
-                NestBody::Point(body),
-                &placement,
-            );
-            assert_eq!(count.load(Ordering::SeqCst), 64);
-            assert_eq!(out.as_ref().unwrap().points, 64);
-            outcomes.push(outcome(&out));
+        // The time level is a wavefront (inline whatever the placement);
+        // the space level spreads.
+        for level in [0, 1] {
+            let plan = plans.iter().find(|p| p.level == level).unwrap();
+            let part = PartitionPlan::new(plan, 8, 4);
+            assert_eq!(part.wavefront, level == 0);
+            for placement in placements() {
+                let count = Arc::new(AtomicU64::new(0));
+                let c2 = count.clone();
+                let body = pointwise(&nest.trip_counts, move |_| {
+                    c2.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                });
+                let p = pool(Topology::flat(1));
+                let out = run_at(&p, &nest.trip_counts, level, 0, &part, body, &placement);
+                assert_eq!(count.load(Ordering::SeqCst), 64);
+                assert_eq!(out.as_ref().unwrap().points, 64);
+                outcomes.push(outcome(&out));
+            }
+            assert_same(&outcomes);
+            outcomes.clear();
         }
-        assert_same(&outcomes);
     }
 
     /// Body errors surface and abort after the wave in flight.
@@ -863,7 +775,7 @@ mod tests {
     fn body_errors_propagate() {
         let nest = LoopNest::elementwise(4, 4);
         let plan = plan_native_nest(&nest, &SspConfig::default(), &[0], 2).unwrap();
-        let body: Arc<PointBody> = Arc::new(|idx| {
+        let body = pointwise(&nest.trip_counts, |idx| {
             if idx[0] == 2 && idx[1] == 1 {
                 Err("injected failure".to_string())
             } else {
@@ -879,7 +791,7 @@ mod tests {
                 0,
                 0,
                 &plan.partition,
-                NestBody::Point(body.clone()),
+                body.clone(),
                 &placement,
             );
             assert!(out.as_ref().unwrap_err().contains("injected failure"));
@@ -899,7 +811,7 @@ mod tests {
         let plan = plans.iter().find(|p| p.level == 0).unwrap();
         let part = PartitionPlan::new(plan, 8, 8);
         assert_eq!(part.group, 1, "one level-0 iteration per group");
-        let body: Arc<PointBody> = Arc::new(|idx| match idx[0] {
+        let body = pointwise(&nest.trip_counts, |idx| match idx[0] {
             2 => {
                 // The lowest failing group fails last.
                 std::thread::sleep(std::time::Duration::from_millis(5));
@@ -911,16 +823,8 @@ mod tests {
         let p = pool(Topology::domains(2, 1));
         for placement in placements() {
             for _ in 0..10 {
-                let err = run_at(
-                    &p,
-                    &nest.trip_counts,
-                    0,
-                    0,
-                    &part,
-                    NestBody::Point(body.clone()),
-                    &placement,
-                )
-                .unwrap_err();
+                let err = run_at(&p, &nest.trip_counts, 0, 0, &part, body.clone(), &placement)
+                    .unwrap_err();
                 assert_eq!(err, "group 2 failed", "{placement:?}");
             }
         }
@@ -938,7 +842,7 @@ mod tests {
         let plan = plans.iter().find(|p| p.level == 0).unwrap();
         let part = PartitionPlan::new(plan, 8, 4);
         assert!(part.wavefront, "time level carries the recurrence");
-        let body: Arc<PointBody> = Arc::new(|idx| {
+        let body = pointwise(&nest.trip_counts, |idx| {
             if idx[0] == 3 {
                 panic!("injected panic at t={}", idx[0]);
             }
@@ -947,15 +851,7 @@ mod tests {
         let p = pool(Topology::flat(1));
         let mut outcomes = Vec::new();
         for placement in placements() {
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                0,
-                0,
-                &part,
-                NestBody::Point(body.clone()),
-                &placement,
-            );
+            let out = run_at(&p, &nest.trip_counts, 0, 0, &part, body.clone(), &placement);
             let err = out.as_ref().unwrap_err();
             assert!(err.contains("panicked"), "err: {err}");
             assert!(err.contains("injected panic"), "err: {err}");
@@ -978,7 +874,7 @@ mod tests {
         let nest = LoopNest::elementwise(8, 6);
         let plan = plan_native_nest(&nest, &SspConfig::default(), &[0, 1], 4).unwrap();
         assert!(!plan.partition.wavefront);
-        let body: Arc<PointBody> = Arc::new(|idx| {
+        let body = pointwise(&nest.trip_counts, |idx| {
             if idx[0] == 5 {
                 panic!("boom");
             }
@@ -994,7 +890,7 @@ mod tests {
                 level,
                 0,
                 &plan.partition,
-                NestBody::Point(body.clone()),
+                body.clone(),
                 &placement,
             );
             let err = out.as_ref().unwrap_err();
@@ -1025,7 +921,7 @@ mod tests {
         for placement in placements() {
             let max_wave = Arc::new(AtomicU64::new(0));
             let m2 = max_wave.clone();
-            let body: Arc<PointBody> = Arc::new(move |idx| {
+            let body = pointwise(&nest.trip_counts, move |idx| {
                 m2.fetch_max(idx[0] as u64, Ordering::SeqCst);
                 if idx[0] == 0 {
                     panic!("first wave dies");
@@ -1033,15 +929,7 @@ mod tests {
                 Ok(())
             });
             let p = pool(Topology::flat(2));
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                1,
-                0,
-                &part,
-                NestBody::Point(body),
-                &placement,
-            );
+            let out = run_at(&p, &nest.trip_counts, 1, 0, &part, body, &placement);
             p.wait_quiescent();
             let err = out.as_ref().unwrap_err();
             assert!(err.contains("panicked"), "err: {err}");
@@ -1066,12 +954,12 @@ mod tests {
         for placement in placements() {
             let sum = Arc::new(AtomicU64::new(0));
             let s2 = sum.clone();
-            let body: Arc<PointBody> = Arc::new(move |idx| {
+            let body = pointwise(&trips, move |idx| {
                 s2.fetch_add(idx[0] as u64, Ordering::SeqCst);
                 Ok(())
             });
             let p = pool(Topology::flat(2));
-            let out = run_at(&p, &trips, 0, 10, &part, NestBody::Point(body), &placement);
+            let out = run_at(&p, &trips, 0, 10, &part, body, &placement);
             p.wait_quiescent();
             assert_eq!(sum.load(Ordering::SeqCst), 10 + 11 + 12 + 13);
             outcomes.push(outcome(&out));
@@ -1104,15 +992,7 @@ mod tests {
                 Ok(())
             });
             let p = pool(Topology::flat(2));
-            let out = run_at(
-                &p,
-                &nest.trip_counts,
-                1,
-                0,
-                &part,
-                NestBody::Tile(body),
-                &placement,
-            );
+            let out = run_at(&p, &nest.trip_counts, 1, 0, &part, body, &placement);
             p.wait_quiescent();
             let rep = out.clone().unwrap();
             assert_eq!(rep.points, 60);
@@ -1148,7 +1028,7 @@ mod tests {
                 Ok(())
             });
             let p = pool(Topology::flat(2));
-            let out = run_at(&p, &trips, 0, 100, &part, NestBody::Tile(body), &placement);
+            let out = run_at(&p, &trips, 0, 100, &part, body, &placement);
             p.wait_quiescent();
             let rep = out.clone().unwrap();
             assert_eq!(rep.points, 8);
@@ -1181,7 +1061,7 @@ mod tests {
                 0,
                 0,
                 &plan.partition,
-                NestBody::Tile(body.clone()),
+                body.clone(),
                 &placement,
             );
             assert_eq!(out.as_ref().unwrap_err(), "tile failed");

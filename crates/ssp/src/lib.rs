@@ -25,9 +25,11 @@
 //!   signal wavefront; runnable both as a cost model and on the `htvm-sim`
 //!   machine;
 //! * [`exec`] — the native back end: a [`partition::PartitionPlan`] runs on
-//!   the `htvm_core` work-stealing pool, iteration groups spawned as
-//!   SGT-grain jobs placed round-robin across locality domains, with
-//!   cross-group dependences enforced by a `SyncSlot` signal wavefront.
+//!   the `htvm_core` work-stealing pool, each iteration group one call of
+//!   a tile body, either inline on the calling thread or spread as
+//!   SGT-grain jobs placed round-robin across locality domains. A plan
+//!   with cross-group dependences (a signal wavefront) runs its groups
+//!   inline in index order, which satisfies the wavefront by itself.
 //!
 //! ```
 //! use htvm_ssp::ir::LoopNest;

@@ -484,19 +484,24 @@ fn e18_ssp_native_is_correct_and_places_groups() {
                 .unwrap()
                 >= 2
         );
-        // And every SSP row records domain placements.
-        for (workload, path) in [
-            ("litlx-matmul", "ssp-interp"),
-            ("litlx-matmul", "ssp-comp"),
-            ("litlx-scan", "ssp-interp"),
-            ("litlx-scan", "ssp-comp"),
-            ("md-force", "ssp"),
+        // And every spread SSP row records domain placements. The scan
+        // is a wavefront, whose one wave runs inline: it spawns nothing.
+        for (workload, path, spread) in [
+            ("litlx-matmul", "ssp-interp", true),
+            ("litlx-matmul", "ssp-comp", true),
+            ("litlx-scan", "ssp-interp", false),
+            ("litlx-scan", "ssp-comp", false),
+            ("md-force", "ssp", true),
         ] {
             let spawns = cell(workload, path, topo, "dom_spawns");
-            assert!(
+            assert_eq!(
                 spawns.split('/').any(|d| d.parse::<u64>().unwrap() > 0),
-                "{workload}/{path}/{topo}: no domain spawns recorded: {spawns}"
+                spread,
+                "{workload}/{path}/{topo}: domain spawns {spawns}"
             );
+            if !spread {
+                assert_eq!(cell(workload, path, topo, "spawned"), "0");
+            }
         }
     }
     // On a grouped topology the round-robin placement must hit both

@@ -129,9 +129,9 @@ proptest! {
 }
 
 /// The acceptance case spelled out: a `forall` nest with a carried
-/// dependence lowers through `LoopNest`, executes on the native pool as
-/// an SGT wavefront, and matches sequential output — on several
-/// topologies.
+/// dependence lowers through `LoopNest`, executes as a wavefront of
+/// thread groups — serial, so inline on the interpreter thread — and
+/// matches sequential output — on several topologies.
 #[test]
 fn carried_dependence_wavefront_on_grouped_topologies() {
     let src = "fn main() {
@@ -158,7 +158,8 @@ fn carried_dependence_wavefront_on_grouped_topologies() {
             out.ssp_wavefronts, 1,
             "distance-1 and -2 carried deps require the wavefront ({topo:?})"
         );
-        assert!(out.sgt_spawns > 0, "groups must spawn as SGT-grain jobs");
+        assert_eq!(out.ssp_inline_waves, out.ssp_waves, "({topo:?})");
+        assert_eq!(out.sgt_spawns, 0, "a wavefront wave runs inline ({topo:?})");
     }
 }
 
