@@ -183,16 +183,6 @@ fn compute_task(size: u64) -> impl FnMut(&mut htvm_sim::TaskCtx) -> htvm_sim::Ef
     }
 }
 
-/// All ablations, in order.
-pub fn run_all_ablations(scale: Scale) -> Vec<Table> {
-    vec![
-        a1_switch_cost(scale),
-        a2_chunk_size(scale),
-        a3_percolation_grid(scale),
-        a4_grain_crossover(scale),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

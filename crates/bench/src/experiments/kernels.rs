@@ -1,11 +1,12 @@
-//! Criterion bench for LITL-X kernel dispatch: the same lowered nest
-//! executed point-at-a-time on the register tape (`Kernel::execute`),
+//! Kernel-dispatch microbenchmark: ns per point of each LITL-X dispatch
+//! tier on the same lowered nest.
+//!
+//! The tiers are point-at-a-time on the register tape (`Kernel::execute`),
 //! run-at-a-time on the strip-mined tape (`CompiledKernel` with the
 //! `tape` plan), run-at-a-time through a monomorphized loop (`dot-accum`
-//! / `fma-map`), and as one tile (`CompiledKernel::execute_tile`, what
-//! one SSP group calls). Divide the per-iteration time by the point
-//! count in the benchmark name to get per-point ns — the quantity the
-//! `e18` report rows track at full scale.
+//! / `fma-map`), and one tile over the whole nest
+//! (`CompiledKernel::execute_tile`, what one SSP group calls). Row names
+//! carry the point count of one call.
 //!
 //! The matmul reduction also runs at n = 48 (`matmul_110592pts`), the
 //! served large geometry: its `compiled` row drives one innermost run
@@ -19,10 +20,15 @@
 //! only access to `c`, so its tape runs 64-point strips, as do the `init`
 //! rows (`a[i] = i % 7 + 1`, the served matmul's init loops).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use std::time::Instant;
+
 use htvm_core::SharedRegion;
 use litlx::lang::{compile, lower_forall, parse, CompiledKernel, Expr, LoweredForall, Stmt, Value};
 
+use super::Scale;
+use crate::table::{f3, Table};
+
+/// The small matmul's size.
 const N: usize = 24;
 /// The served large matmul's size.
 const N_LARGE: usize = 48;
@@ -31,19 +37,15 @@ const N_LARGE: usize = 48;
 fn lower_src(src: &str, bindings: &[(&str, Value)]) -> LoweredForall {
     let p = parse(src).unwrap();
     let main = p.get_fn("main").unwrap();
-    let Stmt::Forall {
+    let Some(Stmt::Forall {
         var,
         from,
         to,
         body,
         ..
-    } = main
-        .body
-        .iter()
-        .find(|s| matches!(s, Stmt::Forall { .. }))
-        .unwrap()
+    }) = main.body.iter().find(|s| matches!(s, Stmt::Forall { .. }))
     else {
-        unreachable!()
+        unreachable!("kernel sources start with a forall")
     };
     let resolve = |name: &str| -> Option<Value> {
         bindings
@@ -53,7 +55,7 @@ fn lower_src(src: &str, bindings: &[(&str, Value)]) -> LoweredForall {
     };
     let f = |e: &Expr| match e {
         Expr::Num(n) => *n as i64,
-        _ => panic!("bench bounds must be literal"),
+        _ => panic!("kernel bounds must be literal"),
     };
     lower_forall(var, f(from), f(to), body, &resolve).unwrap()
 }
@@ -81,7 +83,7 @@ fn matmul_bindings(n: usize) -> Vec<(&'static str, Value)> {
 }
 
 /// Sequentially drive a compiled kernel over the whole nest, one
-/// innermost run per (outer…) prefix — what one SSP group does.
+/// innermost run per (outer…) prefix.
 fn run_all(c: &CompiledKernel, trips: &[u64]) {
     let depth = trips.len();
     let combos: u64 = trips[..depth - 1].iter().product();
@@ -97,16 +99,54 @@ fn run_all(c: &CompiledKernel, trips: &[u64]) {
     }
 }
 
-fn bench_kernel_dispatch(c: &mut Criterion) {
-    let mut g = c.benchmark_group("kernel_dispatch");
+/// Time `f`, which executes `points` points per call: after one warm-up
+/// call, each of `samples` samples repeats it until it has covered at
+/// least `min_points`. Returns (median, min) ns per point.
+fn ns_per_point(
+    points: usize,
+    samples: usize,
+    min_points: usize,
+    mut f: impl FnMut(),
+) -> (f64, f64) {
+    f();
+    let reps = min_points.div_ceil(points).max(1);
+    let mut per_point: Vec<f64> = (0..samples)
+        .map(|_| {
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                f();
+            }
+            t0.elapsed().as_nanos() as f64 / (reps * points) as f64
+        })
+        .collect();
+    per_point.sort_by(f64::total_cmp);
+    (per_point[per_point.len() / 2], per_point[0])
+}
+
+/// KERNELS — LITL-X kernel dispatch: median and best ns per point of
+/// each dispatch tier, at the n = 24 and n = 48 matmul, the init map and
+/// an elementwise product.
+pub fn kernels(scale: Scale) -> Table {
+    let mut t = Table::new(
+        "KERNELS LITL-X kernel dispatch: ns per point by tier",
+        &["bench", "plan", "ns/pt_p50", "ns/pt_min"],
+    );
+    let samples = scale.pick(5, 20);
+    let min_points = scale.pick(100_000, 2_000_000);
+    let mut row = |name: String, plan: &str, points: usize, f: &mut dyn FnMut()| {
+        let (p50, min) = ns_per_point(points, samples, min_points, f);
+        t.row(&[name, plan.to_string(), f3(p50), f3(min)]);
+    };
 
     // Point-at-a-time tape interpretation — the pre-compile hot path.
     {
-        let lowered = lower_src(&matmul_src(N, false), &matmul_bindings(N));
-        let kernel = lowered.kernel;
+        let kernel = lower_src(&matmul_src(N, false), &matmul_bindings(N)).kernel;
         let n = N as i64;
-        g.bench_function("matmul_13824pts/point_tape", move |b| {
-            b.iter(|| {
+        row(
+            format!("matmul_{}pts/point_tape", N * N * N),
+            "point",
+            N * N * N,
+            &mut || {
                 let mut idx = [0i64; 3];
                 for i in 0..n {
                     idx[0] = i;
@@ -118,8 +158,8 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
                         }
                     }
                 }
-            })
-        });
+            },
+        );
     }
 
     // Run-at-a-time on the optimized tape (monomorphization declined).
@@ -131,10 +171,13 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
             ("tape", 64),
             "scaled matmul must stay generic"
         );
-        let trips = lowered.nest.trip_counts.clone();
-        g.bench_function("matmul_13824pts/run_tape", move |b| {
-            b.iter(|| run_all(&compiled, &trips))
-        });
+        let trips = &lowered.nest.trip_counts;
+        row(
+            format!("matmul_{}pts/run_tape", N * N * N),
+            "tape",
+            N * N * N,
+            &mut || run_all(&compiled, trips),
+        );
     }
 
     // Run-at-a-time through the monomorphized dot-accum loop, then the
@@ -142,88 +185,75 @@ fn bench_kernel_dispatch(c: &mut Criterion) {
     for n in [N, N_LARGE] {
         let lowered = lower_src(&matmul_src(n, false), &matmul_bindings(n));
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
-        assert_eq!(compiled.info().plan, "dot-accum");
-        let trips = lowered.nest.trip_counts.clone();
-        let tiled = compiled.clone();
+        let plan = compiled.info().plan;
+        assert_eq!(plan, "dot-accum");
+        let trips = &lowered.nest.trip_counts;
         let pts = n * n * n;
-        g.bench_function(format!("matmul_{pts}pts/compiled"), move |b| {
-            b.iter(|| run_all(&compiled, &trips))
+        row(format!("matmul_{pts}pts/compiled"), plan, pts, &mut || {
+            run_all(&compiled, trips)
         });
-        g.bench_function(format!("matmul_{pts}pts/tile"), move |b| {
-            b.iter(|| tiled.execute_tile(&[], 0, n as i64).expect("proven kernel"))
+        row(format!("matmul_{pts}pts/tile"), plan, pts, &mut || {
+            compiled
+                .execute_tile(&[], 0, n as i64)
+                .expect("proven kernel")
         });
     }
 
     // The init loop on the strip-mined tape (one run of 64-point strips,
     // `i % 7` as a wrapping counter) against the per-point tape.
     let init_src = "fn main() { forall i in 0..4096 { a[i] = i % 7 + 1; } }";
+    let init = || lower_src(init_src, &[("a", Value::Arr(SharedRegion::new(4096)))]);
     {
-        let lowered = lower_src(init_src, &[("a", Value::Arr(SharedRegion::new(4096)))]);
-        let kernel = lowered.kernel;
-        g.bench_function("init_4096pts/point_tape", move |b| {
-            b.iter(|| {
-                for i in 0..4096 {
-                    kernel.execute(&[i]).expect("in bounds");
-                }
-            })
+        let kernel = init().kernel;
+        row("init_4096pts/point_tape".into(), "point", 4096, &mut || {
+            for i in 0..4096 {
+                kernel.execute(&[i]).expect("in bounds");
+            }
         });
     }
     {
-        let lowered = lower_src(init_src, &[("a", Value::Arr(SharedRegion::new(4096)))]);
+        let lowered = init();
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!((compiled.info().plan, compiled.info().strip), ("tape", 64));
-        g.bench_function("init_4096pts/strip_tape", move |b| {
-            b.iter(|| compiled.execute_tile(&[], 0, 4096).expect("proven kernel"))
+        row("init_4096pts/strip_tape".into(), "tape", 4096, &mut || {
+            compiled.execute_tile(&[], 0, 4096).expect("proven kernel")
         });
     }
 
     // The elementwise pair: tape interpretation vs the fma-map closure.
     let elt_src = "fn main() { forall i in 0..4096 { d[i] = a[i] * b[i]; } }";
-    let elt_bindings = || {
+    let elt = || {
         let data: Vec<f64> = (0..4096).map(|q| (q % 13) as f64 * 0.5).collect();
-        vec![
+        let bindings = [
             ("a", Value::Arr(SharedRegion::from_f64(&data))),
             ("b", Value::Arr(SharedRegion::from_f64(&data))),
             ("d", Value::Arr(SharedRegion::new(4096))),
-        ]
+        ];
+        lower_src(elt_src, &bindings)
     };
     {
-        let lowered = lower_src(elt_src, &elt_bindings());
-        let kernel = lowered.kernel;
-        g.bench_function("elementwise_4096pts/point_tape", move |b| {
-            b.iter(|| {
-                let mut idx = [0i64; 1];
+        let kernel = elt().kernel;
+        row(
+            "elementwise_4096pts/point_tape".into(),
+            "point",
+            4096,
+            &mut || {
                 for i in 0..4096 {
-                    idx[0] = i;
-                    kernel.execute(&idx).expect("in bounds");
+                    kernel.execute(&[i]).expect("in bounds");
                 }
-            })
-        });
+            },
+        );
     }
     {
-        let lowered = lower_src(elt_src, &elt_bindings());
+        let lowered = elt();
         let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
         assert_eq!(compiled.info().plan, "fma-map");
-        g.bench_function("elementwise_4096pts/compiled", move |b| {
-            b.iter(|| compiled.execute_run(&[], 0, 4096).expect("proven kernel"))
-        });
+        row(
+            "elementwise_4096pts/compiled".into(),
+            "fma-map",
+            4096,
+            &mut || compiled.execute_run(&[], 0, 4096).expect("proven kernel"),
+        );
     }
-
-    g.finish();
+    t
 }
-
-/// Short sampling: these run on small shared CI hosts; the authoritative
-/// comparison table is `e18` in the report binaries.
-fn quick_config() -> Criterion {
-    Criterion::default()
-        .sample_size(20)
-        .measurement_time(std::time::Duration::from_secs(2))
-        .warm_up_time(std::time::Duration::from_millis(300))
-}
-
-criterion_group!(
-    name = benches;
-    config = quick_config();
-    targets = bench_kernel_dispatch
-);
-criterion_main!(benches);

@@ -342,10 +342,10 @@ pub fn e5b_native_spawn(scale: Scale) -> Table {
 /// are single-threaded by construction (the deque has one owner; a
 /// spawner publishes alone), so those rows show `-`.
 ///
-/// This table is the microbenchmark twin of the `deque` criterion bench
-/// and the queue-level decomposition of `pool_spawn_to_exec` in the
-/// `spawn_costs` bench: all three measure the same code the pool runs in
-/// `native::find_work` / `Pool::spawn_batch_in`.
+/// This table is the queue-level decomposition of the pool's spawn→exec
+/// path (perfbench's `deque.*` / `injector.*` rows time the same ops):
+/// it measures the code the pool runs in `native::find_work` /
+/// `Pool::spawn_batch_in`.
 pub fn e5c_queue_ops(scale: Scale) -> Table {
     use htvm_core::deque as lf;
     use std::sync::Arc;

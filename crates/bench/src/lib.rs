@@ -4,13 +4,15 @@
 //! index and EXPERIMENTS.md for recorded results). Every experiment is a
 //! library function returning a [`table::Table`], so that
 //!
-//! * the `src/bin/eNN_*.rs` binaries print the full-scale table the paper
+//! * the `htvm-bench` binary runs any of them by id from one registry
+//!   ([`experiments::REGISTRY`]) and prints the table the paper
 //!   reproduction reports,
 //! * integration tests re-run the same code at reduced scale and assert
 //!   the *shape* of the result (who wins, where the crossover falls),
-//! * criterion benches time the hot kernels.
+//! * the `kernels` table times the LITL-X kernel dispatch tiers.
 //!
-//! Run everything with `cargo run -p htvm-bench --release --bin all`.
+//! Run everything with `cargo run -p htvm-bench --release -- all`, one
+//! experiment with `-- run e18`, and the ids with `-- list`.
 //!
 //! # Example
 //!

@@ -1,60 +1,46 @@
-//! Report plumbing shared by the `eNN_*` binaries: print tables to stdout
+//! Report plumbing for the `htvm-bench` binary: print tables to stdout
 //! and, when asked, write a machine-readable JSON summary so future runs
 //! can track the perf trajectory without scraping stdout.
 //!
-//! The JSON sink is selected by a `--json <path>` (or `--json=<path>`)
-//! argument, with the `HTVM_BENCH_JSON` environment variable as fallback —
-//! the binaries stay zero-dependency shells around the experiment
-//! library.
+//! The binary takes the JSON sink from a `--json <path>` (or
+//! `--json=<path>`) argument, with the `HTVM_BENCH_JSON` environment
+//! variable as fallback.
 //!
 //! ```text
-//! cargo run -p htvm-bench --release --bin e18_ssp_native -- --json e18.json
-//! HTVM_BENCH_JSON=all.json cargo run -p htvm-bench --release --bin all
+//! cargo run -p htvm-bench --release -- run e18 --json e18.json
+//! HTVM_BENCH_JSON=all.json cargo run -p htvm-bench --release -- all
 //! ```
 //!
 //! The summary is one object per experiment table (`id`, `columns`,
-//! `rows`) plus the binary's invocation metadata.
+//! `rows`) plus the invocation's experiment ids.
+
+use std::path::{Path, PathBuf};
 
 use crate::table::Table;
 
-/// Where the JSON summary should go, if anywhere.
-///
-/// Parsed from the process arguments (`--json <path>` / `--json=<path>`),
-/// falling back to the `HTVM_BENCH_JSON` environment variable.
-pub fn json_sink_from_env() -> Option<String> {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            if let Some(p) = args.next() {
-                return Some(p);
-            }
-        } else if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    std::env::var("HTVM_BENCH_JSON")
-        .ok()
-        .filter(|s| !s.is_empty())
+/// The tables as the body of a JSON array.
+fn tables_json(tables: &[&Table]) -> String {
+    tables
+        .iter()
+        .map(|t| t.to_json())
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 /// The full JSON summary document for a set of tables.
 pub fn summary_json(id: &str, tables: &[&Table]) -> String {
-    let body = tables
-        .iter()
-        .map(|t| t.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
+    let body = tables_json(tables);
     format!("{{\"experiment\":\"{id}\",\"tables\":[{body}]}}\n")
 }
 
-/// Print every table and honour the JSON sink. `id` is the experiment
-/// binary's identity (e.g. `"e18_ssp_native"`).
-pub fn emit(id: &str, tables: &[&Table]) {
+/// Print every table and, given a sink path, write the JSON summary
+/// there. `id` names what ran (e.g. `"e18"`, `"all"`).
+pub fn emit(id: &str, tables: &[&Table], json: Option<&str>) {
     for t in tables {
         t.print();
     }
-    if let Some(path) = json_sink_from_env() {
-        match std::fs::write(&path, summary_json(id, tables)) {
+    if let Some(path) = json {
+        match std::fs::write(path, summary_json(id, tables)) {
             Ok(()) => eprintln!("wrote JSON summary to {path}"),
             Err(e) => eprintln!("failed to write JSON summary to {path}: {e}"),
         }
@@ -71,21 +57,35 @@ pub fn is_pool_baseline_table(t: &Table) -> bool {
         .any(|p| t.title.starts_with(p))
 }
 
-/// Where the pool baseline lives: the workspace root, regardless of the
+/// Where a baseline file lives: the workspace root, regardless of the
 /// invocation's working directory (a cwd-relative write would silently
 /// strand the baseline wherever the binary happened to run). Resolved
 /// from this crate's manifest dir at compile time; if that checkout path
 /// no longer exists (an installed/copied binary), fall back to cwd.
-/// Public so the trajectory guard reads the same file this module writes.
-pub fn pool_baseline_path() -> std::path::PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
+fn baseline_path(file: &str) -> PathBuf {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..");
     if root.is_dir() {
-        root.join("BENCH_pool.json")
+        root.join(file)
     } else {
-        std::path::PathBuf::from("BENCH_pool.json")
+        PathBuf::from(file)
     }
+}
+
+/// Write a scale-labelled baseline document holding `tables` to `path`;
+/// `what` names it in the log line.
+fn write_baseline(kind: &str, what: &str, path: &Path, scale: &str, tables: &[&Table]) {
+    let body = tables_json(tables);
+    let doc = format!("{{\"experiment\":\"{kind}\",\"scale\":\"{scale}\",\"tables\":[{body}]}}\n");
+    match std::fs::write(path, doc) {
+        Ok(()) => eprintln!("wrote {what} to {}", path.display()),
+        Err(e) => eprintln!("failed to write {what} to {}: {e}", path.display()),
+    }
+}
+
+/// Where the pool baseline lives (see `baseline_path`). Public so the
+/// trajectory guard reads the same file this module writes.
+pub fn pool_baseline_path() -> PathBuf {
+    baseline_path("BENCH_pool.json")
 }
 
 /// Write `BENCH_pool.json` — the machine-readable perf baseline future
@@ -98,21 +98,8 @@ pub fn write_pool_baseline(scale: &str, tables: &[&Table]) {
         .copied()
         .filter(|t| is_pool_baseline_table(t))
         .collect();
-    let body = picked
-        .iter()
-        .map(|t| t.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    let doc =
-        format!("{{\"experiment\":\"pool_baseline\",\"scale\":\"{scale}\",\"tables\":[{body}]}}\n");
     let path = pool_baseline_path();
-    match std::fs::write(&path, doc) {
-        Ok(()) => eprintln!("wrote pool perf baseline to {}", path.display()),
-        Err(e) => eprintln!(
-            "failed to write pool perf baseline to {}: {e}",
-            path.display()
-        ),
-    }
+    write_baseline("pool_baseline", "pool perf baseline", &path, scale, &picked);
 }
 
 /// Experiment tables that make up the serving-layer baseline: the E19
@@ -122,28 +109,20 @@ pub fn is_serving_baseline_table(t: &Table) -> bool {
     ["E19", "E21"].iter().any(|p| t.title.starts_with(p))
 }
 
-/// Where the serving baseline lives (same resolution rules as
-/// [`pool_baseline_path`]): the workspace root, falling back to cwd.
-/// Public so the trajectory guard reads the same file this module writes.
-pub fn serving_baseline_path() -> std::path::PathBuf {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("..")
-        .join("..");
-    if root.is_dir() {
-        root.join("BENCH_serving.json")
-    } else {
-        std::path::PathBuf::from("BENCH_serving.json")
-    }
+/// Where the serving baseline lives (see `baseline_path`). Public so the
+/// trajectory guard reads the same file this module writes.
+pub fn serving_baseline_path() -> PathBuf {
+    baseline_path("BENCH_serving.json")
 }
 
 /// Write `BENCH_serving.json` — the serving-layer latency/conservation
 /// baseline (the E19 and E21 tables) future PRs diff against,
 /// scale-labelled like the pool baseline.
 ///
-/// Merges rather than clobbers: a single-experiment binary (`e19_serving`
-/// or `e21_chaos`) refreshes its own table while same-scale tables it did
-/// not re-run are carried over from the committed document, so the two
-/// bins never erase each other's baseline.
+/// Merges rather than clobbers: a single-experiment run (`run e19` or
+/// `run e21`) refreshes its own table while same-scale tables it did not
+/// re-run are carried over from the committed document, so the two runs
+/// never erase each other's baseline.
 pub fn write_serving_baseline(scale: &str, tables: &[&Table]) {
     let picked: Vec<&Table> = tables
         .iter()
@@ -167,21 +146,7 @@ pub fn write_serving_baseline(scale: &str, tables: &[&Table]) {
         .unwrap_or_default();
     let mut all: Vec<&Table> = carried.iter().chain(picked.iter().copied()).collect();
     all.sort_by(|a, b| a.title.cmp(&b.title));
-    let body = all
-        .iter()
-        .map(|t| t.to_json())
-        .collect::<Vec<_>>()
-        .join(",");
-    let doc = format!(
-        "{{\"experiment\":\"serving_baseline\",\"scale\":\"{scale}\",\"tables\":[{body}]}}\n"
-    );
-    match std::fs::write(&path, doc) {
-        Ok(()) => eprintln!("wrote serving baseline to {}", path.display()),
-        Err(e) => eprintln!(
-            "failed to write serving baseline to {}: {e}",
-            path.display()
-        ),
-    }
+    write_baseline("serving_baseline", "serving baseline", &path, scale, &all);
 }
 
 #[cfg(test)]

@@ -576,6 +576,7 @@ fn e21_chaos_conserves_and_heals_under_both_configs() {
         idx("check"),
     );
     let (p50, p99) = (idx("p50_us"), idx("p99_us"));
+    let injections = idx("injections");
     assert_eq!(t.rows.len(), 2, "one clean row, one faulted row: {t:?}");
     for r in &t.rows {
         // The check column already folds in zero hangs, ledger
@@ -588,6 +589,7 @@ fn e21_chaos_conserves_and_heals_under_both_configs() {
             "clean" => {
                 // Nothing may fire with the fault plane disarmed.
                 assert_eq!(n(failed) + n(retried) + n(deaths) + n(restarts), 0, "{r:?}");
+                assert_eq!(n(injections), 0, "disarmed plane injected: {r:?}");
             }
             "faults-1pct" => {
                 // The storm actually stormed: the seeded rules fired
@@ -596,6 +598,14 @@ fn e21_chaos_conserves_and_heals_under_both_configs() {
                 assert!(n(retried) + n(failed) > 0, "no body fault fired: {r:?}");
                 assert!(n(deaths) > 0, "no worker kill fired: {r:?}");
                 assert_eq!(n(deaths), n(respawns), "unhealed deaths: {r:?}");
+                // The plan's capped kill fires on any schedule, and every
+                // death and dispatcher restart is an injection the plane
+                // counted.
+                assert!(n(injections) > 0, "the fault plane injected nothing: {r:?}");
+                assert!(
+                    n(injections) >= n(deaths) + n(restarts),
+                    "more deaths and restarts than injections: {r:?}"
+                );
             }
             other => panic!("unexpected config {other}"),
         }
