@@ -135,6 +135,10 @@ int_atomic!(
     AtomicI64, AtomicI64, i64
 );
 int_atomic!(
+    /// Instrumented [`std::sync::atomic::AtomicU32`].
+    AtomicU32, AtomicU32, u32
+);
+int_atomic!(
     /// Instrumented [`std::sync::atomic::AtomicU8`].
     AtomicU8, AtomicU8, u8
 );

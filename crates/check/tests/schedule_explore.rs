@@ -38,7 +38,7 @@ use std::sync::{Arc, Mutex as StdMutex};
 use htvm_check::{check_corpus, explore, random_seeds_from_env, replay, Config};
 use htvm_core::deque::{Injector, Steal, Worker};
 use htvm_core::sleepers::{ParkOutcome, Sleepers};
-use htvm_core::sync::SyncSlot;
+use htvm_core::sync::{EventCount, IVar, SyncSlot, WaitMeter};
 use htvm_core::{AdmissionQueue, AdmitError, CancelToken};
 
 // ---------------------------------------------------------------------------
@@ -106,6 +106,18 @@ const SEED_SUBMIT_PASS_VS_DISPATCHER: u64 = 0x5851f42d4c957f2d;
 /// full sweep passes under this base seed; committed so the exact
 /// explored schedules replay forever.
 const SEED_SPREAD_WAVE_CLAIM: u64 = 0x4f1bbcdcbfa53e0b;
+
+/// A response settle (count, then `put`) against the spin-then-park wait
+/// behind `ResponseHandle::wait` (`settle_vs_wait_scenario`), with one and
+/// with two waiters. The full sweep passes under this base seed;
+/// committed so the exact explored schedules replay forever.
+const SEED_SETTLE_VS_WAIT: u64 = 0x3c6ef372fe94f82b;
+
+/// Catches `IVar::put_mutant_stale_parked_read`: the waker reads "no
+/// parked waiter" before publishing, the waiter registers and parks in
+/// between, and the skipped notify leaves it asleep — a deadlock under
+/// this schedule.
+const SEED_SETTLE_MUTANT_STALE_PARKED_READ: u64 = 0x82c8ce4a2c8c31f4;
 
 /// Shared per-test setup: install the between-iterations reset of core's
 /// process-wide epoch registry (required for seed-exact replay of deque
@@ -785,6 +797,100 @@ fn sync_slot_wavefront_advances_exactly_once() {
 }
 
 // ---------------------------------------------------------------------------
+// Completion waits: a response settle against a spin-then-park wait.
+// ---------------------------------------------------------------------------
+
+/// The outcome the settle writes.
+const SETTLED_OUTCOME: u64 = 7;
+
+/// The waiters' meter; its park count shows the sweeps reach the park
+/// phase, not only the spin.
+static SETTLE: WaitMeter = WaitMeter::new();
+
+/// `htvm_serve`'s settle edge: `ReqState::settle` bumps the tenant's
+/// counter, then writes the outcome cell with `put`; each of `waiters`
+/// clients waits in `ResponseHandle::wait`, which is `IVar::get` —
+/// a short spin on the cell's `done` flag (two polls under the explorer),
+/// then a park on its condvar. `put` is the product's or a mutant's.
+///
+/// Invariants: every waiter returns exactly once, with the outcome; no
+/// waiter sleeps through the `put` (that schedule deadlocks); and the
+/// tenant counter bumped before the `put` is visible to a waiter as soon
+/// as its wait returns.
+fn settle_vs_wait(waiters: usize, put: fn(&IVar<u64>, u64)) {
+    let cell = Arc::new(IVar::new());
+    let counted = Arc::new(htvm_check::prim::AtomicU64::new(0));
+    let returns = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..waiters)
+        .map(|_| {
+            let (cell, counted, returns) = (cell.clone(), counted.clone(), returns.clone());
+            htvm_check::thread::spawn(move || {
+                let outcome = cell.get(&SETTLE);
+                returns.fetch_add(1, StdOrdering::SeqCst);
+                assert_eq!(outcome, SETTLED_OUTCOME, "the waiter returns the outcome");
+                assert_eq!(
+                    counted.load(std::sync::atomic::Ordering::SeqCst),
+                    1,
+                    "the tenant counter is visible when the wait returns"
+                );
+            })
+        })
+        .collect();
+    counted.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    put(&cell, SETTLED_OUTCOME);
+    for c in clients {
+        c.join();
+    }
+    assert_eq!(
+        returns.load(StdOrdering::SeqCst),
+        waiters,
+        "each waiter returns exactly once"
+    );
+}
+
+fn settle_vs_wait_scenario() {
+    settle_vs_wait(1, IVar::put);
+}
+
+fn settle_vs_two_waits_scenario() {
+    settle_vs_wait(2, IVar::put);
+}
+
+#[test]
+fn settle_wakes_every_waiter_exactly_once_with_the_counter_visible() {
+    for (name, scenario) in [
+        ("settle-vs-wait", settle_vs_wait_scenario as fn()),
+        ("settle-vs-two-waits", settle_vs_two_waits_scenario),
+    ] {
+        explore(name, &cfg(400), SEED_SETTLE_VS_WAIT, scenario).unwrap_or_else(|f| panic!("{f}"));
+    }
+    assert!(SETTLE.parks() > 0, "no explored schedule parked a waiter");
+}
+
+/// Mutant catch: the settle's `put` reads the parked-waiter registration
+/// before publishing `done` and skips the notify on that stale "nobody
+/// parked". Some schedule must leave the waiter asleep.
+fn settle_mutant_scenario() {
+    settle_vs_wait(1, IVar::put_mutant_stale_parked_read);
+}
+
+#[test]
+fn mutant_put_on_a_stale_parked_read_is_caught() {
+    let failure = explore(
+        "settle-mutant-stale-parked-read",
+        &cfg(400),
+        0x7a3f9c21d4e8b605,
+        settle_mutant_scenario,
+    )
+    .expect_err("the explorer must catch the stale no-parked-waiter read");
+    assert!(
+        failure.message.contains("deadlock"),
+        "expected a lost-wakeup deadlock, got: {failure}"
+    );
+    eprintln!("settle mutant caught under seed {:#018x}", failure.seed);
+}
+
+// ---------------------------------------------------------------------------
 // Serving layer (PR 7): admission-queue handoff and cancel-vs-dispatch.
 // ---------------------------------------------------------------------------
 
@@ -1123,13 +1229,17 @@ const WAVE_GROUPS: u64 = 3;
 /// the wave's error if no lower group has, and counts itself finished.
 /// Groups 1 and 2 fail.
 ///
+/// The caller's join is the product's spin-then-park
+/// `EventCount::wait_for`, so a group finishing on a job while the
+/// caller parks must wake it.
+///
 /// Invariants: once the caller returns (at `finished == WAVE_GROUPS`),
 /// every group has been handled exactly once and the error is group 1's,
 /// whichever order the groups ran in. A claim that loads the cursor and
 /// stores it back incremented lets two claimers take one group.
 struct WaveModel {
     next: htvm_check::prim::AtomicU64,
-    finished: htvm_check::prim::AtomicU64,
+    finished: EventCount,
     /// The lowest failing group so far.
     error: htvm_check::prim::Mutex<Option<u64>>,
     handled: Vec<AtomicUsize>,
@@ -1152,8 +1262,7 @@ impl WaveModel {
             }
         }
         self.handled[g as usize].fetch_add(1, StdOrdering::SeqCst);
-        self.finished
-            .fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        self.finished.add(1);
     }
 
     /// `Wave::job`: one group, if any is left.
@@ -1167,7 +1276,7 @@ impl WaveModel {
 fn spread_wave_claim_scenario() {
     let m = Arc::new(WaveModel {
         next: htvm_check::prim::AtomicU64::new(0),
-        finished: htvm_check::prim::AtomicU64::new(0),
+        finished: EventCount::new(),
         error: htvm_check::prim::Mutex::new(None),
         handled: (0..WAVE_GROUPS).map(|_| AtomicUsize::new(0)).collect(),
     });
@@ -1182,7 +1291,8 @@ fn spread_wave_claim_scenario() {
     while let Some(g) = m.claim() {
         m.run(g);
     }
-    while m.finished.load(std::sync::atomic::Ordering::SeqCst) < WAVE_GROUPS {}
+    static JOIN: WaitMeter = WaitMeter::new();
+    m.finished.wait_for(WAVE_GROUPS, &JOIN);
     for (g, h) in m.handled.iter().enumerate() {
         assert_eq!(
             h.load(StdOrdering::SeqCst),
@@ -1603,6 +1713,20 @@ fn committed_corpus_regressions_pass() {
         spread_wave_claim_scenario,
     )
     .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
+    check_corpus(
+        "settle-vs-wait",
+        &cfg(1),
+        &[SEED_SETTLE_VS_WAIT],
+        settle_vs_wait_scenario,
+    )
+    .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
+    check_corpus(
+        "settle-vs-two-waits",
+        &cfg(1),
+        &[SEED_SETTLE_VS_WAIT],
+        settle_vs_two_waits_scenario,
+    )
+    .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
 }
 
 /// Mutant seeds: these schedules must keep *failing* against the committed
@@ -1625,6 +1749,14 @@ fn committed_corpus_mutant_seeds_still_catch() {
     )
     .expect_err("committed seed no longer catches the CAS-less steal mutant");
     assert!(f.message.contains("double-taken or lost"), "{f}");
+    let f = replay(
+        "settle-mutant-stale-parked-read",
+        &cfg(1),
+        SEED_SETTLE_MUTANT_STALE_PARKED_READ,
+        settle_mutant_scenario,
+    )
+    .expect_err("committed seed no longer catches the stale parked-read mutant");
+    assert!(f.message.contains("deadlock"), "{f}");
 }
 
 /// The CI job's fresh-seed half: a few schedules from OS entropy on every
@@ -1653,6 +1785,8 @@ fn fresh_random_seeds_hold_invariants() {
             submit_pass_vs_dispatcher_scenario,
         ),
         ("spread-wave-claim", spread_wave_claim_scenario),
+        ("settle-vs-wait", settle_vs_wait_scenario),
+        ("settle-vs-two-waits", settle_vs_two_waits_scenario),
         (
             "sync-slot-racer-accounting",
             sync_slot_zero_count_racers_scenario,

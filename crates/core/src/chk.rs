@@ -11,14 +11,14 @@
 
 #[cfg(feature = "check")]
 pub(crate) use htvm_check::prim::{
-    compiler_fence, fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU64, AtomicU8,
-    AtomicUsize, Condvar, Mutex, MutexGuard,
+    compiler_fence, fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64,
+    AtomicU8, AtomicUsize, Condvar, Mutex, MutexGuard,
 };
 
 #[cfg(not(feature = "check"))]
 pub(crate) use std::sync::atomic::{
-    compiler_fence, fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU64, AtomicU8,
-    AtomicUsize,
+    compiler_fence, fence, AtomicBool, AtomicI64, AtomicIsize, AtomicPtr, AtomicU32, AtomicU64,
+    AtomicU8, AtomicUsize,
 };
 
 #[cfg(not(feature = "check"))]

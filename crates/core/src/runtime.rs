@@ -33,7 +33,7 @@ use crate::frame::Frame;
 use crate::ids::{DomainId, IdGen, LgtId, SgtId};
 use crate::native::{Pool, PoolStats, WorkerCtx};
 use crate::region::SharedRegion;
-use crate::sync::IVar;
+use crate::sync::{IVar, WaitMeter};
 use crate::tgt::TgtGraph;
 use crate::topology::Topology;
 
@@ -271,17 +271,10 @@ impl LgtHandle {
     /// Block until the LGT body and every SGT it (transitively) spawned
     /// have completed.
     ///
-    /// Spins briefly before blocking: phase-structured callers join at a
-    /// cadence of a few hundred microseconds, and a full blocking wake
-    /// costs that much by itself on virtualized hosts.
+    /// Spins for a measured window, then parks (see [`IVar::get`]).
     pub fn join(&self) {
-        for _ in 0..256 {
-            if self.shared.done.is_full() {
-                return;
-            }
-            std::thread::yield_now();
-        }
-        self.shared.done.get();
+        static JOIN: WaitMeter = WaitMeter::new();
+        self.shared.done.get(&JOIN);
     }
 
     /// Non-blocking completion probe.

@@ -10,8 +10,11 @@
 //! sync slots plus write-once cells.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use crate::chk::{AtomicIsize, AtomicU64, Condvar, Mutex, Ordering};
+use crate::chk::{
+    AtomicBool, AtomicIsize, AtomicU32, AtomicU64, Condvar, Mutex, MutexGuard, Ordering,
+};
 
 /// The continuation state of a [`SyncSlot`] — a one-way street:
 /// `Unset → Armed → Fired` (re-arming an unfired slot is allowed;
@@ -183,28 +186,207 @@ impl std::fmt::Debug for SyncSlot {
     }
 }
 
+/// The spin phase's hard limit, in polls: every completion wait parks
+/// after at most this many `yield_now` polls, whatever its meter says.
+/// 256 is the window phase-structured LGT joins have long spun before
+/// blocking.
+#[cfg(not(feature = "check"))]
+const SPIN_CEILING: u32 = 256;
+/// Under the schedule explorer every poll is a schedule point: a short
+/// window keeps scenarios finite and leaves the park path reachable.
+#[cfg(feature = "check")]
+const SPIN_CEILING: u32 = 2;
+
+/// One call site's record of how long its completion waits take: the
+/// spin budget of the spin-then-park wait behind [`IVar::get`] and
+/// [`EventCount::wait_for`]. Keep one in a `static` beside the call
+/// (`static JOIN: WaitMeter = WaitMeter::new();`), so each site learns
+/// its own wait length.
+///
+/// The meter is bookkeeping, not protocol: it uses plain `std` atomics
+/// even under the `check` feature, so it adds no schedule points, and
+/// racing updates may drop a sample.
+#[derive(Debug, Default)]
+pub struct WaitMeter {
+    /// EWMA of this site's completed waits, in ns; 0 until the first.
+    ewma_ns: std::sync::atomic::AtomicU64,
+    /// Waits that reached the park phase (cumulative).
+    parks: std::sync::atomic::AtomicU64,
+}
+
+/// The spin phase of one wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SpinWindow {
+    /// Polls before parking, whatever the clock says.
+    polls: u32,
+    /// Elapsed time at which the wait stops spinning; `None` for a fresh
+    /// meter, which spins the whole ceiling.
+    until_ns: Option<u64>,
+}
+
+/// The budget rule: spin while the wait is younger than twice this
+/// site's EWMA, and never past `ceiling` polls.
+fn spin_window(ewma_ns: u64, ceiling: u32) -> SpinWindow {
+    SpinWindow {
+        polls: ceiling,
+        until_ns: (ewma_ns > 0).then(|| ewma_ns.saturating_mul(2)),
+    }
+}
+
+/// Fold one completed wait into the EWMA (weight 1/8). Never returns 0,
+/// which marks a fresh meter.
+fn ewma_fold(ewma_ns: u64, sample_ns: u64) -> u64 {
+    if ewma_ns == 0 {
+        return sample_ns.max(1);
+    }
+    (ewma_ns.saturating_mul(7).saturating_add(sample_ns) / 8).max(1)
+}
+
+impl WaitMeter {
+    /// A fresh meter: its first wait spins the whole ceiling.
+    pub const fn new() -> Self {
+        Self {
+            ewma_ns: std::sync::atomic::AtomicU64::new(0),
+            parks: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// EWMA of this site's completed waits, in ns (0: none yet). A wait
+    /// that found its condition already true is not a sample.
+    fn ewma_ns(&self) -> u64 {
+        self.ewma_ns.load(Ordering::Relaxed)
+    }
+
+    /// Waits at this site that spun out their window and parked.
+    pub fn parks(&self) -> u64 {
+        self.parks.load(Ordering::Relaxed)
+    }
+
+    fn window(&self) -> SpinWindow {
+        // The explorer replays schedules by seed: its window must not
+        // depend on the clock or on what earlier iterations recorded.
+        if cfg!(feature = "check") {
+            return spin_window(0, SPIN_CEILING);
+        }
+        spin_window(self.ewma_ns(), SPIN_CEILING)
+    }
+
+    fn record(&self, start: Instant) {
+        let ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        self.ewma_ns
+            .store(ewma_fold(self.ewma_ns(), ns), Ordering::Relaxed);
+    }
+}
+
+/// The park half of a completion wait: a lock, a condvar, and a count of
+/// the waiters that need a waker to take the lock.
+///
+/// The protocol is the sleeper registry's check-then-park handshake
+/// (see [`crate::sleepers`]), with the completion in place of the epoch:
+/// a waiter registers (`SeqCst`) *then* re-checks the completion under
+/// the lock before each sleep; a waker publishes the completion (`SeqCst`)
+/// *then* reads the registration. In one total order at least one side
+/// sees the other, so either the waiter finds the completion and never
+/// sleeps, or the waker finds the registration, takes the lock — which
+/// the waiter holds from its re-check until the condvar releases it —
+/// and notifies. A waker that finds no registration touches neither the
+/// lock nor the condvar.
+#[derive(Default)]
+struct Gate<G> {
+    lock: Mutex<G>,
+    cv: Condvar,
+    /// Parked waiters, plus (for an [`IVar`]) buffered continuations.
+    /// 32 bits keep a served request's state inside one small
+    /// allocation size class.
+    registered: AtomicU32,
+}
+
+impl<G> Gate<G> {
+    /// Spin, then park, until `ready` holds (`true`) or `deadline` passes
+    /// (`false`). `ready` must read the completion `SeqCst`.
+    fn wait(&self, meter: &WaitMeter, deadline: Option<Instant>, ready: impl Fn() -> bool) -> bool {
+        if ready() {
+            return true;
+        }
+        let start = Instant::now();
+        let window = meter.window();
+        let spin_until = window
+            .until_ns
+            .and_then(|ns| start.checked_add(Duration::from_nanos(ns)))
+            .into_iter()
+            .chain(deadline)
+            .min();
+        for _ in 0..window.polls {
+            std::thread::yield_now();
+            if ready() {
+                meter.record(start);
+                return true;
+            }
+            if spin_until.is_some_and(|t| Instant::now() >= t) {
+                break;
+            }
+        }
+        meter.parks.fetch_add(1, Ordering::Relaxed);
+        let mut g = self.lock.lock();
+        self.registered.fetch_add(1, Ordering::SeqCst);
+        let done = loop {
+            if ready() {
+                break true;
+            }
+            match deadline {
+                None => self.cv.wait(&mut g),
+                Some(d) => {
+                    let now = Instant::now();
+                    if now >= d {
+                        break false;
+                    }
+                    self.cv.wait_for(&mut g, d - now);
+                }
+            }
+        };
+        self.registered.fetch_sub(1, Ordering::SeqCst);
+        drop(g);
+        if done {
+            meter.record(start);
+        }
+        done
+    }
+
+    /// The waker's half, called after the completion is published
+    /// (`SeqCst`): if anyone registered, take the lock, notify every
+    /// parked waiter and hand the guard back; otherwise `None`, with no
+    /// lock taken.
+    fn wake(&self) -> Option<MutexGuard<'_, G>> {
+        if self.registered.load(Ordering::SeqCst) == 0 {
+            return None;
+        }
+        let g = self.lock.lock();
+        self.cv.notify_all();
+        Some(g)
+    }
+}
+
 /// A write-once cell with dataflow readers — the substrate of LITL-X
 /// futures ("eager producer-consumer computing, with efficient localized
 /// buffering of requests at the site of the needed values", §3.2).
 ///
-/// Readers that arrive before the value either block ([`IVar::get`]) or
+/// Readers that arrive before the value either wait ([`IVar::get`]) or
 /// leave a continuation buffered *at the cell* ([`IVar::on_full`]) — the
 /// localized request buffering of the paper (an I-structure in dataflow
-/// terms).
+/// terms). A waiting reader spins on the cell's `done` flag for a
+/// measured window and then parks; `put` takes the cell's lock only when
+/// a reader is parked or a continuation is buffered.
 pub struct IVar<T> {
-    state: Mutex<IVarState<T>>,
-    ready: Condvar,
+    value: std::sync::OnceLock<T>,
+    /// Set (`SeqCst`) after `value`: the flag readers poll, and the
+    /// completion the gate's handshake publishes.
+    done: AtomicBool,
+    /// Buffered continuations live under the gate's lock.
+    gate: Gate<Vec<Waiter<T>>>,
 }
 
 /// A reader continuation buffered at the cell until the value arrives.
 type Waiter<T> = Box<dyn FnOnce(&T) + Send>;
-
-enum IVarState<T> {
-    Empty { waiters: Vec<Waiter<T>> },
-    // Arc so continuations can run with no lock held (a continuation may
-    // re-enter this very cell).
-    Full(Arc<T>),
-}
 
 impl<T> Default for IVar<T> {
     fn default() -> Self {
@@ -216,10 +398,9 @@ impl<T> IVar<T> {
     /// An empty cell.
     pub fn new() -> Self {
         Self {
-            state: Mutex::new(IVarState::Empty {
-                waiters: Vec::new(),
-            }),
-            ready: Condvar::new(),
+            value: std::sync::OnceLock::new(),
+            done: AtomicBool::new(false),
+            gate: Gate::default(),
         }
     }
 
@@ -227,103 +408,111 @@ impl<T> IVar<T> {
     /// All buffered continuations run on the filling thread, in arrival
     /// order, with no lock held.
     pub fn put(&self, value: T) {
-        let value = Arc::new(value);
-        let waiters = {
-            let mut st = self.state.lock();
-            match &mut *st {
-                IVarState::Full(_) => panic!("IVar::put: double write to single-assignment cell"),
-                IVarState::Empty { waiters } => {
-                    let taken = std::mem::take(waiters);
-                    *st = IVarState::Full(value.clone());
-                    taken
-                }
+        if self.value.set(value).is_err() {
+            panic!("IVar::put: double write to single-assignment cell");
+        }
+        self.done.store(true, Ordering::SeqCst);
+        if let Some(mut guard) = self.gate.wake() {
+            let waiters = std::mem::take(&mut *guard);
+            // Run with the lock dropped: a continuation may re-enter
+            // this very cell.
+            drop(guard);
+            let value = self.value.get().expect("published before `done`");
+            for w in waiters {
+                w(value);
             }
-        };
-        self.ready.notify_all();
-        for w in waiters {
-            w(&value);
         }
     }
 
-    /// True once the cell has been written.
-    pub fn is_full(&self) -> bool {
-        matches!(&*self.state.lock(), IVarState::Full(_))
+    /// **Mutant for explorer validation** (only with the `check` feature):
+    /// an [`IVar::put`] whose waker reads the registration *before*
+    /// publishing `done`, and skips the notify when that stale read saw
+    /// no parked waiter. A reader that registers and parks in between
+    /// sleeps through the put; the explorer must find that schedule.
+    #[cfg(feature = "check")]
+    pub fn put_mutant_stale_parked_read(&self, value: T) {
+        let stale = self.gate.registered.load(Ordering::SeqCst);
+        if self.value.set(value).is_err() {
+            panic!("IVar::put: double write to single-assignment cell");
+        }
+        self.done.store(true, Ordering::SeqCst);
+        if stale > 0 {
+            let _g = self.gate.lock.lock();
+            self.gate.cv.notify_all();
+        }
     }
 
-    /// Read the value if present.
+    /// True once the cell has been written. Lock-free.
+    pub fn is_full(&self) -> bool {
+        self.done.load(Ordering::Acquire)
+    }
+
+    /// Read the value if present. Lock-free.
     pub fn try_get(&self) -> Option<T>
     where
         T: Clone,
     {
-        match &*self.state.lock() {
-            IVarState::Full(v) => Some((**v).clone()),
-            IVarState::Empty { .. } => None,
-        }
+        self.read(self.done.load(Ordering::Acquire))
     }
 
-    /// Block until the value is available. Intended for LGT-level code; SGT
-    /// code should prefer [`IVar::on_full`] to avoid occupying a worker.
-    pub fn get(&self) -> T
+    fn read(&self, done: bool) -> Option<T>
     where
         T: Clone,
     {
-        let mut st = self.state.lock();
-        loop {
-            if let IVarState::Full(v) = &*st {
-                return (**v).clone();
-            }
-            self.ready.wait(&mut st);
-        }
+        done.then(|| self.value.get().expect("published before `done`").clone())
     }
 
-    /// [`IVar::get`] with a bound: block until the value is available or
+    /// Wait until the value is available: poll the cell's `done` flag,
+    /// yielding between polls, for as long as `meter` budgets (under
+    /// twice its EWMA of past waits, never past the shared ceiling), then
+    /// park on the cell's condvar until `put` notifies. Intended for
+    /// LGT-level code; SGT code should prefer [`IVar::on_full`] to avoid
+    /// occupying a worker.
+    pub fn get(&self, meter: &WaitMeter) -> T
+    where
+        T: Clone,
+    {
+        self.gate
+            .wait(meter, None, || self.done.load(Ordering::SeqCst));
+        self.read(true).expect("woken on a full cell")
+    }
+
+    /// [`IVar::get`] with a bound: wait until the value is available or
     /// `timeout` elapses, returning `None` on timeout. The cell is
     /// unaffected either way — a later `get`/`get_timeout` still sees the
     /// value when it arrives.
-    pub fn get_timeout(&self, timeout: std::time::Duration) -> Option<T>
+    pub fn get_timeout(&self, timeout: Duration, meter: &WaitMeter) -> Option<T>
     where
         T: Clone,
     {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut st = self.state.lock();
-        loop {
-            if let IVarState::Full(v) = &*st {
-                return Some((**v).clone());
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            self.ready.wait_for(&mut st, deadline - now);
-        }
+        let deadline = Instant::now() + timeout;
+        let done = self
+            .gate
+            .wait(meter, Some(deadline), || self.done.load(Ordering::SeqCst));
+        self.read(done)
     }
 
     /// Run `f` with the value once available: immediately if already full,
     /// otherwise buffered at the cell and run by the producer on `put`.
     /// Either way `f` runs with no internal lock held.
+    ///
+    /// A buffered continuation registers at the gate like a parked
+    /// reader, so the producer's `put` knows to take the lock for it.
     pub fn on_full(&self, f: impl FnOnce(&T) + Send + 'static) {
-        let mut f = Some(f);
-        let full = {
-            let mut st = self.state.lock();
-            match &mut *st {
-                IVarState::Full(v) => Some(v.clone()),
-                IVarState::Empty { waiters } => {
-                    waiters.push(Box::new(f.take().expect("continuation present")));
-                    None
-                }
+        if !self.done.load(Ordering::Acquire) {
+            let mut waiters = self.gate.lock.lock();
+            self.gate.registered.fetch_add(1, Ordering::SeqCst);
+            if !self.done.load(Ordering::SeqCst) {
+                waiters.push(Box::new(f));
+                return;
             }
-        };
-        if let Some(v) = full {
-            (f.take().expect("continuation present"))(&v);
         }
+        f(self.value.get().expect("published before `done`"));
     }
 
     /// Number of buffered (deferred) readers.
     pub fn deferred_readers(&self) -> usize {
-        match &*self.state.lock() {
-            IVarState::Empty { waiters } => waiters.len(),
-            IVarState::Full(_) => 0,
-        }
+        self.gate.lock.lock().len()
     }
 }
 
@@ -377,13 +566,13 @@ impl PoolBarrier {
     }
 }
 
-/// A monotone event counter with blocking threshold waits; handy for tests
-/// and for the monitor.
-#[derive(Debug, Default)]
+/// A monotone event counter with threshold waits — the join of a
+/// naive `forall` and of a spread SSP wave, where each finished share of
+/// the work adds to the count and the caller waits for the total.
+#[derive(Default)]
 pub struct EventCount {
     count: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
+    gate: Gate<()>,
 }
 
 impl EventCount {
@@ -392,11 +581,10 @@ impl EventCount {
         Self::default()
     }
 
-    /// Increment and wake waiters.
+    /// Increment, and wake the waiters if any is parked.
     pub fn add(&self, n: u64) {
-        self.count.fetch_add(n, Ordering::AcqRel);
-        let _g = self.lock.lock();
-        self.cv.notify_all();
+        self.count.fetch_add(n, Ordering::SeqCst);
+        self.gate.wake();
     }
 
     /// Current value.
@@ -404,12 +592,19 @@ impl EventCount {
         self.count.load(Ordering::Acquire)
     }
 
-    /// Block until the counter reaches `target`.
-    pub fn wait_for(&self, target: u64) {
-        let mut g = self.lock.lock();
-        while self.count.load(Ordering::Acquire) < target {
-            self.cv.wait(&mut g);
-        }
+    /// Wait until the counter reaches `target`: spin, then park, as
+    /// [`IVar::get`].
+    pub fn wait_for(&self, target: u64, meter: &WaitMeter) {
+        self.gate
+            .wait(meter, None, || self.count.load(Ordering::SeqCst) >= target);
+    }
+}
+
+impl std::fmt::Debug for EventCount {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EventCount")
+            .field("count", &self.get())
+            .finish()
     }
 }
 
@@ -417,6 +612,7 @@ impl EventCount {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+    use Duration;
 
     #[test]
     fn sync_slot_fires_exactly_once() {
@@ -587,11 +783,115 @@ mod tests {
         let iv = Arc::new(IVar::<u64>::new());
         let reader = {
             let iv = iv.clone();
-            std::thread::spawn(move || iv.get())
+            std::thread::spawn(move || iv.get(&WaitMeter::new()))
         };
-        std::thread::sleep(std::time::Duration::from_millis(10));
+        std::thread::sleep(Duration::from_millis(10));
         iv.put(42);
         assert_eq!(reader.join().unwrap(), 42);
+    }
+
+    /// The budget rule, exactly: a fresh meter spins the whole ceiling
+    /// with no time limit; a measured one spins until twice its EWMA,
+    /// still never past the ceiling.
+    #[test]
+    fn spin_window_is_twice_the_ewma_under_the_ceiling() {
+        assert_eq!(
+            spin_window(0, 256),
+            SpinWindow {
+                polls: 256,
+                until_ns: None
+            }
+        );
+        assert_eq!(
+            spin_window(3_500, 256),
+            SpinWindow {
+                polls: 256,
+                until_ns: Some(7_000)
+            }
+        );
+        assert_eq!(
+            spin_window(1, 2),
+            SpinWindow {
+                polls: 2,
+                until_ns: Some(2)
+            }
+        );
+        assert_eq!(spin_window(u64::MAX, 256).until_ns, Some(u64::MAX));
+    }
+
+    #[test]
+    fn ewma_folds_at_one_eighth_and_never_reads_fresh() {
+        assert_eq!(ewma_fold(0, 8_000), 8_000, "first sample seeds it");
+        assert_eq!(ewma_fold(8_000, 16_000), 9_000);
+        assert_eq!(ewma_fold(9_000, 1_000), 8_000);
+        assert_eq!(ewma_fold(0, 0), 1, "0 is reserved for a fresh meter");
+        assert_eq!(ewma_fold(1, 0), 1);
+        let mut e = 0;
+        for _ in 0..64 {
+            e = ewma_fold(e, 2_000);
+        }
+        assert_eq!(e, 2_000, "a steady sample is a fixed point");
+    }
+
+    #[test]
+    fn wait_on_a_full_cell_returns_without_parking() {
+        let meter = WaitMeter::new();
+        let iv = IVar::new();
+        iv.put(3u32);
+        assert_eq!(iv.get(&meter), 3);
+        assert_eq!(iv.get_timeout(Duration::ZERO, &meter), Some(3));
+        let ec = EventCount::new();
+        ec.add(2);
+        ec.wait_for(2, &meter);
+        assert_eq!(meter.parks(), 0);
+        assert_eq!(meter.ewma_ns(), 0, "a wait that never waited is no sample");
+    }
+
+    /// The `put` is held back until the waiter is seen in its park phase
+    /// (the meter's park count, not a timer), so the waiter must park —
+    /// exactly once: the notify ends the wait, with no second park.
+    #[test]
+    fn held_back_put_parks_the_waiter_exactly_once() {
+        let meter = Arc::new(WaitMeter::new());
+        let iv = Arc::new(IVar::<u64>::new());
+        let reader = {
+            let (iv, meter) = (iv.clone(), meter.clone());
+            std::thread::spawn(move || iv.get(&meter))
+        };
+        while meter.parks() == 0 {
+            std::thread::yield_now();
+        }
+        iv.put(42);
+        assert_eq!(reader.join().unwrap(), 42);
+        assert_eq!(meter.parks(), 1);
+        assert!(meter.ewma_ns() > 0, "a completed wait is a sample");
+        assert_eq!(iv.gate.registered.load(Ordering::SeqCst), 0);
+
+        let meter = Arc::new(WaitMeter::new());
+        let ec = Arc::new(EventCount::new());
+        let waiter = {
+            let (ec, meter) = (ec.clone(), meter.clone());
+            std::thread::spawn(move || ec.wait_for(2, &meter))
+        };
+        while meter.parks() == 0 {
+            std::thread::yield_now();
+        }
+        ec.add(1);
+        ec.add(1);
+        waiter.join().unwrap();
+        assert_eq!(meter.parks(), 1);
+        assert_eq!(ec.gate.registered.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn timed_wait_gives_up_and_a_later_wait_sees_the_value() {
+        let meter = WaitMeter::new();
+        let iv = IVar::<u8>::new();
+        assert_eq!(iv.get_timeout(Duration::from_millis(1), &meter), None);
+        assert_eq!(meter.parks(), 1);
+        assert_eq!(meter.ewma_ns(), 0, "a timed-out wait is no sample");
+        iv.put(5);
+        assert_eq!(iv.get_timeout(Duration::from_millis(1), &meter), Some(5));
     }
 
     #[test]
@@ -638,7 +938,7 @@ mod tests {
         let h = {
             let ec = ec.clone();
             std::thread::spawn(move || {
-                ec.wait_for(5);
+                ec.wait_for(5, &WaitMeter::new());
                 ec.get()
             })
         };

@@ -11,6 +11,7 @@
 
 use std::sync::Arc;
 
+use htvm_core::sync::WaitMeter;
 use htvm_core::{IVar, LgtCtx, SgtCtx};
 
 /// A handle to an eagerly-computed value.
@@ -63,7 +64,8 @@ impl<T: Send + Sync + 'static> LitlFuture<T> {
     where
         T: Clone,
     {
-        self.cell.get()
+        static FORCE: WaitMeter = WaitMeter::new();
+        self.cell.get(&FORCE)
     }
 
     /// Non-blocking read.

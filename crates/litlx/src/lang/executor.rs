@@ -397,7 +397,8 @@ impl LoopExecutor for NaiveExecutor {
             scope.spawn_sgt(move |scope| lp.work(scope, &var, from, &body, &env));
         }
         lp.work(scope, spec.var, from, spec.body, spec.env);
-        lp.done.wait_for(n);
+        static NAIVE_JOIN: htvm_core::sync::WaitMeter = htvm_core::sync::WaitMeter::new();
+        lp.done.wait_for(n, &NAIVE_JOIN);
         let err = lp.error.lock().take();
         match err {
             Some(err) => Err(err),

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use htvm_core::sync::WaitMeter;
 use htvm_core::{CancelToken, IVar};
 
 /// Why the serving layer refused to run an admitted request.
@@ -215,6 +216,10 @@ impl ReqState {
     }
 }
 
+/// How long a client waits for its response to settle: the spin budget
+/// of [`ResponseHandle::wait`] and [`ResponseHandle::wait_timeout`].
+static SETTLE: WaitMeter = WaitMeter::new();
+
 /// The client's handle to an admitted request.
 pub struct ResponseHandle {
     pub(crate) state: Arc<ReqState>,
@@ -225,7 +230,7 @@ impl ResponseHandle {
     /// Block until the request resolves. Call from client threads, not
     /// from pool workers (it parks the calling thread).
     pub fn wait(&self) -> Outcome {
-        self.state.outcome.get()
+        self.state.outcome.get(&SETTLE)
     }
 
     /// Block until the request resolves or `timeout` elapses.
@@ -234,7 +239,7 @@ impl ResponseHandle {
     /// backoff), not failed — the request will still settle exactly
     /// once, and a later `wait`/`wait_timeout` can pick it up.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Outcome> {
-        self.state.outcome.get_timeout(timeout)
+        self.state.outcome.get_timeout(timeout, &SETTLE)
     }
 
     /// The outcome if the request has already resolved.
@@ -271,5 +276,21 @@ impl std::fmt::Debug for ResponseHandle {
             .field("outcome", &self.try_outcome())
             .field("token", &self.token)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every request allocates one `Arc<ReqState>`, on the submitting
+    /// thread, and a worker usually frees it. At 104 bytes (120 with the
+    /// `Arc`'s counts) it stays in glibc's fast-bin size class; at 112
+    /// bytes, perfbench's saturated flood rate (`sat_rps`) read about a
+    /// quarter lower on a 2-vCPU VM.
+    #[test]
+    fn request_state_stays_in_its_allocation_size_class() {
+        let size = std::mem::size_of::<ReqState>();
+        assert!(size <= 104, "ReqState grew to {size} bytes");
     }
 }

@@ -66,6 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use htvm_core::sync::{EventCount, WaitMeter};
 use htvm_core::{DomainId, Pool, WorkerCtx};
 use parking_lot::Mutex;
 
@@ -255,7 +256,8 @@ struct Wave {
     /// once, so a claim is one `fetch_add`; a claim at or past
     /// `geom.groups` finds the wave fully claimed.
     next: AtomicU64,
-    finished: AtomicU64,
+    /// Groups finished; the caller's join waits for `geom.groups`.
+    finished: EventCount,
     /// The error of the lowest-indexed failing group so far, with that
     /// index. Keeping the minimum (not the first to arrive) makes a
     /// failing wave's error a function of the nest, not of the schedule.
@@ -271,13 +273,13 @@ struct Wave {
 /// Counts a claimed group finished from `Drop`, so it happens **even when
 /// the group's run unwinds**. Without this, a group dying on a pool
 /// worker would be contained by the pool's `catch_unwind` while the wave
-/// never learns the group died — the caller's wait then spins forever on
+/// never learns the group died — the caller's join then waits forever on
 /// `finished < groups`.
-struct GroupDone<'a>(&'a AtomicU64);
+struct GroupDone<'a>(&'a EventCount);
 
 impl Drop for GroupDone<'_> {
     fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
+        self.0.add(1);
     }
 }
 
@@ -452,7 +454,7 @@ fn run_spread(
         geom: geom.clone(),
         outer: outer.to_vec(),
         next: AtomicU64::new(0),
-        finished: AtomicU64::new(0),
+        finished: EventCount::new(),
         error: Mutex::new(None),
         built: Instant::now(),
         wake: wake.clone(),
@@ -466,9 +468,12 @@ fn run_spread(
     }));
     report.spawned += groups;
     // Help until every group is claimed, then wait for the ones the pool
-    // jobs claimed — never block: the caller may *be* a pool worker (a
-    // pool job or a served request running a LITL-X program), and parking
-    // it on a single-worker pool would deadlock the wave.
+    // jobs claimed. The caller may *be* a pool worker (a pool job or a
+    // served request running a LITL-X program), so it must not wait while
+    // a group is still unclaimed: on a one-worker pool nobody else would
+    // run it. Once every group is claimed, each one runs to its end on
+    // the thread that claimed it, so the join depends on no queued job
+    // and may park.
     while let Some(g) = wave.claim() {
         let start = Instant::now();
         wave.run(g);
@@ -477,9 +482,8 @@ fn run_spread(
         report.caller_points += (hi - lo) as u64 * geom.inner;
         report.caller_ran += 1;
     }
-    while wave.finished.load(Ordering::Acquire) < groups {
-        std::thread::yield_now();
-    }
+    static SPREAD_JOIN: WaitMeter = WaitMeter::new();
+    wave.finished.wait_for(groups, &SPREAD_JOIN);
     let err = wave.error.lock().take();
     match err {
         Some((_, e)) => Err(e),

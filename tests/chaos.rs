@@ -78,7 +78,10 @@ fn chaos_storm_resolves_every_request_and_heals_the_pool() {
     const REQS: usize = 10_000;
     // ~1% aggregate fault rate across the sites, kills included, each
     // rule capped so the storm ends and the healed pool can prove
-    // itself on the clean tail.
+    // itself on the clean tail. Whether a seeded rule fires depends on
+    // how many hits its site takes in a run, so each site also gets one
+    // always-firing rule capped at one. Those come last: the seeded
+    // rules count the same hits they would without them.
     let plan = FaultPlan::new()
         .rule(
             FaultRule::new("worker.body", FaultKind::Panic)
@@ -103,7 +106,10 @@ fn chaos_storm_resolves_every_request_and_heals_the_pool() {
                 .p(0.01)
                 .seed(0xD15)
                 .max(6),
-        );
+        )
+        .rule(FaultRule::new("worker.body", FaultKind::Kill).max(1))
+        .rule(FaultRule::new("worker.steal", FaultKind::Panic).max(1))
+        .rule(FaultRule::new("serve.dispatch", FaultKind::Kill).max(1));
     let topology = Topology::domains(2, 2);
     let full_census = topology.workers();
     let pool = Arc::new(Pool::with_fault_plan(topology, 0, plan));
@@ -191,6 +197,12 @@ fn chaos_storm_resolves_every_request_and_heals_the_pool() {
     // dispatcher was killed and restarted.
     let injected = pool.fault_plane().injected_total();
     assert!(injected > 0, "the fault plane never fired");
+    for site in ["worker.body", "worker.steal", "serve.dispatch"] {
+        assert!(
+            pool.fault_plane().injected_at(site) >= 1,
+            "no fault fired at {site}"
+        );
+    }
     assert!(
         server.dispatcher_restarts() >= 1,
         "the dispatcher kill rule never exercised the watchdog"

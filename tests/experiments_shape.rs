@@ -71,6 +71,7 @@ fn e3_futures_do_not_lose_to_barriers() {
     await_parallel_host();
     let t = experiments::e3_futures(Scale::Quick);
     let speedup: f64 = t.rows[1][2].parse().unwrap();
+    eprintln!("e3 futures/barrier speedup: {speedup}");
     // Wall-clock on a shared machine: demand only "futures are at least
     // roughly competitive, usually better".
     assert!(
