@@ -83,9 +83,17 @@ impl SharedRegion {
         }
     }
 
+    /// The words as `f64`s, first to last: one relaxed load per word over
+    /// the slab, with no per-element `Arc` deref or bounds check.
+    pub fn iter_f64(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        self.words
+            .iter()
+            .map(|w| f64::from_bits(w.load(Ordering::Relaxed)))
+    }
+
     /// Copy out as `f64`s.
     pub fn to_f64_vec(&self) -> Vec<f64> {
-        (0..self.len()).map(|i| self.read_f64(i)).collect()
+        self.iter_f64().collect()
     }
 
     /// Whether two handles alias the same underlying memory. Dependence

@@ -42,8 +42,29 @@
 //!    jams only when `cc ≠ 0` (the `c` locations are distinct) and at
 //!    least `JAM` runs of the tile remain at that level; the remaining
 //!    runs, and every [`CompiledKernel::execute_run`], take the one-run
-//!    loop, the same loop at width 1. Everything else runs on the
-//!    strip-mined tape, `Plan::Tape`:
+//!    loop, the same loop at width 1.
+//!
+//!    A jamming dot-accum also **packs** `b` when the rule of `packs_b`
+//!    holds — the matmul's shape, the one measured: `b` steps one word
+//!    per run at level `last - 1` (each run reads its own column, and one
+//!    step of `PACK_JAM` runs is a contiguous slice), `a` does not step
+//!    there (the runs share each `a` load), and `b` has zero
+//!    coefficients on every level above `last - 1`. `b`'s
+//!    `(last - 1) × innermost` footprint is then the same for every walk
+//!    of level `last - 1` in a tile, and a tile that walks it more than once
+//!    copies it once, with relaxed-atomic loads, into a plain `f64`
+//!    panel in the thread's scratch, laid out in blocks of [`PACK_JAM`]
+//!    runs with the runs of one innermost step adjacent. Each block
+//!    then runs as one loop of [`PACK_JAM`] accumulators whose step is a
+//!    plain-`f64` multiply-add over a panel row — the loop the
+//!    autovectorizer takes (GotoBLAS's panel packing). The rest of each
+//!    `last - 1` walk takes [`JAM`] runs, then one. A footprint above
+//!    `PANEL_CAP` words, fewer than [`PACK_JAM`] runs at level
+//!    `last - 1`, or a tile with one walk of it (no reuse: the copy
+//!    would cost more than it saves) keeps the unpacked loops, as does
+//!    every other dot-accum shape (a transposed `a`, a strided `b`).
+//!
+//!    Every other body runs on the strip-mined tape, `Plan::Tape`:
 //!    each body instruction executes over a strip of innermost points
 //!    held in column registers, so instruction dispatch is paid once per
 //!    strip. The strip is [`STRIP`] points wide when every access is
@@ -76,6 +97,18 @@
 //!   moves no product from one sum to another and reassociates nothing;
 //!   the loads it reorders read arrays no run stores, and the SSP
 //!   wavefront still serializes every other writer of those locations.
+//! * a packed `Plan::DotAccum` block computes each run's products from
+//!   the same two values, multiplied the same way, added in the same `k`
+//!   order onto the same loaded `c` value — there is no FMA (Rust never
+//!   contracts `x * y + s`) and no reassociation. The panel
+//!   holds what the unpacked loop would read: the nest never writes the
+//!   packed array (the store array is distinct from both loads), so
+//!   nothing in the tile can change it between the copy and its uses.
+//!   A racing writer outside the nest (a concurrent `spawn`) is not
+//!   synchronized with the tile, so relaxed-atomic semantics already
+//!   allow every load of the tile to return the value it read at the
+//!   copy: reading the panel once per tile is one of the executions the
+//!   unpacked loop may have.
 //! * a wide strip runs instruction `k` for every point of the strip
 //!   before instruction `k + 1`. With every stored array touched by one
 //!   access slot only, no load reads an array the strip writes, and each
@@ -89,13 +122,14 @@
 //! the truncated `i64` remainder, signed like the dividend, is exactly
 //! f64 `%` (including its `-0.0` results). Everything else calls f64 `%`.
 //!
-//! The unrolled loops never reassociate floating-point sums. Memory
-//! access stays relaxed-atomic throughout — a racing LITL-X `spawn` may
-//! always write a `SharedRegion` concurrently, so handing LLVM a plain
-//! `&[f64]` would be undefined behaviour no matter what the kernel
-//! proves about itself. Relaxed `AtomicU64` loads/stores compile to bare
-//! moves on x86-64; the unroll buys instruction-level parallelism even
-//! though the atomic slabs keep the autovectorizer off.
+//! The unrolled loops never reassociate floating-point sums. Access to a
+//! `SharedRegion` stays relaxed-atomic throughout — a racing LITL-X
+//! `spawn` may always write one concurrently, so handing LLVM a plain
+//! `&[f64]` over it would be undefined behaviour no matter what the
+//! kernel proves about itself. Relaxed `AtomicU64` loads/stores compile
+//! to bare moves on x86-64, but the atomic slabs keep the autovectorizer
+//! off; the packed panel is the kernel's own memory, copied out of the
+//! slab, so the loop over it vectorizes without any new `unsafe`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -239,18 +273,40 @@ struct DotAccum {
     /// innermost run to the next at level `last - 1` (zero in a one-level
     /// nest): run `r` of a jam starts `r` steps on.
     step: [i64; 3],
+    /// Whether a tile packs `b` into a panel and jams [`PACK_JAM`] runs
+    /// over it (module docs, step 5).
+    pack: bool,
 }
 
 impl DotAccum {
-    /// Runs per dot-accum call (module docs, step 5): [`JAM`] when
-    /// adjacent runs store to distinct `c` locations (`cc != 0`), else 1.
-    fn jam(&self) -> usize {
-        if self.step[2] != 0 {
-            JAM
-        } else {
-            1
+    /// Whether adjacent runs jam (module docs, step 5): they store to
+    /// distinct `c` locations (`cc != 0`).
+    fn jams(&self) -> bool {
+        self.step[2] != 0
+    }
+
+    /// The runs-per-call widths a tile walk uses, widest first.
+    fn widths(&self) -> &'static [usize] {
+        match (self.pack, self.jams()) {
+            (true, _) => &[PACK_JAM, JAM, 1],
+            (false, true) => &[JAM, 1],
+            (false, false) => &[1],
         }
     }
+}
+
+/// The packing rule (module docs, step 5) over the affine coefficients
+/// of a dot-accum's store `c` and loads `a`, `b`: whether `b` packs.
+/// The runs jam only when `c` steps at level `last - 1`. There `b` must
+/// step one word per run, so a panel row is one contiguous slice, and
+/// `a` must not step, so a block's runs share each `a` load; `b` must
+/// have zero coefficients on every level above, so one panel of its
+/// `(last - 1) × innermost` footprint serves every run of a tile.
+fn packs_b(c: &[i64], a: &[i64], b: &[i64]) -> bool {
+    let Some(jam) = c.len().checked_sub(2) else {
+        return false;
+    };
+    c[jam] != 0 && a[jam] == 0 && b[jam] == 1 && b[..jam].iter().all(|&x| x == 0)
 }
 
 /// The `d[..] = a[..] * b[..] (+ k)` elementwise map; `k` is a
@@ -277,8 +333,18 @@ enum Plan {
 /// Points per strip of a wide strip-mined tape (module docs, step 5).
 pub const STRIP: usize = 64;
 
-/// Adjacent dot-accum runs jammed into one loop (module docs, step 5).
+/// Adjacent dot-accum runs jammed into one loop over the atomic slabs
+/// (module docs, step 5).
 pub const JAM: usize = 4;
+
+/// Adjacent dot-accum runs jammed into one loop over a packed panel
+/// (module docs, step 5).
+pub const PACK_JAM: usize = 16;
+
+/// Largest `(last - 1) × innermost` footprint, in words, whose panel a
+/// tile packs; a larger one runs the unpacked loops (module docs,
+/// step 5).
+const PANEL_CAP: u64 = 1 << 17;
 
 /// Introspection of a compilation, for tests, benches and reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -299,9 +365,18 @@ pub struct CompileInfo {
     /// Innermost points per strip of the tape executor: [`STRIP`] or 1
     /// (module docs, step 5).
     pub strip: usize,
-    /// Innermost runs per dot-accum call: [`JAM`] or 1 (module docs,
-    /// step 5); 1 for the other plans.
-    pub jam: usize,
+    /// Innermost runs per call a tile walk uses, widest first (module
+    /// docs, step 5): `[PACK_JAM, JAM, 1]` for a packing dot-accum,
+    /// `[JAM, 1]` for a jamming one, `[1]` otherwise.
+    pub jams: &'static [usize],
+}
+
+impl CompileInfo {
+    /// Whether a dot-accum tile packs `b` into a panel (module docs,
+    /// step 5): its widest jam is [`PACK_JAM`].
+    pub fn packs(&self) -> bool {
+        self.jams[0] == PACK_JAM
+    }
 }
 
 /// The immutable result of compiling a kernel against one nest geometry
@@ -687,6 +762,10 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
     if let (Plan::DotAccum(m), Some(k)) = (&mut plan, innermost.checked_sub(1)) {
         let run_step = &carry[k * accesses.len()..];
         m.step = [run_step[m.a], run_step[m.b], run_step[m.c]];
+        let coefs = |s: usize| accesses[s].idx.coefs.as_slice();
+        m.pack = packs_b(coefs(m.c), coefs(m.a), coefs(m.b))
+            && trips[k] >= PACK_JAM as u64
+            && trips[k] * trips[innermost] <= PANEL_CAP;
     }
 
     CompiledCode {
@@ -739,6 +818,7 @@ fn match_dot_accum(body: &[CInstr], accesses: &[RunAccess]) -> Option<Plan> {
         b: *sb,
         c: *sc,
         step: [0; 3],
+        pack: false,
     }))
 }
 
@@ -831,13 +911,15 @@ unsafe fn srel(w: &[AtomicU64], i: i64, v: f64) {
 type Lanes = [f64; STRIP];
 
 /// Per-thread tile scratch: scalar registers (the preamble's), column
-/// registers (the tape's), absolute induction values, and the per-slot
-/// base indices — borrowed **once per tile**, not once per run or point.
+/// registers (the tape's), absolute induction values, the per-slot
+/// base indices and a packing dot-accum's panel — borrowed **once per
+/// tile**, not once per run or point.
 struct TileScratch {
     regs: Vec<f64>,
     cols: Vec<Lanes>,
     abs: Vec<i64>,
     idxs: Vec<i64>,
+    panel: Vec<f64>,
 }
 
 thread_local! {
@@ -847,6 +929,7 @@ thread_local! {
             cols: Vec::new(),
             abs: Vec::new(),
             idxs: Vec::new(),
+            panel: Vec::new(),
         })
     };
 }
@@ -927,9 +1010,9 @@ impl CompiledKernel {
             body: c.body.len(),
             all_proven: c.accesses.iter().all(|a| a.proven),
             strip: c.strip,
-            jam: match &c.plan {
-                Plan::DotAccum(m) => m.jam(),
-                _ => 1,
+            jams: match &c.plan {
+                Plan::DotAccum(m) => m.widths(),
+                _ => &[1],
             },
         }
     }
@@ -1019,6 +1102,7 @@ impl CompiledCode {
                 cols,
                 abs,
                 idxs,
+                panel,
             } = &mut *borrow;
             abs.clear();
             abs.extend(self.los.iter().zip(outer).map(|(l0, p)| l0 + p));
@@ -1036,30 +1120,63 @@ impl CompiledCode {
             }
             // Walk the levels `level..last` as an odometer (`level` over
             // `lo..hi`, the rest full), one full innermost run per tuple —
-            // or, for a jamming dot-accum with `JAM` runs left at level
-            // `last - 1`, those runs in one call, the odometer then
-            // resuming from the last of them.
+            // or, for a jamming dot-accum, the widest jam of runs left at
+            // level `last - 1` in one call, the odometer then resuming
+            // from the last of them. A packing dot-accum first copies
+            // `b`'s footprint for the `PACK_JAM`-wide blocks of every
+            // `last - 1` walk, which all start at `j0`.
             let n_last = self.trips[last] as usize;
             let slots = self.accesses.len();
             let end = |k: usize| self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
+            let j0 = abs[last - 1];
             let jam = match &self.plan {
-                Plan::DotAccum(m) if m.jam() == JAM => Some(m),
+                Plan::DotAccum(m) if m.jams() => {
+                    let blocks = (end(last - 1) - j0) as usize / PACK_JAM;
+                    // Only a tile that walks the `last - 1` level more
+                    // than once reads its panel more than once.
+                    let reused = level + 1 < last
+                        && (hi - lo > 1 || self.trips[level + 1..last - 1].iter().any(|&t| t > 1));
+                    let packed = m.pack && blocks > 0 && reused;
+                    if packed {
+                        self.pack_panel(arrays, m, idxs[m.b], blocks, n_last, panel);
+                    }
+                    Some((m, packed))
+                }
                 _ => None,
             };
+            let block = n_last * PACK_JAM;
             loop {
-                match jam {
-                    Some(m) if end(last - 1) - abs[last - 1] >= JAM as i64 => {
-                        // No preamble: the dot-accum body reads none of
-                        // its registers, and it has no effects.
-                        self.run_dot_accum::<JAM>(arrays, m, idxs, n_last);
-                        let skip = JAM as i64 - 1;
-                        abs[last - 1] += skip;
-                        let carry = &self.carry[(last - 1) * slots..last * slots];
-                        for (i, c) in idxs.iter_mut().zip(carry) {
-                            *i += skip * c;
-                        }
+                let left = end(last - 1) - abs[last - 1];
+                // No preamble before a jam: the dot-accum body reads none
+                // of its registers, and it has no effects.
+                let runs = match jam {
+                    Some((m, true)) if left >= PACK_JAM as i64 => {
+                        let at = (abs[last - 1] - j0) as usize / PACK_JAM * block;
+                        self.run_dot_accum_packed::<PACK_JAM>(
+                            arrays,
+                            m,
+                            &panel[at..at + block],
+                            idxs,
+                            n_last,
+                        );
+                        PACK_JAM
                     }
-                    _ => self.run(arrays, regs, cols, abs, idxs, n_last)?,
+                    Some((m, _)) if left >= JAM as i64 => {
+                        self.run_dot_accum::<JAM>(arrays, m, idxs, n_last);
+                        JAM
+                    }
+                    _ => {
+                        self.run(arrays, regs, cols, abs, idxs, n_last)?;
+                        1
+                    }
+                };
+                if runs > 1 {
+                    let skip = runs as i64 - 1;
+                    abs[last - 1] += skip;
+                    let carry = &self.carry[(last - 1) * slots..last * slots];
+                    for (i, c) in idxs.iter_mut().zip(carry) {
+                        *i += skip * c;
+                    }
                 }
                 let mut k = last - 1;
                 loop {
@@ -1137,11 +1254,90 @@ impl CompiledCode {
         }
     }
 
+    /// Copy `b`'s footprint for `blocks` blocks of [`PACK_JAM`] runs into
+    /// `panel`, from `ib`, `b`'s index at the tile's first point: run `r`
+    /// of block `q` at innermost step `k` lands at
+    /// `[(q·n + k)·PACK_JAM + r]`, so each step of a block reads one
+    /// contiguous row. The loads are relaxed-atomic and bounds-checked;
+    /// the kernel never stores `b` (the matcher requires a distinct store
+    /// array), so the panel stays what each run would read, up to a
+    /// racing writer (module docs).
+    fn pack_panel(
+        &self,
+        arrays: &[SharedRegion],
+        m: &DotAccum,
+        ib: i64,
+        blocks: usize,
+        n: usize,
+        panel: &mut Vec<f64>,
+    ) {
+        let ab = &self.accesses[m.b];
+        let bw = arrays[ab.arr].atomics();
+        let db = ab.stride;
+        panel.clear();
+        panel.resize(blocks * n * PACK_JAM, 0.0);
+        let (rows, _) = panel.as_chunks_mut::<PACK_JAM>();
+        for (qk, row) in rows.iter_mut().enumerate() {
+            let (q, k) = ((qk / n) as i64, (qk % n) as i64);
+            // `b` steps one word per run (`packs_b`): a row is one slice,
+            // one bounds check.
+            let words = &bw[(ib + q * PACK_JAM as i64 + k * db) as usize..][..PACK_JAM];
+            for (v, w) in row.iter_mut().zip(words) {
+                *v = f64::from_bits(w.load(Ordering::Relaxed));
+            }
+        }
+    }
+
+    /// `R` adjacent dot-accum runs over a packed block of `b`
+    /// ([`CompiledCode::pack_panel`]): `panel` holds `R` values per
+    /// innermost step, one per run, so each step is one plain-`f64`
+    /// multiply-add of the runs' shared `a` value across the `R`
+    /// accumulators, which the autovectorizer takes. `a` and `c` stay on
+    /// the proven atomic accessors. Requires `m.pack` (so `a` does not
+    /// step across the runs) and `R` runs of the tile left at level
+    /// `last - 1`.
+    #[inline(always)]
+    fn run_dot_accum_packed<const R: usize>(
+        &self,
+        arrays: &[SharedRegion],
+        m: &DotAccum,
+        panel: &[f64],
+        idxs: &[i64],
+        n: usize,
+    ) {
+        let (aa, ac) = (&self.accesses[m.a], &self.accesses[m.c]);
+        let aw = arrays[aa.arr].atomics();
+        let cw = arrays[ac.arr].atomics();
+        let da = aa.stride;
+        let cc = m.step[2];
+        let mut ia = idxs[m.a];
+        let ic = idxs[m.c];
+        let (rows, _) = panel.as_chunks::<R>();
+        // SAFETY: as in `run_dot_accum` — every `a` and `c` index is the
+        // access's affine form at a point of one of the `R` runs, which
+        // lie in the asserted tile, and both slots are proven. Run `r`
+        // adds exactly the products of its unpacked loop, in `k` order,
+        // onto its own loaded `c` value.
+        unsafe {
+            let mut s: [f64; R] = std::array::from_fn(|r| lrel(cw, ic + r as i64 * cc));
+            for row in &rows[..n] {
+                let x = lrel(aw, ia);
+                for (s, &y) in s.iter_mut().zip(row) {
+                    *s += x * y;
+                }
+                ia += da;
+            }
+            for (r, s) in s.into_iter().enumerate() {
+                srel(cw, ic + r as i64 * cc, s);
+            }
+        }
+    }
+
     /// `R` adjacent innermost runs of the dot-accum shape in one loop:
     /// run `r` starts `r` steps of level `last - 1` (`m.step`) past
     /// `idxs` and keeps its own accumulator, so the `R` serial add chains
     /// overlap. `R = 1` is the one-run loop; `R > 1` requires
-    /// `m.jam() == R` (distinct `c` locations) and `R` runs of the tile
+    /// `m.jams()` (distinct `c` locations) and `R` runs of the tile
     /// left at level `last - 1`.
     #[inline(always)]
     fn run_dot_accum<const R: usize>(
@@ -1703,51 +1899,182 @@ mod tests {
         assert_eq!(a.to_f64_vec(), vec![0.0; 8]);
     }
 
+    /// `c[i * nj + j] += a[i * 5 + k] * b[k * nj + j]` over `0..ni × 0..nj
+    /// × 0..5` on fractional data, `c` starting fractional: the regions
+    /// (`c` last) and the nest's source.
+    fn jam_nest(ni: usize, nj: usize) -> ([SharedRegion; 3], String) {
+        let frac = |len: usize, d: f64, o: f64| {
+            SharedRegion::from_f64(&(0..len).map(|v| v as f64 / d + o).collect::<Vec<_>>())
+        };
+        let src = format!(
+            "fn main() {{
+                forall i in 0..{ni} {{ forall j in 0..{nj} {{ for k in 0..5 {{
+                  c[i * {nj} + j] += a[i * 5 + k] * b[k * {nj} + j];
+                }} }} }}
+              }}"
+        );
+        let regions = [
+            frac(ni * 5, 7.0, 0.3),
+            frac(5 * nj, 11.0, -0.1),
+            frac(ni * nj, 13.0, 0.0),
+        ];
+        (regions, src)
+    }
+
+    /// [`jam_nest`] point by point on the interpreted tape, and compiled
+    /// as `tiles` (which must cover the nest once): the compiled
+    /// kernel's info and whether the final `c` bits match.
+    fn jam_tiles_match(ni: usize, nj: usize, tiles: &[(&[i64], i64, i64)]) -> (CompileInfo, bool) {
+        let mut bits = Vec::new();
+        let mut info = None;
+        for compiled in [false, true] {
+            let ([a, b, c], src) = jam_nest(ni, nj);
+            let bind = [
+                ("a", Value::Arr(a)),
+                ("b", Value::Arr(b)),
+                ("c", Value::Arr(c.clone())),
+            ];
+            let l = lower_src(&src, &bind);
+            if compiled {
+                let k = compile(&l.kernel, &l.nest.trip_counts);
+                for &(outer, lo, hi) in tiles {
+                    k.execute_tile(outer, lo, hi).unwrap();
+                }
+                info = Some(k.info());
+            } else {
+                for i in 0..ni as i64 {
+                    for j in 0..nj as i64 {
+                        for k in 0..5 {
+                            l.kernel.execute(&[i, j, k]).unwrap();
+                        }
+                    }
+                }
+            }
+            bits.push(
+                c.to_f64_vec()
+                    .iter()
+                    .map(|v| v.to_bits())
+                    .collect::<Vec<_>>(),
+            );
+        }
+        (info.unwrap(), bits[0] == bits[1])
+    }
+
     #[test]
     fn jam_leaves_the_last_runs_of_a_tile_to_the_one_run_loop() {
         // `j` extent 7: a tile over all of `j` jams runs 0..4 and has
         // exactly `JAM - 1` runs left; a tile of `JAM - 1` runs at the
         // jam level itself never jams, and must stop at its `hi`.
-        let src = "fn main() {
-            forall i in 0..2 { forall j in 0..7 { for k in 0..5 {
-              c[i * 7 + j] += a[i * 5 + k] * b[k * 7 + j];
-            } } }
-          }";
-        let a = SharedRegion::from_f64(&(0..10).map(|v| v as f64 / 7.0 + 0.3).collect::<Vec<_>>());
-        let b = SharedRegion::from_f64(&(0..35).map(|v| v as f64 / 11.0 - 0.1).collect::<Vec<_>>());
-        let init: Vec<f64> = (0..14).map(|v| v as f64 / 13.0).collect();
-        let (c1, c2) = (SharedRegion::from_f64(&init), SharedRegion::from_f64(&init));
-        let bind = |c: &SharedRegion| {
-            vec![
-                ("a", Value::Arr(a.clone())),
-                ("b", Value::Arr(b.clone())),
-                ("c", Value::Arr(c.clone())),
-            ]
-        };
-        let l1 = lower_src(src, &bind(&c1));
-        for i in 0..2 {
-            for j in 0..7 {
-                for k in 0..5 {
-                    l1.kernel.execute(&[i, j, k]).unwrap();
-                }
-            }
-        }
-        let l2 = lower_src(src, &bind(&c2));
-        let c = compile(&l2.kernel, &l2.nest.trip_counts);
-        assert_eq!((c.info().plan, c.info().jam), ("dot-accum", JAM));
         assert_eq!(JAM - 1, 3, "the tiles below assume JAM = 4");
-        c.execute_tile(&[0], 1, 4).unwrap();
-        assert_eq!(c2.read_f64(4), init[4], "a tile must stop at its hi");
-        c.execute_tile(&[0], 0, 1).unwrap();
-        c.execute_tile(&[0], 4, 7).unwrap();
-        c.execute_tile(&[], 1, 2).unwrap();
-        let bits = |r: &SharedRegion| {
-            r.to_f64_vec()
-                .iter()
-                .map(|v| v.to_bits())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(bits(&c1), bits(&c2));
+        let ([a, b, c], src) = jam_nest(2, 7);
+        let init = c.to_f64_vec();
+        let bind = [
+            ("a", Value::Arr(a)),
+            ("b", Value::Arr(b)),
+            ("c", Value::Arr(c.clone())),
+        ];
+        let l = lower_src(&src, &bind);
+        let k = compile(&l.kernel, &l.nest.trip_counts);
+        k.execute_tile(&[0], 1, 4).unwrap();
+        assert_eq!(c.read_f64(4), init[4], "a tile must stop at its hi");
+        let tiles: [(&[i64], i64, i64); 4] =
+            [(&[0], 1, 4), (&[0], 0, 1), (&[0], 4, 7), (&[], 1, 2)];
+        let (info, same) = jam_tiles_match(2, 7, &tiles);
+        assert_eq!((info.plan, info.jams), ("dot-accum", &[JAM, 1][..]));
+        assert!(same);
+    }
+
+    #[test]
+    fn packed_jam_leaves_the_rest_of_a_row_to_jam_and_one_run_loops() {
+        // `j` extent PACK_JAM + JAM + 3: a tile of two or more rows packs
+        // one block per row and leaves one `JAM` block and `JAM - 1`
+        // single runs; a one-row tile and tiles at the jam level run the
+        // unpacked loops over the same row. A packed tile must stop at
+        // its `hi` row.
+        let nj = PACK_JAM + JAM + 3;
+        let ([a, b, c], src) = jam_nest(4, nj);
+        let init = c.to_f64_vec();
+        let bind = [
+            ("a", Value::Arr(a)),
+            ("b", Value::Arr(b)),
+            ("c", Value::Arr(c.clone())),
+        ];
+        let l = lower_src(&src, &bind);
+        let k = compile(&l.kernel, &l.nest.trip_counts);
+        k.execute_tile(&[], 1, 3).unwrap();
+        assert_eq!(
+            &c.to_f64_vec()[3 * nj..],
+            &init[3 * nj..],
+            "a tile must stop at its hi"
+        );
+        let nj = nj as i64;
+        let tiles: [(&[i64], i64, i64); 5] = [
+            (&[], 1, 3),
+            (&[], 3, 4),
+            (&[0], 0, PACK_JAM as i64),
+            (&[0], PACK_JAM as i64, nj - 1),
+            (&[0], nj - 1, nj),
+        ];
+        let (info, same) = jam_tiles_match(4, nj as usize, &tiles);
+        assert_eq!(
+            (info.plan, info.jams),
+            ("dot-accum", &[PACK_JAM, JAM, 1][..])
+        );
+        assert!(same);
+    }
+
+    #[test]
+    fn packs_b_only_in_the_matmul_shape() {
+        let n = 48;
+        // Matmul: `c[i n + j] += a[i n + k] * b[k n + j]`: `b` packs.
+        assert!(packs_b(&[n, 1, 0], &[n, 0, 1], &[0, 1, n]));
+        // Four levels: zero on both levels above the jam level.
+        assert!(packs_b(&[n, n, 1, 0], &[n, n, 0, 1], &[0, 0, 1, n]));
+        // A transposed `a` steps with `j`: the runs share no `a` load.
+        assert!(!packs_b(&[n, 1, 0], &[0, n, 1], &[0, 1, n]));
+        // `b` strided in `j` (a transposed `b`): a row is no slice.
+        assert!(!packs_b(&[n, 1, 0], &[n, 0, 1], &[0, n, 1]));
+        // `b` fixed in `j`: nothing to pack per run.
+        assert!(!packs_b(&[n, 1, 0], &[0, n, 1], &[3, 0, 1]));
+        // `b` depends on an outer level: its footprint moves per row.
+        assert!(!packs_b(&[n, 1, 0], &[n, 0, 1], &[n * n, 1, n]));
+        assert!(!packs_b(&[n, n, 1, 0], &[n, n, 0, 1], &[0, 1, 1, n]));
+        // `c` fixed in `j`: the runs do not jam, so nothing packs.
+        assert!(!packs_b(&[1, 0, 0], &[n, 0, 1], &[0, 1, n]));
+        // One-level nest: no jam level.
+        assert!(!packs_b(&[0], &[1], &[1]));
+    }
+
+    #[test]
+    fn packing_follows_the_jam_width_and_the_footprint_cap() {
+        // A footprint at the cap packs, one word above it falls back, and
+        // fewer than `PACK_JAM` runs at the jam level never pack.
+        let nk = (PANEL_CAP / PACK_JAM as u64) as usize;
+        for (nj, nk, packs) in [
+            (PACK_JAM, nk, true),
+            (PACK_JAM, nk + 1, false),
+            (PACK_JAM - 1, 5, false),
+        ] {
+            let src = format!(
+                "fn main() {{
+                    forall i in 0..2 {{ forall j in 0..{nj} {{ for k in 0..{nk} {{
+                      c[i * {nj} + j] += a[i * {nk} + k] * b[k * {nj} + j];
+                    }} }} }}
+                  }}"
+            );
+            let bind = [
+                ("a", Value::Arr(SharedRegion::new(2 * nk))),
+                ("b", Value::Arr(SharedRegion::new(nk * nj))),
+                ("c", Value::Arr(SharedRegion::new(2 * nj))),
+            ];
+            let l = lower_src(&src, &bind);
+            let info = compile(&l.kernel, &l.nest.trip_counts).info();
+            assert_eq!(
+                (info.plan, info.packs()),
+                ("dot-accum", packs),
+                "{nj} x {nk}"
+            );
+        }
     }
 
     #[test]

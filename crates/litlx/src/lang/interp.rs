@@ -756,7 +756,9 @@ impl Scope<'_> {
             "sum" => {
                 need(1)?;
                 let a = self.eval(&args[0], env)?.as_arr("sum")?;
-                Ok(Value::Num((0..a.len()).map(|i| a.read_f64(i)).sum()))
+                // A left fold in index order: the summation order is part
+                // of the result's bits.
+                Ok(Value::Num(a.iter_f64().sum()))
             }
             "force" => {
                 need(1)?;
@@ -873,6 +875,17 @@ mod tests {
                for i in 0..5 { a[i] = i * i; }
                print(sum(a)); }");
         assert_eq!(out.printed, vec!["30"]);
+    }
+
+    #[test]
+    fn sum_folds_left_to_right() {
+        // Left to right: ((1e16 + 1) - 1e16) + 1 = 1, where a pairwise
+        // (1e16 + 1) + (-1e16 + 1) would round both halves to ±1e16 and
+        // give 0.
+        let out = run("fn main() { let a = array(4); let big = 10000000000000000;
+               a[0] = big; a[1] = 1; a[2] = 0 - big; a[3] = 1;
+               print(sum(a)); }");
+        assert_eq!(out.printed, vec!["1"]);
     }
 
     #[test]

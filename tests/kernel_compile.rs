@@ -375,18 +375,72 @@ fn tile_fault_matches_interpreted_error_text() {
     }
 }
 
-/// The jammed dot-accum loop (`compile::JAM` adjacent `j` runs, one
-/// accumulator each) against the point-at-a-time interpreted kernel on
-/// fractional data, where a reassociated sum would change bits: every
-/// `j` extent from 1 to 9 (each remainder of the jam), the partition
-/// forced to level 0 (a tile walks every `j`) and to level 1 (tiles of a
-/// few `j` indices, so short tiles take the one-run remainder path), a
-/// transposed `a` (its index steps with `j`), a `b` that does not step
-/// with `j` (its load is shared by the chains), and a `c` index that does
-/// not depend on `j` (the runs write one location, so they must not jam).
+/// The size-`(ni, nj, nk)` dot-accum nest `c[c] += a[a] * b[b]` over
+/// fractional data, its `forall` partitioned at `level` into groups of
+/// `chunk` level iterations (the default group size if `None`); it
+/// prints `c`. `nj` and `nk` in the index texts are replaced by the
+/// extents. Returns the source and the length of its three arrays.
+fn dot_accum_program(
+    (c, a, b, kw): (&str, &str, &str, &str),
+    (ni, nj, nk): (usize, usize, usize),
+    level: usize,
+    chunk: Option<usize>,
+) -> (String, usize) {
+    let nest = format!(
+        "forall i in 0..{ni} {{ {kw} j in 0..{nj} {{ for k in 0..{nk} {{
+            c[{c}] += a[{a}] * b[{b}];
+        }} }} }}"
+    )
+    .replace("nj", &nj.to_string())
+    .replace("nk", &nk.to_string());
+    let len = ni * nj * nk.max(3) + 8;
+    let chunk = chunk.map_or(String::new(), |c| format!(", chunk = {c}"));
+    let src = format!(
+        "fn main() {{
+            let a = array({len}); let b = array({len}); let c = array({len});
+            for q in 0..{len} {{ a[q] = q / 7 + 1 / 3; b[q] = q / 11 - 1 / 9; c[q] = q / 13; }}
+            @hint(pipeline = 1, level = {level}{chunk})
+            {nest}
+            for q in 0..{ni} * {nj} + 8 {{ print(c[q]); }} }}"
+    );
+    (src, len)
+}
+
+/// The plan and jam widths `compile` picks for the first nest of a
+/// [`dot_accum_program`] source over arrays of length `len`.
+fn jams_of(src: &str, len: usize) -> (&'static str, &'static [usize]) {
+    let bindings: Vec<(&str, Value)> = ["a", "b", "c"]
+        .into_iter()
+        .map(|v| (v, Value::Arr(SharedRegion::new(len))))
+        .collect();
+    let l = lower_src(src, &bindings);
+    let info = compile(&l.kernel, &l.nest.trip_counts).info();
+    (info.plan, info.jams)
+}
+
+/// The jammed dot-accum loops — `compile::PACK_JAM` runs over a packed
+/// panel of `b`, then `compile::JAM` runs over the atomic slabs, then one
+/// run — against the point-at-a-time interpreted kernel on fractional
+/// data, where a reassociated sum would change bits.
+///
+/// * `j` extents 1 to 9 (each remainder of the jam-4 loop) and 12, 17,
+///   18, 23 and 48, so a packed block is followed by every tail mix of
+///   jam-4 and single runs; `k` extents 1 and 5, and 0, which the
+///   lowering refuses (an empty level), so both modes run it naive.
+/// * Level 0 in the default groups and in groups of two rows (each tile
+///   reads its panel twice; the odd last row walks once and does not
+///   pack). Level 1 in the default groups and in groups of 5 and 17 `j`
+///   indices: tiles at the jam level, short ones taking the one-run
+///   remainder, and none packing even with a full block, since they
+///   reuse nothing.
+/// * Shapes: the matmul, the only one that packs; a transposed `a` (it
+///   steps with `j`); a transposed `b` (it steps 5 words per run); a
+///   `b` fixed in `j` (its load is shared by the chains); a `b` that
+///   depends on `i` (its footprint moves per row); and a `c` fixed in `j`
+///   (the runs write one location, so they must not jam).
 #[test]
 fn jammed_dot_accum_matches_interpreted_bitwise() {
-    // (name, `c`, `a`, `b` index; outer `j` keyword; runs per call).
+    // (name, `c`, `a`, `b` index; `j` keyword; jams; packs when wide).
     let shapes = [
         (
             "matmul",
@@ -394,7 +448,8 @@ fn jammed_dot_accum_matches_interpreted_bitwise() {
             "i * nk + k",
             "k * nj + j",
             "forall",
-            compile::JAM,
+            true,
+            true,
         ),
         (
             "transposed a",
@@ -402,7 +457,17 @@ fn jammed_dot_accum_matches_interpreted_bitwise() {
             "j * nk + k",
             "k * nj + j",
             "forall",
-            compile::JAM,
+            true,
+            false,
+        ),
+        (
+            "transposed b",
+            "i * nj + j",
+            "i * nk + k",
+            "j * 5 + k",
+            "forall",
+            true,
+            false,
         ),
         (
             "b fixed in j",
@@ -410,55 +475,114 @@ fn jammed_dot_accum_matches_interpreted_bitwise() {
             "j * nk + k",
             "k * 3 + i",
             "forall",
-            compile::JAM,
+            true,
+            false,
         ),
-        ("c fixed in j", "i", "i * nk + k", "k * nj + j", "for", 1),
+        (
+            "b depends on i",
+            "i * nj + j",
+            "i * nk + k",
+            "i * nj * nk + k * nj + j",
+            "forall",
+            true,
+            false,
+        ),
+        (
+            "c fixed in j",
+            "i",
+            "i * nk + k",
+            "k * nj + j",
+            "for",
+            false,
+            false,
+        ),
     ];
-    let program = |(c, a, b, kw): (&str, &str, &str, &str), nj: usize, level: usize| {
-        let nest = format!(
-            "forall i in 0..3 {{ {kw} j in 0..{nj} {{ for k in 0..5 {{
-                c[{c}] += a[{a}] * b[{b}];
-            }} }} }}"
-        )
-        .replace("nj", &nj.to_string())
-        .replace("nk", "5");
-        let hint = if kw == "forall" {
-            format!("@hint(pipeline = 1, level = {level})")
-        } else {
-            String::new()
-        };
-        format!(
-            "fn main() {{
-                let a = array(64); let b = array(64); let c = array(64);
-                for q in 0..64 {{ a[q] = q / 7 + 1 / 3; b[q] = q / 11 - 1 / 9; c[q] = q / 13; }}
-                {hint}
-                {nest}
-                for q in 0..64 {{ print(c[q]); }} }}"
-        )
-    };
-    for (name, c, a, b, kw, jam) in shapes {
-        for nj in 1..=9 {
-            // A `for` level cannot be the partitioned one.
-            let levels: &[usize] = if kw == "forall" { &[0, 1] } else { &[0] };
-            for &level in levels {
-                let src = program((c, a, b, kw), nj, level);
-                let case = format!("{name}, j extent {nj}, level {level}");
-                let bindings: Vec<(&str, Value)> = ["a", "b", "c"]
-                    .into_iter()
-                    .map(|v| (v, Value::Arr(SharedRegion::new(64))))
-                    .collect();
-                let l = lower_src(&src, &bindings);
-                let info = compile(&l.kernel, &l.nest.trip_counts).info();
-                assert_eq!((info.plan, info.jam), ("dot-accum", jam), "{case}");
-                let interp = try_ssp(&src, KernelMode::Interpreted).expect(&case);
-                let jammed = try_ssp(&src, KernelMode::Compiled).expect(&case);
-                assert_eq!(interp.ssp_bailouts, 0, "{case}");
-                assert_eq!(jammed.ssp_compiled, jammed.ssp_foralls, "{case}");
-                assert!(jammed.ssp_foralls >= 1, "{case}");
-                assert_eq!(jammed.printed, interp.printed, "{case}");
+    let (pack_jam, jam) = (compile::PACK_JAM, compile::JAM);
+    for (name, c, a, b, kw, jams, packs) in shapes {
+        for nj in (1..=9).chain([12, 17, 18, 23, 48]) {
+            for nk in [0, 1, 5] {
+                // A `for` level cannot be the partitioned one.
+                let parts: &[(usize, Option<usize>)] = if kw == "forall" {
+                    &[
+                        (0, None),
+                        (0, Some(2)),
+                        (1, None),
+                        (1, Some(5)),
+                        (1, Some(17)),
+                    ]
+                } else {
+                    &[(0, None), (0, Some(2))]
+                };
+                for &(level, chunk) in parts {
+                    let (src, len) = dot_accum_program((c, a, b, kw), (3, nj, nk), level, chunk);
+                    let case =
+                        format!("{name}, j extent {nj}, k extent {nk}, level {level}/{chunk:?}");
+                    let interp = try_ssp(&src, KernelMode::Interpreted).expect(&case);
+                    let jammed = try_ssp(&src, KernelMode::Compiled).expect(&case);
+                    assert_eq!(jammed.printed, interp.printed, "{case}");
+                    if nk == 0 {
+                        assert_eq!(jammed.ssp_compiled, 0, "{case}");
+                        assert!(jammed.ssp_bailouts >= 1, "{case}");
+                        continue;
+                    }
+                    let want: &[usize] = match (jams, packs && nj >= pack_jam) {
+                        (false, _) => &[1],
+                        (true, false) => &[jam, 1],
+                        (true, true) => &[pack_jam, jam, 1],
+                    };
+                    assert_eq!(jams_of(&src, len), ("dot-accum", want), "{case}");
+                    assert_eq!(interp.ssp_bailouts, 0, "{case}");
+                    assert_eq!(jammed.ssp_compiled, jammed.ssp_foralls, "{case}");
+                    assert!(jammed.ssp_foralls >= 1, "{case}");
+                }
             }
         }
     }
+}
+
+/// A packable matmul whose `(j × k)` footprint sits one `k` step above
+/// the panel cap falls back to the unpacked loops; one at the cap packs.
+/// Both match the interpreted kernel bitwise.
+#[test]
+fn panel_cap_falls_back_to_unpacked_jam_bitwise() {
+    let shape = ("i * nj + j", "i * nk + k", "k * nj + j", "forall");
+    let nj = compile::PACK_JAM;
+    // The compiler's private `PANEL_CAP`: 2^17 words.
+    let at_cap = (1 << 17) / nj;
+    for (nk, packs) in [(at_cap, true), (at_cap + 1, false)] {
+        let (src, len) = dot_accum_program(shape, (2, nj, nk), 0, Some(2));
+        assert_eq!(jams_of(&src, len).1[0] == nj, packs, "k extent {nk}");
+        let interp = try_ssp(&src, KernelMode::Interpreted).unwrap();
+        let compiled = try_ssp(&src, KernelMode::Compiled).unwrap();
+        assert_eq!(compiled.ssp_compiled, 1);
+        assert_eq!(compiled.printed, interp.printed, "k extent {nk}");
+    }
+}
+
+/// Packed tiles in spread waves: two workers each run a group of four
+/// rows, packing their own panels, and the result matches the
+/// interpreted kernel bitwise.
+#[test]
+fn packed_tiles_in_spread_waves_match_interpreted_bitwise() {
+    let shape = ("i * nj + j", "i * nk + k", "k * nj + j", "forall");
+    let (src, len) = dot_accum_program(shape, (8, 48, 5), 0, Some(4));
+    assert_eq!(jams_of(&src, len).1[0], compile::PACK_JAM);
+    let run = |mode| {
+        Interp::with_topology(Topology::domains(2, 1))
+            .with_strategy(LoopStrategy::Ssp)
+            .with_kernel_mode(mode)
+            .run(&parse(&src).unwrap())
+            .unwrap()
+    };
+    let interp = run(KernelMode::Interpreted);
+    let compiled = run(KernelMode::Compiled);
+    // A fresh plan has no measured cost, so its first run spreads.
+    assert!(
+        compiled.ssp_inline_waves < compiled.ssp_waves,
+        "waves must spread"
+    );
+    assert_eq!(compiled.ssp_compiled, 1);
+    assert_eq!(compiled.printed, interp.printed);
 }
 
 /// Lower the first `forall` of `main` (literal bounds) over `bindings`.
