@@ -6,12 +6,14 @@
 //! `tape` plan), run-at-a-time through a monomorphized loop (`dot-accum`
 //! / `fma-map`), and one tile over the whole nest
 //! (`CompiledKernel::execute_tile`, what one SSP group calls). Row names
-//! carry the point count of one call.
+//! carry the point count of one call; the title names the vector
+//! instance the host selected for the packed dot-accum
+//! (`VectorIsa::host`: `avx2` or `baseline`), the only loop with two.
 //!
 //! The matmul reduction also runs at n = 48 (`matmul_110592pts`), the
 //! served large geometry: its `compiled` row drives one innermost run
-//! per call (never jammed), its `tile` row the whole nest as one tile,
-//! where four adjacent `j` runs share one loop.
+//! per call (never jammed or packed), its `tile` row the whole nest as one
+//! tile, which packs `b` and runs 16 adjacent `j` runs per vector loop.
 //!
 //! The `run_tape` matmul variant multiplies by a constant so the body
 //! stays off the monomorphized shapes (5 body instructions): it does one
@@ -23,7 +25,9 @@
 use std::time::Instant;
 
 use htvm_core::SharedRegion;
-use litlx::lang::{compile, lower_forall, parse, CompiledKernel, Expr, LoweredForall, Stmt, Value};
+use litlx::lang::{
+    compile, lower_forall, parse, CompiledKernel, Expr, LoweredForall, Stmt, Value, VectorIsa,
+};
 
 use super::Scale;
 use crate::table::{f3, Table};
@@ -125,10 +129,14 @@ fn ns_per_point(
 
 /// KERNELS — LITL-X kernel dispatch: median and best ns per point of
 /// each dispatch tier, at the n = 24 and n = 48 matmul, the init map and
-/// an elementwise product.
+/// an elementwise product; the title names the host's packed dot-accum
+/// instance.
 pub fn kernels(scale: Scale) -> Table {
     let mut t = Table::new(
-        "KERNELS LITL-X kernel dispatch: ns per point by tier",
+        format!(
+            "KERNELS LITL-X kernel dispatch: ns per point by tier (packed dot-accum: {})",
+            VectorIsa::host().name()
+        ),
         &["bench", "plan", "ns/pt_p50", "ns/pt_min"],
     );
     let samples = scale.pick(5, 20);

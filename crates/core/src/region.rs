@@ -13,16 +13,16 @@ use std::sync::Arc;
 /// A lock-free, word-addressed memory region shared by the SGTs of one LGT.
 #[derive(Debug, Clone)]
 pub struct SharedRegion {
-    words: Arc<Box<[AtomicU64]>>,
+    words: Arc<[AtomicU64]>,
 }
 
 impl SharedRegion {
-    /// A zeroed region of `n` 64-bit words.
+    /// A zeroed region of `n` 64-bit words, in one allocation: the
+    /// counts and the words share it, so a slab access is one pointer
+    /// hop from the handle.
     pub fn new(n: usize) -> Self {
-        let mut v = Vec::with_capacity(n);
-        v.resize_with(n, || AtomicU64::new(0));
         Self {
-            words: Arc::new(v.into_boxed_slice()),
+            words: (0..n).map(|_| AtomicU64::new(0)).collect(),
         }
     }
 

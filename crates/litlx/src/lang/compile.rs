@@ -13,7 +13,7 @@
 //!    invariant in the innermost level (constants, outer index values,
 //!    loads with innermost stride 0 from arrays the kernel never stores)
 //!    to once-per-run execution. `innermost index % constant` over a
-//!    non-negative index range becomes a wrapping counter.
+//!    non-negative index range becomes a remainder column (step 5).
 //! 2. **Bounds-check hoisting** — each access's affine index is bounded
 //!    over the whole iteration box at compile time (interval arithmetic in
 //!    `i128`, so no intermediate overflow). A proven access runs
@@ -45,9 +45,10 @@
 //!    loop, the same loop at width 1.
 //!
 //!    A jamming dot-accum also **packs** `b` when the rule of `packs_b`
-//!    holds — the matmul's shape, the one measured: `b` steps one word
-//!    per run at level `last - 1` (each run reads its own column, and one
-//!    step of `PACK_JAM` runs is a contiguous slice), `a` does not step
+//!    holds — the matmul's shape, the one measured: `b` and `c` step one
+//!    word per run at level `last - 1` (each run reads its own column,
+//!    one step of `PACK_JAM` runs is a contiguous slice of `b`, and a
+//!    block's `c` words are one slice), `a` does not step
 //!    there (the runs share each `a` load), and `b` has zero
 //!    coefficients on every level above `last - 1`. `b`'s
 //!    `(last - 1) × innermost` footprint is then the same for every walk
@@ -57,7 +58,8 @@
 //!    runs with the runs of one innermost step adjacent. Each block
 //!    then runs as one loop of [`PACK_JAM`] accumulators whose step is a
 //!    plain-`f64` multiply-add over a panel row — the loop the
-//!    autovectorizer takes (GotoBLAS's panel packing). The rest of each
+//!    autovectorizer takes (GotoBLAS's panel packing). One call runs all
+//!    the blocks of a walk. The rest of each
 //!    `last - 1` walk takes [`JAM`] runs, then one. A footprint above
 //!    `PANEL_CAP` words, fewer than [`PACK_JAM`] runs at level
 //!    `last - 1`, or a tile with one walk of it (no reuse: the copy
@@ -70,7 +72,33 @@
 //!    strip. The strip is [`STRIP`] points wide when every access is
 //!    proven and every stored array has exactly one access slot, and one
 //!    point wide otherwise — the same code, reproducing the per-point
-//!    order and fault identity exactly.
+//!    order and fault identity exactly. The tape's index columns are
+//!    built without a serial dependence: the innermost index value is
+//!    `t0 as f64 + IOTA[p]` (`IOTA` holds `0.0 … 63.0`) for a strip
+//!    starting at `t0`; `index % m` for `m <= STRIP` copies
+//!    `pat[r..r + w]` from a pattern of `(k % m) as f64`, `k < m + STRIP`,
+//!    built once at compile time and kept in the instruction (`r = t0 %
+//!    m`); a larger `m` wraps at most once per strip, so its column is two
+//!    iota segments, `r + IOTA[p]` up to the wrap and `IOTA[p]` after it.
+//!    A proven stride-1 plain store walks one slab subslice; an
+//!    accumulate keeps the per-word path, where the subslice gained
+//!    nothing.
+//! 6. **Vector instances** — the packed dot-accum block
+//!    (`run_dot_accum_packed`) keeps one `#[inline(always)]` body,
+//!    reached either directly (the build target's baseline: two `f64`
+//!    lanes of SSE2 on x86-64) or through one
+//!    `#[target_feature(enable = "avx2")]` trampoline that compiles the
+//!    same body for four lanes. The choice is made per call from std's
+//!    cached `is_x86_feature_detected!` ([`VectorIsa::host`]); other
+//!    targets build the baseline only. The dispatch sits at the loop
+//!    function, not at `execute_tile`: the tile walk runs inside the
+//!    thread-local scratch's closure, which a feature on `execute_tile`
+//!    would not reach. Both instances perform the same `f64` operations
+//!    in the same per-lane order, so they compute the same bits (below).
+//!    The strip tape has the baseline instance only: an AVX2 instance of
+//!    it measured slower than the baseline on the init maps the served
+//!    nest runs (`a[i] = i % 7 + 1`: 1.08–1.11 against 0.85–0.89
+//!    ns/point, both instances in one process).
 //!
 //! # Why the results stay bit-identical to the interpreted path
 //!
@@ -117,6 +145,22 @@
 //!   against a store. Every value a point computes is therefore the one
 //!   the per-point order computes.
 //!
+//! * the two instances of the packed block run one body, and neither
+//!   contracts:
+//!   Rust never fuses `x * y + s` into an FMA (the `avx2` feature does
+//!   not enable `fma`, and LLVM does not contract without fast-math), so
+//!   each lane performs the same rounded multiply and add, in the same
+//!   order, at any vector width; the lane count changes how many runs
+//!   share an instruction, never an operation's operands.
+//! * the index columns hold exact integers: `t0 as f64` and `IOTA[p]` are
+//!   exact, and their sum is an integer of magnitude below `2^52 + 64`
+//!   while `|t0| < 2^52`, so it is exactly `(t0 + p) as f64`; a strip that
+//!   starts outside that range converts per lane, as the interpreter
+//!   does. The remainder pattern holds the exact values `(k % m) as f64`,
+//!   and `pat[r + p]` is `(t0 + p) % m` because `r = t0 % m` and
+//!   `r + p < m + STRIP`; the two segments of a larger `m` hold
+//!   `r + p < m` and `p` (below 2^53, exact).
+//!
 //! Kernel `%` takes an exact integer path when both operands are
 //! integer-valued, below 2^53 in magnitude, and the divisor is nonzero:
 //! the truncated `i64` remainder, signed like the dividend, is exactly
@@ -128,8 +172,10 @@
 //! `&[f64]` over it would be undefined behaviour no matter what the
 //! kernel proves about itself. Relaxed `AtomicU64` loads/stores compile
 //! to bare moves on x86-64, but the atomic slabs keep the autovectorizer
-//! off; the packed panel is the kernel's own memory, copied out of the
-//! slab, so the loop over it vectorizes without any new `unsafe`.
+//! off; the packed panel and the column registers are the kernel's own
+//! memory, so the loops over them vectorize. The only `unsafe` the
+//! AVX2 instance adds is the call into its trampoline, made right after
+//! the runtime check that the host runs AVX2.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -226,10 +272,14 @@ enum CInstr {
         accumulate: bool,
     },
     /// `r[dst] = (innermost absolute index) % m`, for a non-negative
-    /// innermost range: a counter wrapping at `m`.
+    /// innermost range. For `m <= STRIP`, `pat` holds `(k % m) as f64`
+    /// for `k < m + STRIP`, so a strip starting at remainder `r` copies
+    /// `pat[r..r + w]`; it is empty for a larger `m`, which wraps at most
+    /// once per strip.
     IdxRem {
         dst: usize,
         m: i64,
+        pat: Box<[f64]>,
     },
 }
 
@@ -297,7 +347,8 @@ impl DotAccum {
 
 /// The packing rule (module docs, step 5) over the affine coefficients
 /// of a dot-accum's store `c` and loads `a`, `b`: whether `b` packs.
-/// The runs jam only when `c` steps at level `last - 1`. There `b` must
+/// The runs jam only when `c` steps at level `last - 1`; it must step one
+/// word per run, so a block's `c` words are one slice. There `b` must
 /// step one word per run, so a panel row is one contiguous slice, and
 /// `a` must not step, so a block's runs share each `a` load; `b` must
 /// have zero coefficients on every level above, so one panel of its
@@ -306,7 +357,7 @@ fn packs_b(c: &[i64], a: &[i64], b: &[i64]) -> bool {
     let Some(jam) = c.len().checked_sub(2) else {
         return false;
     };
-    c[jam] != 0 && a[jam] == 0 && b[jam] == 1 && b[..jam].iter().all(|&x| x == 0)
+    c[jam] == 1 && a[jam] == 0 && b[jam] == 1 && b[..jam].iter().all(|&x| x == 0)
 }
 
 /// The `d[..] = a[..] * b[..] (+ k)` elementwise map; `k` is a
@@ -345,6 +396,77 @@ pub const PACK_JAM: usize = 16;
 /// tile packs; a larger one runs the unpacked loops (module docs,
 /// step 5).
 const PANEL_CAP: u64 = 1 << 17;
+
+/// `0.0, 1.0, …, 63.0`, one per strip lane: a strip of innermost index
+/// values starting at `t0` is `t0 as f64 + IOTA[p]` (module docs,
+/// step 5).
+static IOTA: Lanes = {
+    let mut iota = [0.0; STRIP];
+    let mut p = 0;
+    while p < STRIP {
+        iota[p] = p as f64;
+        p += 1;
+    }
+    iota
+};
+
+/// Bound on `|t0|` below which `t0 as f64 + IOTA[p]` is exact: every
+/// integer of magnitude below `2^52 + STRIP` is an exact `f64`.
+const EXACT_IOTA: u64 = 1 << 52;
+
+/// The remainder pattern of an `IdxRem` by `m` (see [`CInstr::IdxRem`]):
+/// `(k % m) as f64` for `k < m + STRIP` when `m <= STRIP`, else empty.
+fn rem_pattern(m: i64) -> Box<[f64]> {
+    if m > STRIP as i64 {
+        return Box::default();
+    }
+    (0..m + STRIP as i64).map(|k| (k % m) as f64).collect()
+}
+
+/// The instruction set a compiled kernel's packed dot-accum block is
+/// compiled for (module docs, step 6). Both instances run the same body,
+/// so they compute the same bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VectorIsa {
+    /// The build target's baseline (SSE2 on x86-64: two `f64` lanes).
+    Baseline,
+    /// AVX2 (four `f64` lanes), on an x86-64 host that reports it.
+    Avx2,
+}
+
+impl VectorIsa {
+    /// The instance this host runs: [`VectorIsa::Avx2`] when the CPU
+    /// reports AVX2, the baseline otherwise.
+    pub fn host() -> Self {
+        if host_has_avx2() {
+            VectorIsa::Avx2
+        } else {
+            VectorIsa::Baseline
+        }
+    }
+
+    /// `"baseline"` or `"avx2"`, for reports.
+    pub fn name(self) -> &'static str {
+        match self {
+            VectorIsa::Baseline => "baseline",
+            VectorIsa::Avx2 => "avx2",
+        }
+    }
+}
+
+/// Whether the CPU reports AVX2. std caches the CPUID probe, so after the
+/// first call this is one relaxed load and a bit test.
+#[inline(always)]
+fn host_has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
 
 /// Introspection of a compilation, for tests, benches and reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -536,12 +658,12 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
     };
     let mut known: Vec<Option<f64>> = vec![None; kernel.regs];
     // Registers holding the innermost index value. `% constant` of one
-    // becomes a counter only over a non-negative range below 2^53, where
-    // its non-negative values are exactly f64 `%` (a negative dividend
-    // would need `-0.0`s).
+    // becomes a remainder column only over a non-negative range below
+    // 2^53, where its non-negative values are exactly f64 `%` (a
+    // negative dividend would need `-0.0`s).
     let mut innermost_idx = vec![false; kernel.regs];
     let inner_lo = kernel.los[innermost];
-    let counter_ok = inner_lo >= 0 && (inner_lo as f64 + trips[innermost] as f64) < EXACT_INT;
+    let rem_ok = inner_lo >= 0 && (inner_lo as f64 + trips[innermost] as f64) < EXACT_INT;
     let mut instrs: Vec<CInstr> = Vec::with_capacity(kernel.instrs.len());
     for ins in &kernel.instrs {
         match ins {
@@ -572,12 +694,14 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
                 (None, Some(c))
                     if *op == BinOp::Rem
                         && innermost_idx[*a]
-                        && counter_ok
+                        && rem_ok
                         && exact_int(c).is_some_and(|m| m != 0) =>
                 {
+                    let m = c.abs() as i64;
                     instrs.push(CInstr::IdxRem {
                         dst: *dst,
-                        m: c.abs() as i64,
+                        m,
+                        pat: rem_pattern(m),
                     });
                 }
                 _ => instrs.push(CInstr::Bin {
@@ -1036,7 +1160,8 @@ impl CompiledKernel {
     /// — not assumed — before any unchecked access; the SSP executor
     /// catches the panic as the group's error.
     pub fn execute_tile(&self, outer: &[i64], lo: i64, hi: i64) -> Result<(), KernelFault> {
-        self.code.execute_tile(&self.arrays, outer, lo, hi)
+        self.code
+            .execute_tile(&self.arrays, VectorIsa::host(), outer, lo, hi)
     }
 
     /// Execute one run: the iteration points `(prefix, t)` for `t` in
@@ -1065,10 +1190,12 @@ impl CompiledKernel {
 /// with the table `CompiledKernel::bind` checked against `lens`.
 impl CompiledCode {
     /// [`CompiledKernel::execute_tile`] over `arrays`, a table whose
-    /// lengths are `self.lens` and whose entries are distinct regions.
+    /// lengths are `self.lens` and whose entries are distinct regions,
+    /// with the packed dot-accum on instance `isa` where the host runs it.
     fn execute_tile(
         &self,
         arrays: &[SharedRegion],
+        isa: VectorIsa,
         outer: &[i64],
         lo: i64,
         hi: i64,
@@ -1124,7 +1251,8 @@ impl CompiledCode {
             // level `last - 1` in one call, the odometer then resuming
             // from the last of them. A packing dot-accum first copies
             // `b`'s footprint for the `PACK_JAM`-wide blocks of every
-            // `last - 1` walk, which all start at `j0`.
+            // `last - 1` walk, which all start at `j0`, and runs each
+            // walk's blocks in one call.
             let n_last = self.trips[last] as usize;
             let slots = self.accesses.len();
             let end = |k: usize| self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
@@ -1136,30 +1264,22 @@ impl CompiledCode {
                     // than once reads its panel more than once.
                     let reused = level + 1 < last
                         && (hi - lo > 1 || self.trips[level + 1..last - 1].iter().any(|&t| t > 1));
-                    let packed = m.pack && blocks > 0 && reused;
-                    if packed {
+                    let blocks = if m.pack && reused { blocks } else { 0 };
+                    if blocks > 0 {
                         self.pack_panel(arrays, m, idxs[m.b], blocks, n_last, panel);
                     }
-                    Some((m, packed))
+                    Some((m, blocks))
                 }
                 _ => None,
             };
-            let block = n_last * PACK_JAM;
             loop {
                 let left = end(last - 1) - abs[last - 1];
                 // No preamble before a jam: the dot-accum body reads none
                 // of its registers, and it has no effects.
                 let runs = match jam {
-                    Some((m, true)) if left >= PACK_JAM as i64 => {
-                        let at = (abs[last - 1] - j0) as usize / PACK_JAM * block;
-                        self.run_dot_accum_packed::<PACK_JAM>(
-                            arrays,
-                            m,
-                            &panel[at..at + block],
-                            idxs,
-                            n_last,
-                        );
-                        PACK_JAM
+                    Some((m, blocks)) if blocks > 0 && abs[last - 1] == j0 => {
+                        self.dot_accum_packed(isa, arrays, m, panel, idxs, n_last);
+                        blocks * PACK_JAM
                     }
                     Some((m, _)) if left >= JAM as i64 => {
                         self.run_dot_accum::<JAM>(arrays, m, idxs, n_last);
@@ -1248,7 +1368,7 @@ impl CompiledCode {
                     regs[*dst] = eval_call2(*f, regs[*a], regs[*b]);
                 }
                 CInstr::Store { .. } | CInstr::IdxRem { .. } => {
-                    unreachable!("stores and index counters never hoist")
+                    unreachable!("stores and remainder columns never hoist")
                 }
             }
         }
@@ -1288,16 +1408,32 @@ impl CompiledCode {
         }
     }
 
-    /// `R` adjacent dot-accum runs over a packed block of `b`
-    /// ([`CompiledCode::pack_panel`]): `panel` holds `R` values per
-    /// innermost step, one per run, so each step is one plain-`f64`
-    /// multiply-add of the runs' shared `a` value across the `R`
-    /// accumulators, which the autovectorizer takes. `a` and `c` stay on
-    /// the proven atomic accessors. Requires `m.pack` (so `a` does not
-    /// step across the runs) and `R` runs of the tile left at level
-    /// `last - 1`.
+    /// [`CompiledCode::run_dot_accum_packed`] on instance `isa` where the
+    /// host runs it (module docs, step 6).
     #[inline(always)]
-    fn run_dot_accum_packed<const R: usize>(
+    fn dot_accum_packed(
+        &self,
+        isa: VectorIsa,
+        arrays: &[SharedRegion],
+        m: &DotAccum,
+        panel: &[f64],
+        idxs: &[i64],
+        n: usize,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if isa == VectorIsa::Avx2 && host_has_avx2() {
+            // SAFETY: the host runs AVX2 (checked on the line above), the
+            // one requirement of an `avx2` target-feature function.
+            return unsafe { self.dot_accum_packed_avx2(arrays, m, panel, idxs, n) };
+        }
+        let _ = isa; // other targets build the baseline only
+        self.run_dot_accum_packed(arrays, m, panel, idxs, n);
+    }
+
+    /// The AVX2 instance of [`CompiledCode::run_dot_accum_packed`].
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn dot_accum_packed_avx2(
         &self,
         arrays: &[SharedRegion],
         m: &DotAccum,
@@ -1305,30 +1441,55 @@ impl CompiledCode {
         idxs: &[i64],
         n: usize,
     ) {
-        let (aa, ac) = (&self.accesses[m.a], &self.accesses[m.c]);
+        self.run_dot_accum_packed(arrays, m, panel, idxs, n);
+    }
+
+    /// The first `panel.len() / (n · PACK_JAM)` blocks of [`PACK_JAM`]
+    /// adjacent dot-accum runs of one level-`last - 1` walk, over their
+    /// packed `b` ([`CompiledCode::pack_panel`]), from `idxs`: a block
+    /// holds [`PACK_JAM`] values per innermost step, one per run, so each
+    /// step is one plain-`f64` multiply-add of the runs' shared `a` value
+    /// across the [`PACK_JAM`] accumulators, which the autovectorizer
+    /// takes. `a` stays on the proven atomic accessor, and `c` is read
+    /// and written through one checked slab subslice. Requires
+    /// `m.pack` (so `a` does not step across the runs) and that many
+    /// runs of the tile left at level `last - 1`.
+    #[inline(always)]
+    fn run_dot_accum_packed(
+        &self,
+        arrays: &[SharedRegion],
+        m: &DotAccum,
+        panel: &[f64],
+        idxs: &[i64],
+        n: usize,
+    ) {
+        let aa = &self.accesses[m.a];
         let aw = arrays[aa.arr].atomics();
-        let cw = arrays[ac.arr].atomics();
         let da = aa.stride;
-        let cc = m.step[2];
-        let mut ia = idxs[m.a];
-        let ic = idxs[m.c];
-        let (rows, _) = panel.as_chunks::<R>();
-        // SAFETY: as in `run_dot_accum` — every `a` and `c` index is the
-        // access's affine form at a point of one of the `R` runs, which
-        // lie in the asserted tile, and both slots are proven. Run `r`
-        // adds exactly the products of its unpacked loop, in `k` order,
-        // onto its own loaded `c` value.
-        unsafe {
-            let mut s: [f64; R] = std::array::from_fn(|r| lrel(cw, ic + r as i64 * cc));
-            for row in &rows[..n] {
-                let x = lrel(aw, ia);
+        let blocks = panel.chunks_exact(n * PACK_JAM);
+        // `c` steps one word per run (`packs_b`): the blocks' `c` words
+        // are one slice, bounds-checked once.
+        let cw = &arrays[self.accesses[m.c].arr].atomics()[idxs[m.c] as usize..];
+        let (cs, _) = cw[..blocks.len() * PACK_JAM].as_chunks::<PACK_JAM>();
+        for (block, cs) in blocks.zip(cs) {
+            let mut s: [f64; PACK_JAM] =
+                std::array::from_fn(|r| f64::from_bits(cs[r].load(Ordering::Relaxed)));
+            let mut ia = idxs[m.a];
+            let (rows, _) = block.as_chunks::<PACK_JAM>();
+            for row in rows {
+                // SAFETY: as in `run_dot_accum` — `ia` is `a`'s affine
+                // form at a point of the block's runs, which lie in the
+                // asserted tile, and the slot is proven.
+                let x = unsafe { lrel(aw, ia) };
                 for (s, &y) in s.iter_mut().zip(row) {
                     *s += x * y;
                 }
                 ia += da;
             }
-            for (r, s) in s.into_iter().enumerate() {
-                srel(cw, ic + r as i64 * cc, s);
+            // Run `r` added exactly the products of its unpacked loop, in
+            // `k` order, onto its own loaded `c` value.
+            for (w, s) in cs.iter().zip(s) {
+                w.store(s.to_bits(), Ordering::Relaxed);
             }
         }
     }
@@ -1523,20 +1684,33 @@ impl CompiledCode {
                     // Only the innermost level's index value stays in
                     // the body; the outer ones hoist.
                     CInstr::IdxVal { dst, .. } => {
-                        for (p, v) in cols[*dst][..w].iter_mut().enumerate() {
-                            *v = (t0 + p as i64) as f64;
+                        let col = &mut cols[*dst][..w];
+                        if t0.unsigned_abs() < EXACT_IOTA {
+                            let t0 = t0 as f64;
+                            for (v, &p) in col.iter_mut().zip(&IOTA) {
+                                *v = t0 + p;
+                            }
+                        } else {
+                            for (p, v) in col.iter_mut().enumerate() {
+                                *v = (t0 + p as i64) as f64;
+                            }
                         }
                     }
-                    CInstr::IdxRem { dst, m } => {
-                        // `t0 >= 0`: the compiler emits counters only
+                    CInstr::IdxRem { dst, m, pat } => {
+                        // `t0 >= 0`: the compiler emits `IdxRem` only
                         // over non-negative innermost ranges.
-                        let mut r = t0 % m;
-                        for v in cols[*dst][..w].iter_mut() {
-                            *v = r as f64;
-                            r += 1;
-                            if r == *m {
-                                r = 0;
+                        let col = &mut cols[*dst][..w];
+                        let r = t0 % m;
+                        if pat.is_empty() {
+                            let k1 = (m - r).min(w as i64) as usize;
+                            let (head, tail) = col.split_at_mut(k1);
+                            let r = r as f64;
+                            for (v, &p) in head.iter_mut().zip(&IOTA) {
+                                *v = r + p;
                             }
+                            tail.copy_from_slice(&IOTA[..w - k1]);
+                        } else {
+                            col.copy_from_slice(&pat[r as usize..][..w]);
                         }
                     }
                     CInstr::Load { dst, slot } => {
@@ -1592,7 +1766,16 @@ impl CompiledCode {
                         let (st, i0) = (a.stride, idxs[*slot] + s as i64 * a.stride);
                         let region = &arrays[a.arr];
                         let col = &cols[*src][..w];
-                        if a.proven {
+                        if a.proven && st == 1 && !*accumulate {
+                            // One slab subslice: one bounds check per
+                            // strip, and the same relaxed stores. Faster
+                            // than the per-word path below on the served
+                            // init maps; an accumulate gained nothing.
+                            let words = &region.atomics()[i0 as usize..][..w];
+                            for (x, &v) in words.iter().zip(col) {
+                                x.store(v.to_bits(), Ordering::Relaxed);
+                            }
+                        } else if a.proven {
                             // SAFETY: proven over the box; tile-in-box
                             // asserted by `execute_tile`. The plain
                             // load-add-store accumulate is exact under
@@ -1671,9 +1854,37 @@ mod tests {
         };
         let f = |e: &crate::lang::Expr| match e {
             crate::lang::Expr::Num(n) => *n as i64,
+            crate::lang::Expr::Neg(e) => match **e {
+                crate::lang::Expr::Num(n) => -(n as i64),
+                _ => panic!("test bounds must be literal"),
+            },
             _ => panic!("test bounds must be literal"),
         };
         lower_forall(var, f(from), f(to), body, &resolve).unwrap()
+    }
+
+    /// [`CompiledKernel::execute_tile`] with the packed dot-accum on `isa`.
+    fn tile_on(
+        k: &CompiledKernel,
+        isa: VectorIsa,
+        outer: &[i64],
+        lo: i64,
+        hi: i64,
+    ) -> Result<(), KernelFault> {
+        k.code.execute_tile(&k.arrays, isa, outer, lo, hi)
+    }
+
+    #[test]
+    fn prints_the_host_vector_instance() {
+        let isa = VectorIsa::host();
+        println!("compiled kernels run the {} instance", isa.name());
+        #[cfg(target_arch = "x86_64")]
+        assert_eq!(
+            isa == VectorIsa::Avx2,
+            std::arch::is_x86_feature_detected!("avx2")
+        );
+        #[cfg(not(target_arch = "x86_64"))]
+        assert_eq!(isa, VectorIsa::Baseline);
     }
 
     /// Run the compiled kernel over the full nest, run-at-a-time.
@@ -1922,9 +2133,15 @@ mod tests {
     }
 
     /// [`jam_nest`] point by point on the interpreted tape, and compiled
-    /// as `tiles` (which must cover the nest once): the compiled
-    /// kernel's info and whether the final `c` bits match.
-    fn jam_tiles_match(ni: usize, nj: usize, tiles: &[(&[i64], i64, i64)]) -> (CompileInfo, bool) {
+    /// as `tiles` (which must cover the nest once) with the packed loop
+    /// on `isa`: the compiled kernel's info and whether the final `c`
+    /// bits match.
+    fn jam_tiles_match(
+        ni: usize,
+        nj: usize,
+        tiles: &[(&[i64], i64, i64)],
+        isa: VectorIsa,
+    ) -> (CompileInfo, bool) {
         let mut bits = Vec::new();
         let mut info = None;
         for compiled in [false, true] {
@@ -1938,7 +2155,7 @@ mod tests {
             if compiled {
                 let k = compile(&l.kernel, &l.nest.trip_counts);
                 for &(outer, lo, hi) in tiles {
-                    k.execute_tile(outer, lo, hi).unwrap();
+                    tile_on(&k, isa, outer, lo, hi).unwrap();
                 }
                 info = Some(k.info());
             } else {
@@ -1979,7 +2196,7 @@ mod tests {
         assert_eq!(c.read_f64(4), init[4], "a tile must stop at its hi");
         let tiles: [(&[i64], i64, i64); 4] =
             [(&[0], 1, 4), (&[0], 0, 1), (&[0], 4, 7), (&[], 1, 2)];
-        let (info, same) = jam_tiles_match(2, 7, &tiles);
+        let (info, same) = jam_tiles_match(2, 7, &tiles, VectorIsa::host());
         assert_eq!((info.plan, info.jams), ("dot-accum", &[JAM, 1][..]));
         assert!(same);
     }
@@ -2015,12 +2232,108 @@ mod tests {
             (&[0], PACK_JAM as i64, nj - 1),
             (&[0], nj - 1, nj),
         ];
-        let (info, same) = jam_tiles_match(4, nj as usize, &tiles);
+        let (info, same) = jam_tiles_match(4, nj as usize, &tiles, VectorIsa::host());
         assert_eq!(
             (info.plan, info.jams),
             ("dot-accum", &[PACK_JAM, JAM, 1][..])
         );
         assert!(same);
+    }
+
+    #[test]
+    fn packed_dot_accum_instances_match_interpreted_bitwise() {
+        // Three rows, as one tile or as a two-row and a one-row tile: the
+        // tiles of two or more rows pack (when `j` has a full block), a
+        // one-row tile does not; `j` extents below, at and past one and
+        // two blocks leave every mix of packed blocks, jam-4 runs and
+        // single runs.
+        let whole: &[(&[i64], i64, i64)] = &[(&[], 0, 3)];
+        let split: &[(&[i64], i64, i64)] = &[(&[], 0, 2), (&[], 2, 3)];
+        for nj in (1..=9).chain([16, 17, 18, 23, 32, 48]) {
+            // The baseline, and the host's instance (AVX2 where it has it).
+            for isa in [VectorIsa::Baseline, VectorIsa::host()] {
+                for tiles in [whole, split] {
+                    let (info, same) = jam_tiles_match(3, nj, tiles, isa);
+                    assert_eq!(info.packs(), nj >= PACK_JAM, "j extent {nj}");
+                    assert!(same, "j extent {nj} on the {} instance", isa.name());
+                }
+            }
+        }
+    }
+
+    /// Lower `src` (one `forall`, writing `a`, reading `x`) twice over
+    /// fractional `x` of length `len`, run each `(lo, hi)` of `runs` as a
+    /// level-0 tile on the interpreted tape and on the compiled kernel,
+    /// and compare `a`'s bits after every run. Returns the compiled body.
+    fn tape_runs_match(src: &str, len: usize, runs: &[(i64, i64)]) -> Vec<CInstr> {
+        let x = SharedRegion::from_f64(&(0..len).map(|v| v as f64 / 7.0 - 3.3).collect::<Vec<_>>());
+        let lower = || {
+            let a = SharedRegion::from_f64(&vec![0.5; len]);
+            let l = lower_src(
+                src,
+                &[("a", Value::Arr(a.clone())), ("x", Value::Arr(x.clone()))],
+            );
+            (l, a)
+        };
+        let ((oracle, a1), (l, a2)) = (lower(), lower());
+        let k = compile(&l.kernel, &l.nest.trip_counts);
+        assert_eq!((k.info().plan, k.info().strip), ("tape", STRIP), "{src}");
+        for &(lo, hi) in runs {
+            oracle
+                .kernel
+                .execute_tile(&oracle.nest.trip_counts, &[], lo, hi)
+                .unwrap();
+            k.execute_tile(&[], lo, hi).unwrap();
+            let bits = |a: &SharedRegion| a.iter_f64().map(f64::to_bits).collect::<Vec<_>>();
+            assert!(bits(&a1) == bits(&a2), "{src}: run {lo}..{hi}");
+        }
+        k.code.body.clone()
+    }
+
+    #[test]
+    fn tape_remainder_columns_match_interpreted_bitwise() {
+        let s = STRIP as i64;
+        for m in [1i64, 2, 7, 63, 64, 65, 1000] {
+            let len = 2 * m as usize + 4 * STRIP;
+            let n = len as i64;
+            let src =
+                format!("fn main() {{ forall i in 0..{len} {{ a[i] = i % {m} * 0.37 + x[i]; }} }}");
+            // From 0, from `m - 1` (the second lane wraps), from just
+            // below a wrap, and across strip boundaries.
+            let runs = [
+                (0, n),
+                (m - 1, n),
+                ((m - 5).max(0), (m + s + 7).min(n)),
+                (s - 3, 3 * s + 5),
+                (n - s - 1, n),
+            ];
+            let body = tape_runs_match(&src, len, &runs);
+            assert!(
+                body.iter()
+                    .any(|i| matches!(i, CInstr::IdxRem { m: mm, .. } if *mm == m)),
+                "`i % {m}` must compile to a remainder column"
+            );
+        }
+    }
+
+    #[test]
+    fn tape_index_columns_match_interpreted_bitwise() {
+        // Negative indices take the iota path; indices beyond ±2^52 take
+        // the per-lane conversion, and past 2^53 a sum `t0 + p` in `f64`
+        // would round twice where `(t0 + p) as f64` rounds once.
+        let big = (1i64 << 53) - 70;
+        let odd = big + 71; // 2^53 + 1: no exact `f64`
+        assert_ne!(odd as f64 + 2.0, (odd + 2) as f64, "the range rounds");
+        let cases = [
+            ("fn main() { forall i in -300..-100 { a[i + 300] = i * 0.37 + x[i + 300]; } }".to_string(), 200),
+            (format!("fn main() {{ forall i in {big}..{} {{ a[i - {big}] = i + x[i - {big}]; }} }}", big + 200), 200),
+            (format!("fn main() {{ forall i in -{big}..-{} {{ a[i + {big}] = i + x[i + {big}]; }} }}", big - 200), 200),
+        ];
+        for (src, len) in &cases {
+            let n = *len as i64;
+            let runs = [(0, n), (5, 5 + STRIP as i64 + 9), (71, n), (n - 1, n)];
+            tape_runs_match(src, *len, &runs);
+        }
     }
 
     #[test]
@@ -2041,6 +2354,8 @@ mod tests {
         assert!(!packs_b(&[n, n, 1, 0], &[n, n, 0, 1], &[0, 1, 1, n]));
         // `c` fixed in `j`: the runs do not jam, so nothing packs.
         assert!(!packs_b(&[1, 0, 0], &[n, 0, 1], &[0, 1, n]));
+        // `c` strided in `j`: a block's `c` words are no slice.
+        assert!(!packs_b(&[n, 2, 0], &[n, 0, 1], &[0, 1, n]));
         // One-level nest: no jam level.
         assert!(!packs_b(&[0], &[1], &[1]));
     }

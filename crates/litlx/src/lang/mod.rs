@@ -47,7 +47,7 @@ mod plan_cache;
 pub mod profile;
 
 pub use ast::{Expr, FnDef, Hint, Program, Stmt};
-pub use compile::{compile, CompileInfo, CompiledKernel, KernelFault};
+pub use compile::{compile, CompileInfo, CompiledKernel, KernelFault, VectorIsa};
 pub use executor::{KernelMode, LoopStrategy};
 pub use interp::{Interp, RunOutput, Value};
 pub use lexer::{lex, Token};

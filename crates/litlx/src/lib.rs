@@ -40,6 +40,8 @@
 //! assert_eq!(out.printed, vec!["56"]);
 //! ```
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 pub mod atomic;
 pub mod dataflow;
 pub mod future;
