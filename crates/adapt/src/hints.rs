@@ -113,6 +113,17 @@ impl KnowledgeBase {
         v
     }
 
+    /// The highest-priority hint at a point that carries `key` (the
+    /// earliest added among equals: the first such hint of
+    /// [`KnowledgeBase::hints_at`]), without building the sorted list.
+    pub fn hint_with(&self, point: &str, key: &str) -> Option<&StructuredHint> {
+        self.hints
+            .get(point)?
+            .iter()
+            .filter(|h| h.kv.contains_key(key))
+            .min_by_key(|h| std::cmp::Reverse(h.priority))
+    }
+
     /// Record a measured outcome.
     pub fn record_outcome(&mut self, point: &str, policy: &str, makespan: u64) {
         let policies = match self.outcomes.get_mut(point) {

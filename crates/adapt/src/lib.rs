@@ -72,5 +72,6 @@ pub use locality::{
 pub use loop_sched::{evaluate_schedule, CostModel, IterationCosts, ScheduleKind, ScheduleOutcome};
 pub use monitor::{Metric, Monitor, MonitorConfig};
 pub use pipeline::{
-    decide_loop_path, record_loop_outcome, DecisionReason, LoopPath, LoopPathDecision, LoopShape,
+    decide_loop_path, hinted_loop_path, record_loop_outcome, DecisionReason, LoopPath,
+    LoopPathDecision, LoopShape,
 };

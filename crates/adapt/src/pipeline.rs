@@ -92,24 +92,30 @@ pub fn pipeline_hint(
     )
 }
 
+/// The decision a `pipeline` hint at `point` forces, if there is one:
+/// step 1 of [`decide_loop_path`], the only step that reads no recorded
+/// outcome and needs no loop shape. Allocates nothing.
+pub fn hinted_loop_path(kb: &KnowledgeBase, point: &str) -> Option<LoopPathDecision> {
+    let h = kb.hint_with(point, "pipeline")?;
+    let on = !matches!(h.get("pipeline"), Some("0" | "false" | "off" | "no"));
+    Some(LoopPathDecision {
+        path: if on {
+            LoopPath::Pipelined
+        } else {
+            LoopPath::Naive
+        },
+        level: h.get("level").and_then(|s| s.parse().ok()),
+        chunk: h.get("chunk").and_then(|s| s.parse().ok()),
+        reason: DecisionReason::Hint,
+    })
+}
+
 /// Decide how a `forall` nest at `point` should execute. See the module
 /// docs for the priority order.
 pub fn decide_loop_path(kb: &KnowledgeBase, point: &str, shape: LoopShape) -> LoopPathDecision {
     // 1. Expert/pragma override.
-    for h in kb.hints_at(point) {
-        if let Some(v) = h.get("pipeline") {
-            let on = !matches!(v, "0" | "false" | "off" | "no");
-            return LoopPathDecision {
-                path: if on {
-                    LoopPath::Pipelined
-                } else {
-                    LoopPath::Naive
-                },
-                level: h.get("level").and_then(|s| s.parse().ok()),
-                chunk: h.get("chunk").and_then(|s| s.parse().ok()),
-                reason: DecisionReason::Hint,
-            };
-        }
+    if let Some(d) = hinted_loop_path(kb, point) {
+        return d;
     }
     // 2. Measured history: both policies recorded → the faster one wins;
     // one policy recorded → keep exploring the other only while it has no

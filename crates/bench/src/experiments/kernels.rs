@@ -10,10 +10,13 @@
 //! instance the host selected for the packed dot-accum
 //! (`VectorIsa::host`: `avx2` or `baseline`), the only loop with two.
 //!
-//! The matmul reduction also runs at n = 48 (`matmul_110592pts`), the
-//! served large geometry: its `compiled` row drives one innermost run
-//! per call (never jammed or packed), its `tile` row the whole nest as one
-//! tile, which packs `b` and runs 16 adjacent `j` runs per vector loop.
+//! The matmul reduction also runs at the two served geometries. At
+//! n = 12 (`matmul_1728pts/tile`) it runs as the two 6-row tiles a served
+//! small request runs; each packs `b` and runs its 12 `j` runs as one
+//! masked 16-lane block. At n = 48 (`matmul_110592pts`) the `compiled`
+//! row drives one innermost run per call (never jammed or packed), and
+//! the `tile` row the whole nest as one tile, which packs `b` and runs 16
+//! adjacent `j` runs per vector loop.
 //!
 //! The `run_tape` matmul variant multiplies by a constant so the body
 //! stays off the monomorphized shapes (5 body instructions): it does one
@@ -32,6 +35,8 @@ use litlx::lang::{
 use super::Scale;
 use crate::table::{f3, Table};
 
+/// The served small matmul's size.
+const N_SMALL: usize = 12;
 /// The small matmul's size.
 const N: usize = 24;
 /// The served large matmul's size.
@@ -186,6 +191,22 @@ pub fn kernels(scale: Scale) -> Table {
             N * N * N,
             &mut || run_all(&compiled, trips),
         );
+    }
+
+    // The served small matmul as the two 6-row tiles its request runs.
+    {
+        let n = N_SMALL;
+        let lowered = lower_src(&matmul_src(n, false), &matmul_bindings(n));
+        let compiled = compile(&lowered.kernel, &lowered.nest.trip_counts);
+        let plan = compiled.info().plan;
+        let (pts, half) = (n * n * n, n as i64 / 2);
+        row(format!("matmul_{pts}pts/tile"), plan, pts, &mut || {
+            for lo in [0, half] {
+                compiled
+                    .execute_tile(&[], lo, lo + half)
+                    .expect("proven kernel");
+            }
+        });
     }
 
     // Run-at-a-time through the monomorphized dot-accum loop, then the

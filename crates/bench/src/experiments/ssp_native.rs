@@ -339,8 +339,8 @@ pub fn e18_ssp_native(scale: Scale) -> Table {
                 })
             };
             let start = std::time::Instant::now();
-            let spread = Placement::Spread(Arc::default());
-            let rep = run_partitioned(&pool, &nest.trip_counts, 1, 0, &part, body, spread)
+            let spread = Placement::Spread(body, Arc::default());
+            let rep = run_partitioned(&pool, &nest.trip_counts, 1, 0, &part, spread)
                 .expect("md nest runs");
             let wall = start.elapsed().as_secs_f64() * 1e3;
             pool.wait_quiescent();

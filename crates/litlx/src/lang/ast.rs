@@ -43,6 +43,10 @@ impl Hint {
     }
 }
 
+/// A bound name: a variable, parameter or loop index. Shared, so an
+/// environment binds it without copying the text.
+pub type Name = Arc<str>;
+
 /// Binary operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
@@ -80,7 +84,7 @@ pub enum Expr {
     /// Numeric literal.
     Num(f64),
     /// Variable reference.
-    Var(String),
+    Var(Name),
     /// `a[i]`
     Index(Box<Expr>, Box<Expr>),
     /// Binary operation.
@@ -98,13 +102,13 @@ pub enum Expr {
 #[derive(Debug, Clone, PartialEq)]
 pub enum Stmt {
     /// `let x = e;`
-    Let(String, Expr),
+    Let(Name, Expr),
     /// `x = e;`
-    Assign(String, Expr),
+    Assign(Name, Expr),
     /// `a[i] = e;` / `a[i] += e;`
     StoreIndex {
         /// Array variable.
-        array: String,
+        array: Name,
         /// Index expression.
         index: Expr,
         /// Value expression.
@@ -117,11 +121,11 @@ pub enum Stmt {
     /// `while cond { … }`
     While(Expr, Vec<Stmt>),
     /// Sequential `for i in a..b { … }`.
-    For(String, Expr, Expr, Vec<Stmt>),
+    For(Name, Expr, Expr, Vec<Stmt>),
     /// Parallel `forall i in a..b { … }` with attached hints.
     Forall {
         /// Induction variable.
-        var: String,
+        var: Name,
         /// Range start.
         from: Expr,
         /// Range end (exclusive).
@@ -134,7 +138,7 @@ pub enum Stmt {
     /// `spawn { … }` — fire-and-forget SGT.
     Spawn(Vec<Stmt>),
     /// `future x = e;` — eager asynchronous evaluation.
-    Future(String, Expr),
+    Future(Name, Expr),
     /// `atomic { … }` — atomic block of memory operations.
     Atomic(Vec<Stmt>),
     /// `return e;`
@@ -149,7 +153,7 @@ pub struct FnDef {
     /// Function name.
     pub name: String,
     /// Parameter names.
-    pub params: Vec<String>,
+    pub params: Vec<Name>,
     /// Body.
     pub body: Vec<Stmt>,
     /// Pragmas attached to the function.

@@ -888,7 +888,7 @@ pub(crate) fn compile_code(kernel: &KernelCode, lens: Vec<usize>, trips: &[u64])
         m.step = [run_step[m.a], run_step[m.b], run_step[m.c]];
         let coefs = |s: usize| accesses[s].idx.coefs.as_slice();
         m.pack = packs_b(coefs(m.c), coefs(m.a), coefs(m.b))
-            && trips[k] >= PACK_JAM as u64
+            && trips[k] >= JAM as u64
             && trips[k] * trips[innermost] <= PANEL_CAP;
     }
 
@@ -1031,6 +1031,42 @@ unsafe fn srel(w: &[AtomicU64], i: i64, v: f64) {
         .store(v.to_bits(), Ordering::Relaxed);
 }
 
+/// One packed dot-accum block (`CompiledCode::run_dot_accum_packed`):
+/// load the block's [`PACK_JAM`] `c` words `cs` into accumulators; for
+/// each innermost step, add the step's `a` value — read at `ia`, then
+/// `da` further per step — times the panel row lane by lane; store the
+/// accumulators back. Run `r` adds exactly the products of its unpacked
+/// loop, in `k` order, onto its own loaded `c` value.
+///
+/// # Safety
+///
+/// Every `a` index `ia + k·da`, `k < block.len() / PACK_JAM`, is in
+/// bounds of `aw` (the contract of [`lrel`]): `a`'s affine form at a
+/// point of the block's runs, which lie in the asserted tile, over a
+/// proven slot.
+#[inline(always)]
+unsafe fn packed_block(
+    cs: &[AtomicU64; PACK_JAM],
+    block: &[f64],
+    aw: &[AtomicU64],
+    mut ia: i64,
+    da: i64,
+) {
+    let mut s: [f64; PACK_JAM] =
+        std::array::from_fn(|r| f64::from_bits(cs[r].load(Ordering::Relaxed)));
+    let (rows, _) = block.as_chunks::<PACK_JAM>();
+    for row in rows {
+        let x = lrel(aw, ia);
+        for (s, &y) in s.iter_mut().zip(row) {
+            *s += x * y;
+        }
+        ia += da;
+    }
+    for (w, s) in cs.iter().zip(s) {
+        w.store(s.to_bits(), Ordering::Relaxed);
+    }
+}
+
 /// One strip of column registers.
 type Lanes = [f64; STRIP];
 
@@ -1117,6 +1153,11 @@ impl CompiledKernel {
             );
         }
         Self { code, arrays }
+    }
+
+    /// The bound array table, for reuse once the kernel is done.
+    pub(crate) fn into_arrays(self) -> Vec<SharedRegion> {
+        self.arrays
     }
 
     /// What the compiler did with this kernel.
@@ -1250,25 +1291,29 @@ impl CompiledCode {
             // or, for a jamming dot-accum, the widest jam of runs left at
             // level `last - 1` in one call, the odometer then resuming
             // from the last of them. A packing dot-accum first copies
-            // `b`'s footprint for the `PACK_JAM`-wide blocks of every
-            // `last - 1` walk, which all start at `j0`, and runs each
-            // walk's blocks in one call.
+            // `b`'s footprint for every `last - 1` walk, which all start
+            // at `j0` and span the whole level, and runs each walk in one
+            // call: its `PACK_JAM`-wide blocks, then one masked block for
+            // the runs left over.
             let n_last = self.trips[last] as usize;
             let slots = self.accesses.len();
             let end = |k: usize| self.los[k] + if k == level { hi } else { self.trips[k] as i64 };
             let j0 = abs[last - 1];
             let jam = match &self.plan {
                 Plan::DotAccum(m) if m.jams() => {
-                    let blocks = (end(last - 1) - j0) as usize / PACK_JAM;
                     // Only a tile that walks the `last - 1` level more
                     // than once reads its panel more than once.
                     let reused = level + 1 < last
                         && (hi - lo > 1 || self.trips[level + 1..last - 1].iter().any(|&t| t > 1));
-                    let blocks = if m.pack && reused { blocks } else { 0 };
-                    if blocks > 0 {
-                        self.pack_panel(arrays, m, idxs[m.b], blocks, n_last, panel);
+                    let walk = if m.pack && reused {
+                        (end(last - 1) - j0) as usize
+                    } else {
+                        0
+                    };
+                    if walk > 0 {
+                        self.pack_panel(arrays, m, idxs[m.b], walk, n_last, panel);
                     }
-                    Some((m, blocks))
+                    Some((m, walk))
                 }
                 _ => None,
             };
@@ -1277,9 +1322,9 @@ impl CompiledCode {
                 // No preamble before a jam: the dot-accum body reads none
                 // of its registers, and it has no effects.
                 let runs = match jam {
-                    Some((m, blocks)) if blocks > 0 && abs[last - 1] == j0 => {
-                        self.dot_accum_packed(isa, arrays, m, panel, idxs, n_last);
-                        blocks * PACK_JAM
+                    Some((m, walk)) if walk > 0 && abs[last - 1] == j0 => {
+                        self.dot_accum_packed(isa, arrays, m, panel, idxs, n_last, walk);
+                        walk
                     }
                     Some((m, _)) if left >= JAM as i64 => {
                         self.run_dot_accum::<JAM>(arrays, m, idxs, n_last);
@@ -1374,20 +1419,21 @@ impl CompiledCode {
         }
     }
 
-    /// Copy `b`'s footprint for `blocks` blocks of [`PACK_JAM`] runs into
-    /// `panel`, from `ib`, `b`'s index at the tile's first point: run `r`
-    /// of block `q` at innermost step `k` lands at
-    /// `[(q·n + k)·PACK_JAM + r]`, so each step of a block reads one
-    /// contiguous row. The loads are relaxed-atomic and bounds-checked;
-    /// the kernel never stores `b` (the matcher requires a distinct store
-    /// array), so the panel stays what each run would read, up to a
-    /// racing writer (module docs).
+    /// Copy `b`'s footprint for a walk of `runs` runs into `panel`, in
+    /// `runs.div_ceil(PACK_JAM)` blocks of [`PACK_JAM`] runs, from `ib`,
+    /// `b`'s index at the tile's first point: run `r` of block `q` at
+    /// innermost step `k` lands at `[(q·n + k)·PACK_JAM + r]`, so each
+    /// step of a block reads one contiguous row. The last block's rows
+    /// past the walk's runs stay zero. The loads are relaxed-atomic and
+    /// bounds-checked; the kernel never stores `b` (the matcher requires
+    /// a distinct store array), so the panel stays what each run would
+    /// read, up to a racing writer (module docs).
     fn pack_panel(
         &self,
         arrays: &[SharedRegion],
         m: &DotAccum,
         ib: i64,
-        blocks: usize,
+        runs: usize,
         n: usize,
         panel: &mut Vec<f64>,
     ) {
@@ -1395,13 +1441,14 @@ impl CompiledCode {
         let bw = arrays[ab.arr].atomics();
         let db = ab.stride;
         panel.clear();
-        panel.resize(blocks * n * PACK_JAM, 0.0);
+        panel.resize(runs.div_ceil(PACK_JAM) * n * PACK_JAM, 0.0);
         let (rows, _) = panel.as_chunks_mut::<PACK_JAM>();
         for (qk, row) in rows.iter_mut().enumerate() {
-            let (q, k) = ((qk / n) as i64, (qk % n) as i64);
+            let (q, k) = (qk / n, (qk % n) as i64);
+            let live = (runs - q * PACK_JAM).min(PACK_JAM);
             // `b` steps one word per run (`packs_b`): a row is one slice,
             // one bounds check.
-            let words = &bw[(ib + q * PACK_JAM as i64 + k * db) as usize..][..PACK_JAM];
+            let words = &bw[(ib + (q * PACK_JAM) as i64 + k * db) as usize..][..live];
             for (v, w) in row.iter_mut().zip(words) {
                 *v = f64::from_bits(w.load(Ordering::Relaxed));
             }
@@ -1411,6 +1458,7 @@ impl CompiledCode {
     /// [`CompiledCode::run_dot_accum_packed`] on instance `isa` where the
     /// host runs it (module docs, step 6).
     #[inline(always)]
+    #[allow(clippy::too_many_arguments)]
     fn dot_accum_packed(
         &self,
         isa: VectorIsa,
@@ -1419,15 +1467,16 @@ impl CompiledCode {
         panel: &[f64],
         idxs: &[i64],
         n: usize,
+        runs: usize,
     ) {
         #[cfg(target_arch = "x86_64")]
         if isa == VectorIsa::Avx2 && host_has_avx2() {
             // SAFETY: the host runs AVX2 (checked on the line above), the
             // one requirement of an `avx2` target-feature function.
-            return unsafe { self.dot_accum_packed_avx2(arrays, m, panel, idxs, n) };
+            return unsafe { self.dot_accum_packed_avx2(arrays, m, panel, idxs, n, runs) };
         }
         let _ = isa; // other targets build the baseline only
-        self.run_dot_accum_packed(arrays, m, panel, idxs, n);
+        self.run_dot_accum_packed(arrays, m, panel, idxs, n, runs);
     }
 
     /// The AVX2 instance of [`CompiledCode::run_dot_accum_packed`].
@@ -1440,20 +1489,24 @@ impl CompiledCode {
         panel: &[f64],
         idxs: &[i64],
         n: usize,
+        runs: usize,
     ) {
-        self.run_dot_accum_packed(arrays, m, panel, idxs, n);
+        self.run_dot_accum_packed(arrays, m, panel, idxs, n, runs);
     }
 
-    /// The first `panel.len() / (n · PACK_JAM)` blocks of [`PACK_JAM`]
-    /// adjacent dot-accum runs of one level-`last - 1` walk, over their
-    /// packed `b` ([`CompiledCode::pack_panel`]), from `idxs`: a block
-    /// holds [`PACK_JAM`] values per innermost step, one per run, so each
-    /// step is one plain-`f64` multiply-add of the runs' shared `a` value
-    /// across the [`PACK_JAM`] accumulators, which the autovectorizer
-    /// takes. `a` stays on the proven atomic accessor, and `c` is read
-    /// and written through one checked slab subslice. Requires
-    /// `m.pack` (so `a` does not step across the runs) and that many
-    /// runs of the tile left at level `last - 1`.
+    /// A walk of `runs` adjacent dot-accum runs at level `last - 1` over
+    /// their packed `b` ([`CompiledCode::pack_panel`]), from `idxs`. A
+    /// block holds [`PACK_JAM`] values per innermost step, one per run,
+    /// so each step is one plain-`f64` multiply-add of the runs' shared
+    /// `a` value across the [`PACK_JAM`] accumulators, which the
+    /// autovectorizer takes. The full blocks load and store their `c`
+    /// words in place; the runs left over go through one masked block:
+    /// their `c` words are copied into the low lanes of a zeroed stack
+    /// block, the same loop runs over the panel's zero-padded last block,
+    /// and only those lanes are stored back. `a` stays on the proven
+    /// atomic accessor, and `c` is read and written through one checked
+    /// slab subslice. Requires `m.pack` (so `a` does not step across the
+    /// runs) and `runs` runs of the tile left at level `last - 1`.
     #[inline(always)]
     fn run_dot_accum_packed(
         &self,
@@ -1462,34 +1515,36 @@ impl CompiledCode {
         panel: &[f64],
         idxs: &[i64],
         n: usize,
+        runs: usize,
     ) {
         let aa = &self.accesses[m.a];
         let aw = arrays[aa.arr].atomics();
-        let da = aa.stride;
-        let blocks = panel.chunks_exact(n * PACK_JAM);
-        // `c` steps one word per run (`packs_b`): the blocks' `c` words
+        let (ia, da) = (idxs[m.a], aa.stride);
+        // `c` steps one word per run (`packs_b`): the walk's `c` words
         // are one slice, bounds-checked once.
-        let cw = &arrays[self.accesses[m.c].arr].atomics()[idxs[m.c] as usize..];
-        let (cs, _) = cw[..blocks.len() * PACK_JAM].as_chunks::<PACK_JAM>();
-        for (block, cs) in blocks.zip(cs) {
-            let mut s: [f64; PACK_JAM] =
-                std::array::from_fn(|r| f64::from_bits(cs[r].load(Ordering::Relaxed)));
-            let mut ia = idxs[m.a];
-            let (rows, _) = block.as_chunks::<PACK_JAM>();
-            for row in rows {
-                // SAFETY: as in `run_dot_accum` — `ia` is `a`'s affine
-                // form at a point of the block's runs, which lie in the
-                // asserted tile, and the slot is proven.
-                let x = unsafe { lrel(aw, ia) };
-                for (s, &y) in s.iter_mut().zip(row) {
-                    *s += x * y;
-                }
-                ia += da;
+        let cw = &arrays[self.accesses[m.c].arr].atomics()[idxs[m.c] as usize..][..runs];
+        let (cs, tail) = cw.as_chunks::<PACK_JAM>();
+        let (full, last) = panel.split_at(cs.len() * n * PACK_JAM);
+        for (block, cs) in full.chunks_exact(n * PACK_JAM).zip(cs) {
+            // SAFETY: `ia` is `a`'s affine form at the walk's first
+            // point; the block's runs lie in the asserted tile, and the
+            // slot is proven (`packed_block`'s contract).
+            unsafe { packed_block(cs, block, aw, ia, da) };
+        }
+        if !tail.is_empty() {
+            // The masked block: the live `c` words are staged in the low
+            // lanes of a zeroed stack block, which runs through the same
+            // loop as a full block; the padding lanes add `x · 0.0` to
+            // `0.0` and are dropped. Only the live lanes are stored back.
+            let staged: [AtomicU64; PACK_JAM] = Default::default();
+            for (s, w) in staged.iter().zip(tail) {
+                s.store(w.load(Ordering::Relaxed), Ordering::Relaxed);
             }
-            // Run `r` added exactly the products of its unpacked loop, in
-            // `k` order, onto its own loaded `c` value.
-            for (w, s) in cs.iter().zip(s) {
-                w.store(s.to_bits(), Ordering::Relaxed);
+            // SAFETY: as for the full blocks: every run of the walk
+            // shares the `a` indices.
+            unsafe { packed_block(&staged, last, aw, ia, da) };
+            for (w, s) in tail.iter().zip(&staged) {
+                w.store(s.load(Ordering::Relaxed), Ordering::Relaxed);
             }
         }
     }
@@ -2197,17 +2252,21 @@ mod tests {
         let tiles: [(&[i64], i64, i64); 4] =
             [(&[0], 1, 4), (&[0], 0, 1), (&[0], 4, 7), (&[], 1, 2)];
         let (info, same) = jam_tiles_match(2, 7, &tiles, VectorIsa::host());
-        assert_eq!((info.plan, info.jams), ("dot-accum", &[JAM, 1][..]));
+        assert_eq!(
+            (info.plan, info.jams),
+            ("dot-accum", &[PACK_JAM, JAM, 1][..])
+        );
         assert!(same);
     }
 
     #[test]
-    fn packed_jam_leaves_the_rest_of_a_row_to_jam_and_one_run_loops() {
+    fn packed_walk_masks_the_runs_past_its_last_full_block() {
         // `j` extent PACK_JAM + JAM + 3: a tile of two or more rows packs
-        // one block per row and leaves one `JAM` block and `JAM - 1`
-        // single runs; a one-row tile and tiles at the jam level run the
-        // unpacked loops over the same row. A packed tile must stop at
-        // its `hi` row.
+        // and runs each row as one full block plus one masked block of
+        // `JAM + 3` live runs; a one-row tile and tiles at the jam level
+        // run the unpacked `JAM` and one-run loops over the same row. A
+        // packed tile must stop at its `hi` row, and its masked block
+        // must store no word past its row.
         let nj = PACK_JAM + JAM + 3;
         let ([a, b, c], src) = jam_nest(4, nj);
         let init = c.to_f64_vec();
@@ -2242,19 +2301,21 @@ mod tests {
 
     #[test]
     fn packed_dot_accum_instances_match_interpreted_bitwise() {
-        // Three rows, as one tile or as a two-row and a one-row tile: the
-        // tiles of two or more rows pack (when `j` has a full block), a
-        // one-row tile does not; `j` extents below, at and past one and
-        // two blocks leave every mix of packed blocks, jam-4 runs and
-        // single runs.
+        // Three rows, as one tile, as a two-row and a one-row tile, or as
+        // three one-row tiles: the tiles of two or more rows pack (when
+        // `j` has at least `JAM` runs), a one-row tile does not; `j`
+        // extents below, at and past one, two and three blocks leave
+        // every mix of full blocks and masked last blocks, and of jam-4
+        // and single runs on the one-row tiles.
         let whole: &[(&[i64], i64, i64)] = &[(&[], 0, 3)];
         let split: &[(&[i64], i64, i64)] = &[(&[], 0, 2), (&[], 2, 3)];
-        for nj in (1..=9).chain([16, 17, 18, 23, 32, 48]) {
+        let rows: &[(&[i64], i64, i64)] = &[(&[], 0, 1), (&[], 1, 2), (&[], 2, 3)];
+        for nj in (1..=33).chain([47, 48, 49]) {
             // The baseline, and the host's instance (AVX2 where it has it).
             for isa in [VectorIsa::Baseline, VectorIsa::host()] {
-                for tiles in [whole, split] {
+                for tiles in [whole, split, rows] {
                     let (info, same) = jam_tiles_match(3, nj, tiles, isa);
-                    assert_eq!(info.packs(), nj >= PACK_JAM, "j extent {nj}");
+                    assert_eq!(info.packs(), nj >= JAM, "j extent {nj}");
                     assert!(same, "j extent {nj} on the {} instance", isa.name());
                 }
             }
@@ -2363,12 +2424,15 @@ mod tests {
     #[test]
     fn packing_follows_the_jam_width_and_the_footprint_cap() {
         // A footprint at the cap packs, one word above it falls back, and
-        // fewer than `PACK_JAM` runs at the jam level never pack.
+        // fewer than `JAM` runs at the jam level never pack; `JAM` runs
+        // (one masked block) and `PACK_JAM - 1` do.
         let nk = (PANEL_CAP / PACK_JAM as u64) as usize;
         for (nj, nk, packs) in [
             (PACK_JAM, nk, true),
             (PACK_JAM, nk + 1, false),
-            (PACK_JAM - 1, 5, false),
+            (PACK_JAM - 1, 5, true),
+            (JAM, 5, true),
+            (JAM - 1, 5, false),
         ] {
             let src = format!(
                 "fn main() {{

@@ -17,10 +17,21 @@
 //!   lowering cannot prove affine bails back to the naive path.
 //!
 //! The choice is the adaptive loop of §4.1: `@hint(pipeline)` pragmas are
-//! written into the knowledge base and force the path; recorded outcomes
-//! (wall time per path, fed back after every loop) decide when both have
-//! been measured; a static heuristic covers cold starts. The session
-//! [`LoopStrategy`] caps how adventurous the interpreter may be.
+//! written into the knowledge base and force the path; under
+//! [`LoopStrategy::Adaptive`], recorded outcomes (wall time per path, fed
+//! back after every loop) decide when both have been measured, and a
+//! static heuristic covers cold starts. The session [`LoopStrategy`] caps
+//! how adventurous the interpreter may be.
+//!
+//! # The knowledge base on every loop
+//!
+//! Every `forall` looks up the `pipeline` hint at its program point, with
+//! no allocation ([`htvm_adapt::pipeline::hinted_loop_path`]), so a hint
+//! added to a shared knowledge base between runs steers the next one.
+//! Only [`LoopStrategy::Adaptive`] reads recorded outcomes, so only it
+//! estimates the nest's shape, times the loop and records the outcome;
+//! [`LoopStrategy::Naive`] and [`LoopStrategy::Ssp`] take their own path
+//! unless a hint forces one, and record nothing.
 //!
 //! # Plan reuse
 //!
@@ -60,11 +71,13 @@
 //!   replaces the point's plan. Bail-outs are cached too, so a nest that
 //!   falls back to naive stops re-attempting lowering.
 //!
-//! The knowledge-base decision and the outcome record still run on every
-//! loop, so [`LoopStrategy::Adaptive`] keeps learning; only the planning
-//! is reused. A cached plan also carries its measured cost per point,
-//! which, with the interpreter's measured pool wake, places each of its
-//! waves ([`RunOutput::ssp_inline_waves`](super::RunOutput::ssp_inline_waves)).
+//! The knowledge-base lookup (and, under [`LoopStrategy::Adaptive`], the
+//! decision and the outcome record) still run on every loop; only the
+//! planning is reused. A cached plan also carries its measured cost per
+//! point, which, with the interpreter's measured pool wake, places each
+//! of its waves ([`RunOutput::ssp_inline_waves`](super::RunOutput::ssp_inline_waves)).
+//! An inline run borrows its bound kernel and hands its array table back
+//! to the thread's reused storage; a spread run's pool jobs share it.
 //! [`RunOutput::ssp_plan_hits`](super::RunOutput::ssp_plan_hits)
 //! counts the reuses, and the cache keeps at most
 //! [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY) points.
@@ -76,29 +89,36 @@ use std::sync::Arc;
 use htvm_adapt::pipeline::{self, ExecPathTaken, LoopPath, LoopShape};
 use htvm_core::faults::describe_payload;
 use htvm_core::SharedRegion;
-use htvm_ssp::exec::{plan_native, run_partitioned, spread_pays, Placement, TileBody};
+use htvm_ssp::exec::{
+    plan_native, run_partitioned, spread_pays, ExecReport, Placement, TileBody, WakeMeter,
+};
 use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 use parking_lot::Mutex;
 
-use super::ast::{Hint, Stmt};
+use super::ast::{Hint, Name, Stmt};
 use super::compile::{compile_code, CompiledKernel};
-use super::interp::{Env, Scope, Value};
+use super::interp::{bindings, Env, Scope, Value};
 use super::lower::{lower_forall, Kernel, LoweredForall};
-use super::plan_cache::{CachedCode, CachedPlan, PlanKey, PointEntry, ReadyPlan, Recorder};
+use super::plan_cache::{
+    recycle_table, take_table, CachedCode, CachedPlan, PlanKey, PointEntry, ReadyPlan, Recorder,
+};
 
 /// How the interpreter executes `forall` loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum LoopStrategy {
     /// Always the naive flat SGT fan-out. `@hint(pipeline)` pragmas (and
-    /// knowledge-base entries) still force the SSP path per loop.
+    /// knowledge-base entries) still force the SSP path per loop. Records
+    /// no outcome.
     #[default]
     Naive,
     /// Attempt SSP lowering on every `forall`, falling back to naive on
     /// bail-out. `@hint(pipeline = 0)` still forces naive per loop.
+    /// Records no outcome.
     Ssp,
     /// Let `htvm_adapt::pipeline` decide per loop from hints, recorded
-    /// outcomes, and shape.
+    /// outcomes, and shape. The only strategy that records each loop's
+    /// outcome into the knowledge base.
     Adaptive,
 }
 
@@ -124,7 +144,7 @@ pub enum KernelMode {
 
 /// Everything one `forall` execution needs (bounds already evaluated).
 pub(crate) struct ForallSpec<'a> {
-    pub(crate) var: &'a str,
+    pub(crate) var: &'a Name,
     pub(crate) from: i64,
     pub(crate) to: i64,
     pub(crate) body: &'a [Stmt],
@@ -139,7 +159,9 @@ pub(crate) trait LoopExecutor {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String>;
 }
 
-/// Entry point: pick a path for this loop, execute it, record the outcome.
+/// Entry point: pick a path for this loop, execute it, and — under
+/// [`LoopStrategy::Adaptive`], the only strategy that reads them — record
+/// the outcome.
 pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(), String> {
     let n = (spec.to - spec.from).max(0) as u64;
     if n == 0 {
@@ -148,45 +170,43 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
     let ex = &scope.shared.exec;
     let entry = ex.plans.point(spec.var, spec.body, &scope.shared.program);
     let point = entry.point.as_str();
-    let pragma = pipeline_pragma(spec.hints);
-    let shape = estimate_shape(scope, spec, n);
+    let adaptive = ex.strategy == LoopStrategy::Adaptive;
+    let shape = adaptive.then(|| estimate_shape(scope, spec, n));
     let decision = {
         let mut kb = ex.kb.lock();
         // Lower `@hint(pipeline …)` pragmas into the knowledge base (once
         // per point) so the policy — and future runs via the persisted
         // database — sees them as §4.1 structured hints.
-        if let Some(kv) = pragma {
-            if !kb
-                .hints_at(point)
-                .iter()
-                .any(|h| h.get("pipeline").is_some())
-            {
+        if kb.hint_with(point, "pipeline").is_none() {
+            if let Some(kv) = pipeline_pragma(spec.hints) {
                 kb.add_hint(point, pipeline::pipeline_hint(kv, 100));
             }
         }
-        pipeline::decide_loop_path(&kb, point, shape)
+        match shape {
+            Some(shape) => Some(pipeline::decide_loop_path(&kb, point, shape)),
+            None => pipeline::hinted_loop_path(&kb, point),
+        }
     };
-    use htvm_adapt::pipeline::DecisionReason;
-    let path = match ex.strategy {
-        // Session strategy caps the default; a hint always wins.
-        _ if decision.reason == DecisionReason::Hint => decision.path,
-        LoopStrategy::Naive => LoopPath::Naive,
-        LoopStrategy::Ssp => LoopPath::Pipelined,
-        LoopStrategy::Adaptive => decision.path,
+    // A hint always wins; otherwise the session strategy decides.
+    let (path, level, chunk) = match (decision, ex.strategy) {
+        (Some(d), _) => (d.path, d.level, d.chunk),
+        (None, LoopStrategy::Naive) => (LoopPath::Naive, None, None),
+        (None, _) => (LoopPath::Pipelined, None, None),
     };
-    let start = std::time::Instant::now();
-    let ssp = SspExecutor {
-        level: decision.level,
-        chunk: decision.chunk,
-        entry: &entry,
+    let start = adaptive.then(std::time::Instant::now);
+    let ran = match path {
+        LoopPath::Pipelined => SspExecutor {
+            level,
+            chunk,
+            entry: &entry,
+        }
+        .run(scope, spec)?,
+        LoopPath::Naive => NaiveExecutor.run(scope, spec)?,
     };
-    let executor: &dyn LoopExecutor = match path {
-        LoopPath::Pipelined => &ssp,
-        LoopPath::Naive => &NaiveExecutor,
-    };
-    let ran = executor.run(scope, spec)?;
-    let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    pipeline::record_exec_outcome(&mut ex.kb.lock(), point, ran, nanos.max(1));
+    if let Some(start) = start {
+        let nanos = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        pipeline::record_exec_outcome(&mut ex.kb.lock(), point, ran, nanos.max(1));
+    }
     Ok(())
 }
 
@@ -339,13 +359,13 @@ impl NaiveLoop {
 
     /// Run chunks until the cursor is exhausted, binding `var` to
     /// `from + i` for iteration `i`.
-    fn work(&self, scope: &Scope<'_>, var: &str, from: i64, body: &[Stmt], env: &Env) {
+    fn work(&self, scope: &Scope<'_>, var: &Name, from: i64, body: &[Stmt], env: &Env) {
         while let Some((lo, hi)) = self.claim() {
             for i in lo..hi {
                 if i >= self.failed_at.load(Ordering::Acquire) {
                     break;
                 }
-                let e = env.child();
+                let e = env.child(1 + bindings(body));
                 e.define(var, Value::Num((from + i as i64) as f64));
                 let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     scope.exec_block_returns(body, &e)
@@ -392,7 +412,7 @@ impl LoopExecutor for NaiveExecutor {
         for _ in 0..workers.saturating_sub(1) {
             let env = spec.env.clone();
             let body = spec.body.to_vec();
-            let var = spec.var.to_string();
+            let var = spec.var.clone();
             let lp = lp.clone();
             scope.spawn_sgt(move |scope| lp.work(scope, &var, from, &body, &env));
         }
@@ -459,72 +479,77 @@ impl SspExecutor<'_> {
             chunk: self.chunk,
             mode: ex.kernel_mode,
         };
-        let (plan, arrays) = match self.entry.lookup(&key, spec.env) {
+        let mut table = take_table();
+        let plan = match self.entry.lookup(&key, spec.env, &mut table) {
             Some(hit) => {
-                ex.ssp_plan_hits.fetch_add(1, Ordering::Relaxed);
+                scope.count(|c| c.plan_hits += 1);
                 hit
             }
-            None => self.plan_fresh(scope, spec, key),
+            None => {
+                let (plan, fresh) = self.plan_fresh(scope, spec, key);
+                table = fresh;
+                plan
+            }
         };
         let Some(ready) = &plan.ready else {
+            recycle_table(table);
             return Ok(None);
-        };
-        let (body, taken): (Arc<TileBody>, _) = match &ready.code {
-            CachedCode::Compiled(code) => {
-                let kernel = CompiledKernel::bind(code.clone(), arrays);
-                let tile = move |outer: &[i64], lo, hi| {
-                    kernel
-                        .execute_tile(outer, lo, hi)
-                        .map_err(|f| f.to_string())
-                };
-                (Arc::new(tile), ExecPathTaken::SspCompiled)
-            }
-            CachedCode::Interpreted(code) => {
-                let kernel = Kernel {
-                    code: code.clone(),
-                    arrays,
-                };
-                let trips = ready.trips.clone();
-                let tile = move |outer: &[i64], lo, hi| kernel.execute_tile(&trips, outer, lo, hi);
-                (Arc::new(tile), ExecPathTaken::SspInterp)
-            }
         };
         let level = ready.exec.level_plan.level;
         let part = &ready.exec.partition;
         let wave_points: u64 = ready.trips[level..].iter().product();
-        let placement = if spread_pays(
+        let spread = spread_pays(
             part.groups(ready.trips[level]),
             ready.ns_per_point().map(|ns| ns * wave_points as f64),
             ex.wake.mean_ns(),
-        ) {
-            Placement::Spread(ex.wake.clone())
-        } else {
-            Placement::Inline
+        )
+        .then(|| ex.wake.clone());
+        // The kernel translates 0-based indices via its own bounds.
+        let run = |placement: Placement<'_>| {
+            run_partitioned(&ex.pool, &ready.trips, level, 0, part, placement)
         };
-        let report = run_partitioned(
-            &ex.pool,
-            &ready.trips,
-            level,
-            0, // the kernel translates 0-based indices via its own bounds
-            part,
-            body,
-            placement,
-        )?;
+        let (report, taken) = match &ready.code {
+            CachedCode::Compiled(code) => {
+                let kernel = CompiledKernel::bind(code.clone(), table);
+                let (report, back) = run_tiles(kernel, spread, run, |k, outer, lo, hi| {
+                    k.execute_tile(outer, lo, hi).map_err(|f| f.to_string())
+                });
+                if let Some(k) = back {
+                    recycle_table(k.into_arrays());
+                }
+                (report?, ExecPathTaken::SspCompiled)
+            }
+            CachedCode::Interpreted(code) => {
+                let kernel = Kernel {
+                    code: code.clone(),
+                    arrays: table,
+                };
+                let (report, back) = run_tiles(
+                    (kernel, ready.trips.clone()),
+                    spread,
+                    run,
+                    |(k, trips), outer, lo, hi| k.execute_tile(trips, outer, lo, hi),
+                );
+                if let Some((k, _)) = back {
+                    recycle_table(k.arrays);
+                }
+                (report?, ExecPathTaken::SspInterp)
+            }
+        };
         ready.record_cost(report.caller_ns, report.caller_points);
-        scope
-            .shared
-            .sgt_spawns
-            .fetch_add(report.spawned, Ordering::Relaxed);
-        ex.ssp_foralls.fetch_add(1, Ordering::Relaxed);
-        ex.ssp_waves.fetch_add(report.waves, Ordering::Relaxed);
-        ex.ssp_inline_waves
-            .fetch_add(report.inline_waves, Ordering::Relaxed);
-        if report.wavefront {
-            ex.ssp_wavefronts.fetch_add(1, Ordering::Relaxed);
+        if report.spawned > 0 {
+            scope
+                .shared
+                .sgt_spawns
+                .fetch_add(report.spawned, Ordering::Relaxed);
         }
-        if taken == ExecPathTaken::SspCompiled {
-            ex.ssp_compiled.fetch_add(1, Ordering::Relaxed);
-        }
+        scope.count(|c| {
+            c.foralls += 1;
+            c.waves += report.waves;
+            c.inline_waves += report.inline_waves;
+            c.wavefronts += u64::from(report.wavefront);
+            c.compiled += u64::from(taken == ExecPathTaken::SspCompiled);
+        });
         Ok(Some(taken))
     }
 
@@ -596,16 +621,36 @@ impl SspExecutor<'_> {
     }
 }
 
+/// Run a bound kernel's tiles through `run`: inline, the waves borrow
+/// it and it comes back, so its array table can be reused; spread (with
+/// the pool's wake meter), the pool jobs share it, since they may
+/// outlive the call.
+fn run_tiles<K: Send + Sync + 'static>(
+    kernel: K,
+    spread: Option<Arc<WakeMeter>>,
+    run: impl FnOnce(Placement<'_>) -> Result<ExecReport, String>,
+    tile: fn(&K, &[i64], i64, i64) -> Result<(), String>,
+) -> (Result<ExecReport, String>, Option<K>) {
+    match spread {
+        Some(wake) => {
+            let body: Arc<TileBody> = Arc::new(move |outer, lo, hi| tile(&kernel, outer, lo, hi));
+            (run(Placement::Spread(body, wake)), None)
+        }
+        None => {
+            let report = run(Placement::Inline(&|outer, lo, hi| {
+                tile(&kernel, outer, lo, hi)
+            }));
+            (report, Some(kernel))
+        }
+    }
+}
+
 impl LoopExecutor for SspExecutor<'_> {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String> {
         if let Some(taken) = self.try_run(scope, spec)? {
             Ok(taken)
         } else {
-            scope
-                .shared
-                .exec
-                .ssp_bailouts
-                .fetch_add(1, Ordering::Relaxed);
+            scope.count(|c| c.bailouts += 1);
             NaiveExecutor.run(scope, spec)
         }
     }

@@ -22,7 +22,7 @@
 //! rule: arrays are shared (element writes race only if the program makes
 //! them race), scalars assigned inside an iteration are last-writer-wins.
 
-use std::collections::HashMap;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -32,7 +32,7 @@ use htvm_core::{Htvm, HtvmConfig, Pool, PoolStats, SharedRegion, Topology};
 use htvm_ssp::exec::WakeMeter;
 use parking_lot::Mutex;
 
-use super::ast::{BinOp, Expr, FnDef, Program, Stmt};
+use super::ast::{BinOp, Expr, FnDef, Name, Program, Stmt};
 use super::executor::{self, ForallSpec, KernelMode, LoopStrategy};
 use super::plan_cache::PlanCache;
 use super::profile::{ForallProfile, ProfileState};
@@ -83,31 +83,52 @@ impl Value {
     }
 }
 
+/// One scope's bindings in definition order. A scope binds a handful of
+/// names, so a linear scan beats hashing; a frame is made with room for
+/// every binding its block can make (`bindings`), so it never grows, and
+/// a binding shares its name with the AST.
+type Frame = Vec<(Name, Value)>;
+
 /// Lexical environment: a chain of shared frames. Cloning shares frames
 /// (child scopes see parent bindings; parallel bodies snapshot the chain).
 #[derive(Clone, Default)]
 pub(crate) struct Env {
-    frames: Vec<Arc<Mutex<HashMap<String, Value>>>>,
+    frames: Vec<Arc<Mutex<Frame>>>,
+}
+
+/// The names `stmts` binds in their own scope: its `let`s and `future`s
+/// (nested blocks bind in child scopes). Redefining a name replaces its
+/// binding, so this bounds a frame's size.
+pub(crate) fn bindings(stmts: &[Stmt]) -> usize {
+    stmts
+        .iter()
+        .filter(|s| matches!(s, Stmt::Let(..) | Stmt::Future(..)))
+        .count()
 }
 
 impl Env {
-    pub(crate) fn child(&self) -> Env {
-        let mut e = self.clone();
-        e.frames.push(Arc::new(Mutex::new(HashMap::new())));
-        e
+    /// A child scope with room for `room` bindings.
+    pub(crate) fn child(&self, room: usize) -> Env {
+        let mut frames = Vec::with_capacity(self.frames.len() + 1);
+        frames.extend(self.frames.iter().cloned());
+        frames.push(Arc::new(Mutex::new(Vec::with_capacity(room))));
+        Env { frames }
     }
 
-    pub(crate) fn define(&self, name: &str, v: Value) {
-        self.frames
-            .last()
-            .expect("env has a frame")
-            .lock()
-            .insert(name.to_string(), v);
+    pub(crate) fn define(&self, name: &Name, v: Value) {
+        let mut frame = self.frames.last().expect("env has a frame").lock();
+        match frame.iter_mut().find(|(k, _)| k == name) {
+            Some((_, slot)) => *slot = v,
+            None => {
+                debug_assert!(frame.len() < frame.capacity(), "frame sized for its block");
+                frame.push((name.clone(), v));
+            }
+        }
     }
 
     pub(crate) fn get(&self, name: &str) -> Option<Value> {
         for f in self.frames.iter().rev() {
-            if let Some(v) = f.lock().get(name) {
+            if let Some((_, v)) = f.lock().iter().find(|(k, _)| &**k == name) {
                 return Some(v.clone());
             }
         }
@@ -116,8 +137,7 @@ impl Env {
 
     fn assign(&self, name: &str, v: Value) -> bool {
         for f in self.frames.iter().rev() {
-            let mut g = f.lock();
-            if let Some(slot) = g.get_mut(name) {
+            if let Some((_, slot)) = f.lock().iter_mut().find(|(k, _)| &**k == name) {
                 *slot = v;
                 return true;
             }
@@ -151,26 +171,49 @@ pub(crate) struct ExecShared {
     pub(crate) strategy: LoopStrategy,
     /// Whether SSP loop bodies run compiled (tile-at-a-time) or interpreted.
     pub(crate) kernel_mode: KernelMode,
-    /// §4.1 knowledge base: pragma hints in, observed outcomes out.
+    /// §4.1 knowledge base: pragma hints in, observed outcomes out (the
+    /// latter under [`LoopStrategy::Adaptive`] only).
     pub(crate) kb: Arc<Mutex<KnowledgeBase>>,
     /// The interpreter's SSP plan cache, shared by all its runs.
     pub(crate) plans: Arc<PlanCache>,
     /// The interpreter's measured pool wake, shared by all its runs.
     pub(crate) wake: Arc<WakeMeter>,
+    /// The run's SSP counters, summed from each [`Scope`]'s own as the
+    /// scope ends.
+    counts: Mutex<SspCounts>,
+}
+
+/// The SSP counters of a run (see [`RunOutput`]). Each [`Scope`] counts
+/// its own `forall`s without synchronization and adds them to the run's
+/// once, when it ends.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SspCounts {
     /// `forall`s that reused a cached plan (or cached bail-out).
-    pub(crate) ssp_plan_hits: AtomicU64,
+    pub(crate) plan_hits: u64,
     /// `forall`s executed through the SSP pipeline.
-    pub(crate) ssp_foralls: AtomicU64,
+    pub(crate) foralls: u64,
     /// `forall`s that attempted SSP and fell back to naive.
-    pub(crate) ssp_bailouts: AtomicU64,
+    pub(crate) bailouts: u64,
     /// SSP executions that needed a cross-group signal wavefront.
-    pub(crate) ssp_wavefronts: AtomicU64,
+    pub(crate) wavefronts: u64,
     /// SSP executions that ran the compiled tile-at-a-time kernel.
-    pub(crate) ssp_compiled: AtomicU64,
+    pub(crate) compiled: u64,
     /// Waves the SSP executions ran.
-    pub(crate) ssp_waves: AtomicU64,
+    pub(crate) waves: u64,
     /// Of those, the waves run inline on the calling thread.
-    pub(crate) ssp_inline_waves: AtomicU64,
+    pub(crate) inline_waves: u64,
+}
+
+impl SspCounts {
+    fn add(&mut self, o: SspCounts) {
+        self.plan_hits += o.plan_hits;
+        self.foralls += o.foralls;
+        self.bailouts += o.bailouts;
+        self.wavefronts += o.wavefronts;
+        self.compiled += o.compiled;
+        self.waves += o.waves;
+        self.inline_waves += o.inline_waves;
+    }
 }
 
 impl Shared {
@@ -279,8 +322,8 @@ impl Interp {
         self
     }
 
-    /// The knowledge base this interpreter reads hints from and records
-    /// loop outcomes into.
+    /// The knowledge base this interpreter reads hints from, and — under
+    /// [`LoopStrategy::Adaptive`] — records loop outcomes into.
     pub fn knowledge(&self) -> Arc<Mutex<KnowledgeBase>> {
         self.kb.clone()
     }
@@ -341,13 +384,7 @@ impl Interp {
                 kb: self.kb.clone(),
                 plans: self.plans.clone(),
                 wake: self.wake.clone(),
-                ssp_plan_hits: AtomicU64::new(0),
-                ssp_foralls: AtomicU64::new(0),
-                ssp_bailouts: AtomicU64::new(0),
-                ssp_wavefronts: AtomicU64::new(0),
-                ssp_compiled: AtomicU64::new(0),
-                ssp_waves: AtomicU64::new(0),
-                ssp_inline_waves: AtomicU64::new(0),
+                counts: Mutex::new(SspCounts::default()),
             },
             profile,
         });
@@ -356,10 +393,7 @@ impl Interp {
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.htvm.run_lgt(|lgt| {
                 let main = shared.program.get_fn("main").expect("checked above");
-                let scope = Scope {
-                    shared: shared.clone(),
-                    spawner: lgt,
-                };
+                let scope = Scope::new(shared.clone(), lgt);
                 if let Err(e) = scope.call_fn(main, Vec::new()) {
                     shared.fail(e);
                 }
@@ -372,17 +406,18 @@ impl Interp {
         if let Some(e) = err {
             return Err(e);
         }
-        let printed = shared.printed.lock().clone();
+        let printed = std::mem::take(&mut *shared.printed.lock());
+        let c = *shared.exec.counts.lock();
         let out = RunOutput {
             printed,
             sgt_spawns: shared.sgt_spawns.load(Ordering::Relaxed),
-            ssp_foralls: shared.exec.ssp_foralls.load(Ordering::Relaxed),
-            ssp_bailouts: shared.exec.ssp_bailouts.load(Ordering::Relaxed),
-            ssp_wavefronts: shared.exec.ssp_wavefronts.load(Ordering::Relaxed),
-            ssp_compiled: shared.exec.ssp_compiled.load(Ordering::Relaxed),
-            ssp_plan_hits: shared.exec.ssp_plan_hits.load(Ordering::Relaxed),
-            ssp_waves: shared.exec.ssp_waves.load(Ordering::Relaxed),
-            ssp_inline_waves: shared.exec.ssp_inline_waves.load(Ordering::Relaxed),
+            ssp_foralls: c.foralls,
+            ssp_bailouts: c.bailouts,
+            ssp_wavefronts: c.wavefronts,
+            ssp_compiled: c.compiled,
+            ssp_plan_hits: c.plan_hits,
+            ssp_waves: c.waves,
+            ssp_inline_waves: c.inline_waves,
         };
         Ok((out, shared.profile.clone()))
     }
@@ -411,22 +446,44 @@ impl Spawn for htvm_core::SgtCtx<'_> {
 }
 
 /// An execution scope: shared state + spawn capability of the current
-/// thread level.
+/// thread level, and the SSP counters of the `forall`s it ran, which it
+/// adds to the run's when it ends (before its LGT or SGT finishes).
 pub(crate) struct Scope<'a> {
     pub(crate) shared: Arc<Shared>,
     spawner: &'a dyn Spawn,
+    counts: Cell<SspCounts>,
 }
 
-impl Scope<'_> {
+impl Drop for Scope<'_> {
+    fn drop(&mut self) {
+        let c = self.counts.get();
+        if c != SspCounts::default() {
+            self.shared.exec.counts.lock().add(c);
+        }
+    }
+}
+
+impl<'a> Scope<'a> {
+    fn new(shared: Arc<Shared>, spawner: &'a dyn Spawn) -> Self {
+        Self {
+            shared,
+            spawner,
+            counts: Cell::new(SspCounts::default()),
+        }
+    }
+
+    /// Update this scope's SSP counters.
+    pub(crate) fn count(&self, f: impl FnOnce(&mut SspCounts)) {
+        let mut c = self.counts.get();
+        f(&mut c);
+        self.counts.set(c);
+    }
+
     pub(crate) fn spawn_sgt(&self, job: impl FnOnce(&Scope<'_>) + Send + 'static) {
         self.shared.sgt_spawns.fetch_add(1, Ordering::Relaxed);
         let shared = self.shared.clone();
         self.spawner.spawn_job(Box::new(move |sp: &dyn Spawn| {
-            let scope = Scope {
-                shared,
-                spawner: sp,
-            };
-            job(&scope);
+            job(&Scope::new(shared, sp));
         }));
     }
 
@@ -439,7 +496,7 @@ impl Scope<'_> {
                 args.len()
             ));
         }
-        let env = Env::default().child();
+        let env = Env::default().child(f.params.len() + bindings(&f.body));
         for (p, a) in f.params.iter().zip(args) {
             env.define(p, a);
         }
@@ -508,15 +565,16 @@ impl Scope<'_> {
                 Ok(Flow::Normal)
             }
             Stmt::If(cond, then, els) => {
-                if self.eval(cond, env)?.truthy() {
-                    self.exec_block(then, &env.child())
+                let block = if self.eval(cond, env)?.truthy() {
+                    then
                 } else {
-                    self.exec_block(els, &env.child())
-                }
+                    els
+                };
+                self.exec_block(block, &env.child(bindings(block)))
             }
             Stmt::While(cond, body) => {
                 while self.eval(cond, env)?.truthy() {
-                    if let Flow::Return(v) = self.exec_block(body, &env.child())? {
+                    if let Flow::Return(v) = self.exec_block(body, &env.child(bindings(body)))? {
                         return Ok(Flow::Return(v));
                     }
                 }
@@ -526,7 +584,7 @@ impl Scope<'_> {
                 let a = self.eval(from, env)?.as_num("for start")? as i64;
                 let b = self.eval(to, env)?.as_num("for end")? as i64;
                 for i in a..b {
-                    let e = env.child();
+                    let e = env.child(1 + bindings(body));
                     e.define(var, Value::Num(i as f64));
                     if let Flow::Return(v) = self.exec_block(body, &e)? {
                         return Ok(Flow::Return(v));
@@ -563,13 +621,13 @@ impl Scope<'_> {
             Stmt::Spawn(body) => {
                 if self.shared.profile.is_some() {
                     // Profiled runs are sequential: execute inline.
-                    self.exec_block(body, &env.child())?;
+                    self.exec_block(body, &env.child(bindings(body)))?;
                     return Ok(Flow::Normal);
                 }
                 let env = env.clone();
                 let body = body.to_vec();
                 self.spawn_sgt(move |scope| {
-                    if let Err(e) = scope.exec_block(&body, &env.child()) {
+                    if let Err(e) = scope.exec_block(&body, &env.child(bindings(&body))) {
                         scope.shared.fail(e);
                     }
                 });
@@ -603,7 +661,7 @@ impl Scope<'_> {
             }
             Stmt::Atomic(body) => {
                 let _gate = self.shared.atomic_gate.lock();
-                self.exec_block(body, &env.child())
+                self.exec_block(body, &env.child(bindings(body)))
             }
             Stmt::Return(e) => {
                 let v = match e {
@@ -624,7 +682,7 @@ impl Scope<'_> {
     /// compilation). Parallel execution lives in `lang::executor`.
     fn run_forall_profiled(
         &self,
-        var: &str,
+        var: &Name,
         from: i64,
         to: i64,
         body: &[Stmt],
@@ -635,7 +693,7 @@ impl Scope<'_> {
         let mut costs = Vec::with_capacity(n as usize);
         for i in 0..n {
             let before = p.ops_now();
-            let e = env.child();
+            let e = env.child(1 + bindings(body));
             e.define(var, Value::Num((from + i as i64) as f64));
             self.exec_block(body, &e)?;
             costs.push(p.ops_now() - before);
@@ -728,9 +786,12 @@ impl Scope<'_> {
                 .collect::<Result<Vec<_>, _>>()?;
             return self.call_fn(&f, vals);
         }
+        // The argument's description is formatted only on an error.
         let num = |i: usize| -> Result<f64, String> {
-            self.eval(&args[i], env)?
-                .as_num(&format!("{name} argument {i}"))
+            match self.eval(&args[i], env)? {
+                Value::Num(n) => Ok(n),
+                other => other.as_num(&format!("{name} argument {i}")),
+            }
         };
         let need = |k: usize| -> Result<(), String> {
             if args.len() == k {

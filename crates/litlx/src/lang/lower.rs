@@ -32,7 +32,7 @@ use std::sync::Arc;
 use htvm_core::SharedRegion;
 use htvm_ssp::ir::{Dep, LoopNest, Op, OpKind};
 
-use super::ast::{BinOp, Expr, Stmt};
+use super::ast::{BinOp, Expr, Name, Stmt};
 use super::interp::Value;
 
 /// Why lowering gave up on a nest (diagnostic; the caller falls back to
@@ -432,12 +432,12 @@ pub fn lower_forall(
                 body,
                 hints: _,
             }] => {
-                if induction.contains(&var.as_str()) {
-                    return Err(LowerBail::ShadowedVar(var.clone()));
+                if induction.contains(&&**var) {
+                    return Err(LowerBail::ShadowedVar(var.to_string()));
                 }
                 let (lo, hi) = bounds(from, to, &induction, resolve)?;
                 levels.push(LevelInfo {
-                    var: var.clone(),
+                    var: var.to_string(),
                     lo,
                     n: trip(var, lo, hi)?,
                     parallel: true,
@@ -445,12 +445,12 @@ pub fn lower_forall(
                 cur = body;
             }
             [Stmt::For(var, from, to, body)] => {
-                if induction.contains(&var.as_str()) {
-                    return Err(LowerBail::ShadowedVar(var.clone()));
+                if induction.contains(&&**var) {
+                    return Err(LowerBail::ShadowedVar(var.to_string()));
                 }
                 let (lo, hi) = bounds(from, to, &induction, resolve)?;
                 levels.push(LevelInfo {
-                    var: var.clone(),
+                    var: var.to_string(),
                     lo,
                     n: trip(var, lo, hi)?,
                     parallel: false,
@@ -539,7 +539,7 @@ fn const_num(e: &Expr, induction: &[&str], resolve: &Resolver<'_>) -> Result<f64
     match e {
         Expr::Num(n) => Ok(*n),
         Expr::Var(v) => {
-            if induction.contains(&v.as_str()) {
+            if induction.contains(&&**v) {
                 return Err(bail());
             }
             match resolve(v) {
@@ -580,7 +580,7 @@ struct Compiler<'a> {
     arrays: Vec<SharedRegion>,
     array_names: Vec<String>,
     /// Let-bound scalars → register.
-    scalars: HashMap<String, usize>,
+    scalars: HashMap<Name, usize>,
     /// Producing op of each register (None for constants/index values).
     reg_producer: Vec<Option<usize>>,
     ops: Vec<Op>,

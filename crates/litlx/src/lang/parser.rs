@@ -153,7 +153,7 @@ impl Parser {
         let mut params = Vec::new();
         if !self.is_punct(")") {
             loop {
-                params.push(self.ident()?);
+                params.push(self.ident()?.into());
                 if self.is_punct(",") {
                     self.bump();
                 } else {
@@ -200,7 +200,7 @@ impl Parser {
             self.eat_punct("=")?;
             let e = self.expr()?;
             self.eat_punct(";")?;
-            return Ok(Stmt::Let(name, e));
+            return Ok(Stmt::Let(name.into(), e));
         }
         if self.is_kw("if") {
             self.bump();
@@ -228,7 +228,7 @@ impl Parser {
             self.eat_punct("..")?;
             let to = self.expr()?;
             let body = self.block()?;
-            return Ok(Stmt::For(var, from, to, body));
+            return Ok(Stmt::For(var.into(), from, to, body));
         }
         if self.is_kw("forall") {
             return self.forall(Vec::new());
@@ -249,7 +249,7 @@ impl Parser {
             self.eat_punct("=")?;
             let e = self.expr()?;
             self.eat_punct(";")?;
-            return Ok(Stmt::Future(name, e));
+            return Ok(Stmt::Future(name.into(), e));
         }
         if self.is_kw("return") {
             self.bump();
@@ -270,7 +270,7 @@ impl Parser {
                 self.bump();
                 let e = self.expr()?;
                 self.eat_punct(";")?;
-                return Ok(Stmt::Assign(name, e));
+                return Ok(Stmt::Assign(name.into(), e));
             }
             if matches!(next, Token::Punct("[")) {
                 // Could be a store `a[i] = e;` / `a[i] += e;` or an
@@ -285,7 +285,7 @@ impl Parser {
                     let value = self.expr()?;
                     self.eat_punct(";")?;
                     return Ok(Stmt::StoreIndex {
-                        array: name,
+                        array: name.as_str().into(),
                         index: idx,
                         value,
                         accumulate: false,
@@ -296,7 +296,7 @@ impl Parser {
                     let value = self.expr()?;
                     self.eat_punct(";")?;
                     return Ok(Stmt::StoreIndex {
-                        array: name,
+                        array: name.as_str().into(),
                         index: idx,
                         value,
                         accumulate: true,
@@ -319,7 +319,7 @@ impl Parser {
         let to = self.expr()?;
         let body = self.block()?;
         Ok(Stmt::Forall {
-            var,
+            var: var.into(),
             from,
             to,
             body,
@@ -451,7 +451,7 @@ impl Parser {
                     self.eat_punct(")")?;
                     Ok(Expr::Call(name, args))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok(Expr::Var(name.into()))
                 }
             }
             Token::Punct("(") => {
@@ -478,7 +478,7 @@ mod tests {
         let f = p.get_fn("main").unwrap();
         match &f.body[0] {
             Stmt::Let(name, Expr::Bin(BinOp::Add, _, rhs)) => {
-                assert_eq!(name, "x");
+                assert_eq!(&**name, "x");
                 assert!(matches!(**rhs, Expr::Bin(BinOp::Mul, _, _)));
             }
             other => panic!("unexpected stmt {other:?}"),

@@ -17,7 +17,9 @@
 //!   the program (the copies naive helpers and `spawn` blocks run) and
 //!   empty bodies (whose address is shared) are planned uncached. The
 //!   entry also carries the knowledge-base key of the point, so a hit
-//!   skips formatting the body.
+//!   skips formatting the body: every loop looks its `pipeline` hint up
+//!   under it, and an `Adaptive` interpreter records its outcome there
+//!   (`super::executor`).
 //! * **Plan key** ([`PlanKey`]): the evaluated bounds, the forced
 //!   `@hint` level and chunk, and the kernel mode.
 //! * **Guard** ([`Guard`]): every `(name, answer)` the lowering consumed,
@@ -29,12 +31,15 @@
 //!
 //! Entries hold no [`SharedRegion`]: the guard keeps lengths and alias
 //! classes, and each run binds its own arrays, so a finished run's arrays
-//! are freed when the run ends. The number of points is capped at
-//! [`PLAN_CACHE_CAPACITY`]; inserting past it evicts the least recently
-//! used point.
+//! are freed when the run ends. A hit writes the run's array table into
+//! the calling thread's reused table storage ([`take_table`],
+//! [`recycle_table`]), which is empty between uses. The number of points
+//! is capped at [`PLAN_CACHE_CAPACITY`]; inserting past it evicts the
+//! least recently used point. Points are found by a linear scan of their
+//! addresses: a program has a handful of `forall`s, and the scan hashes
+//! nothing.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -54,13 +59,16 @@ pub const PLAN_CACHE_CAPACITY: usize = 64;
 /// Program point → cached plan, shared by every run of one interpreter.
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    points: Mutex<HashMap<(usize, usize), Arc<PointEntry>>>,
+    /// The cached points.
+    points: Mutex<Vec<Arc<PointEntry>>>,
     /// Monotonic use stamp for least-recently-used eviction.
     clock: AtomicU64,
 }
 
 /// One program point: its knowledge-base key and latest plan.
 pub(crate) struct PointEntry {
+    /// The body's address and length.
+    addr: (usize, usize),
     /// The knowledge-base key of the point (see [`point_key`]).
     pub(crate) point: String,
     /// The function holding the body, keeping its address from reuse
@@ -148,7 +156,7 @@ impl PlanCache {
     pub(crate) fn point(&self, var: &str, body: &[Stmt], program: &Program) -> Arc<PointEntry> {
         let addr = (body.as_ptr() as usize, body.len());
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let found = self.points.lock().get(&addr).cloned();
+        let found = self.points.lock().iter().find(|e| e.addr == addr).cloned();
         if let Some(e) = found {
             e.last_used.store(stamp, Ordering::Relaxed);
             return e;
@@ -160,6 +168,7 @@ impl PlanCache {
         };
         let cached = owner.is_some();
         let entry = Arc::new(PointEntry {
+            addr,
             point: point_key(var, body),
             _pin: owner.cloned(),
             last_used: AtomicU64::new(stamp),
@@ -170,14 +179,18 @@ impl PlanCache {
         }
         let mut points = self.points.lock();
         let mut evicted = None;
-        if points.len() >= PLAN_CACHE_CAPACITY && !points.contains_key(&addr) {
+        if let Some(i) = points.iter().position(|e| e.addr == addr) {
+            // Another run inserted the point meanwhile: replace it.
+            evicted = Some(points.swap_remove(i));
+        } else if points.len() >= PLAN_CACHE_CAPACITY {
             let lru = points
                 .iter()
+                .enumerate()
                 .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k);
-            evicted = lru.and_then(|k| points.remove(&k));
+                .map(|(i, _)| i);
+            evicted = lru.map(|i| points.swap_remove(i));
         }
-        points.insert(addr, entry.clone());
+        points.push(entry.clone());
         drop(points);
         // The evicted entry may hold the last reference to a function's
         // AST: free it outside the lock.
@@ -192,20 +205,22 @@ impl PlanCache {
 }
 
 impl PointEntry {
-    /// The cached plan for `key` if its guard holds in `env`, with the
-    /// run's distinct arrays in alias-class order — the kernel's array
-    /// table.
+    /// The cached plan for `key` if its guard holds in `env`, having
+    /// written the run's distinct arrays in alias-class order — the
+    /// kernel's array table — into `table` (which may hold anything on a
+    /// miss).
     pub(crate) fn lookup(
         &self,
         key: &PlanKey,
         env: &Env,
-    ) -> Option<(Arc<CachedPlan>, Vec<SharedRegion>)> {
+        table: &mut Vec<SharedRegion>,
+    ) -> Option<Arc<CachedPlan>> {
         let plan = self.plan.lock().clone()?;
         if plan.key != *key {
             return None;
         }
-        let reps = plan.guard.check(env)?;
-        Some((plan, reps))
+        plan.guard.check(env, table)?;
+        Some(plan)
     }
 
     /// Cache `ready` (or a bail-out) for `key` under `guard`, replacing
@@ -295,17 +310,36 @@ pub(crate) struct Guard {
 }
 
 impl Guard {
-    /// Re-resolve every recorded name in `env`. On a match, the run's
-    /// distinct arrays in alias-class order.
-    fn check(&self, env: &Env) -> Option<Vec<SharedRegion>> {
-        let mut reps = Vec::new();
+    /// Re-resolve every recorded name in `env`, writing the distinct
+    /// arrays into `reps` in alias-class order; `Some` on a match.
+    fn check(&self, env: &Env, reps: &mut Vec<SharedRegion>) -> Option<()> {
+        reps.clear();
         for (name, want) in &self.answers {
-            if answer(env.get(name), &mut reps)? != *want {
+            if answer(env.get(name), reps)? != *want {
                 return None;
             }
         }
-        Some(reps)
+        Some(())
     }
+}
+
+thread_local! {
+    /// This thread's reused array-table storage: empty between uses, so
+    /// it keeps no region alive.
+    static TABLE: Cell<Vec<SharedRegion>> = const { Cell::new(Vec::new()) };
+}
+
+/// An empty array table, with the capacity this thread's earlier tables
+/// left behind (a table in use elsewhere on the thread leaves none).
+pub(crate) fn take_table() -> Vec<SharedRegion> {
+    TABLE.with(Cell::take)
+}
+
+/// Release a table's regions and keep its storage for this thread's
+/// next [`take_table`].
+pub(crate) fn recycle_table(mut table: Vec<SharedRegion>) {
+    table.clear();
+    TABLE.with(|t| t.set(table));
 }
 
 /// Classify one resolver answer, appending a newly seen region to

@@ -2,8 +2,8 @@
 //! §3.3's "partition the software pipelined code into threads".
 //!
 //! [`run_partitioned`] takes a rectangular loop nest (trip counts), a
-//! pipelined level `ℓ`, a [`PartitionPlan`], a **tile body**
-//! ([`TileBody`]) and a [`Placement`], and runs the nest on the native
+//! pipelined level `ℓ`, a [`PartitionPlan`] and a [`Placement`] holding
+//! the **tile body** ([`TileBody`]), and runs the nest on the native
 //! [`Pool`]:
 //!
 //! * levels outer to `ℓ` execute sequentially — each outer index tuple is
@@ -15,10 +15,13 @@
 //!   paid once per group rather than once per point (a compiled LITL-X
 //!   kernel asserts its box and borrows its scratch once per tile);
 //! * an **inline** wave runs its groups in index order on the calling
-//!   thread and spawns nothing. A **spread** wave spawns one SGT-grain
-//!   pool job per group in one batch, placed round-robin across the
-//!   pool's locality domains; every group is ready at once, so the jobs
-//!   and the calling thread claim groups from one atomic cursor.
+//!   thread and spawns nothing; an inline run borrows its body. A
+//!   **spread** wave spawns one SGT-grain pool job per group in one
+//!   batch, placed round-robin across the pool's locality domains; every
+//!   group is ready at once, so the jobs and the calling thread claim
+//!   groups from one atomic cursor. The jobs may start after the call
+//!   returns (and then find nothing to claim), so a spread run's body is
+//!   shared (`Arc`).
 //!
 //! In a spread wave the caller **helps**: it claims groups until the
 //! cursor passes the last one, then waits for the groups the pool jobs
@@ -83,16 +86,20 @@ use crate::ssp::{schedule_all_levels, LevelPlan, SspConfig};
 /// the wave's `Err`), never as a hang or an unwinding caller.
 pub type TileBody = dyn Fn(&[i64], i64, i64) -> Result<(), String> + Send + Sync;
 
-/// Where a wave's groups run (module docs, "Placement").
-#[derive(Debug, Clone)]
-pub enum Placement {
+/// A [`TileBody`] borrowed for one call, which runs it on the calling
+/// thread only ([`Placement::Inline`]).
+pub type InlineTile<'a> = dyn Fn(&[i64], i64, i64) -> Result<(), String> + 'a;
+
+/// Where a wave's groups run (module docs, "Placement"), with the body
+/// that runs them.
+pub enum Placement<'a> {
     /// Every group in index order on the calling thread: no pool job.
-    Inline,
+    Inline(&'a InlineTile<'a>),
     /// One pool job per group, placed round-robin over the pool's
-    /// domains; the caller helps. Each wave's first job records its wake
-    /// into the meter. A wavefront wave runs inline instead (module
-    /// docs).
-    Spread(Arc<WakeMeter>),
+    /// domains, each holding a clone of the body; the caller helps. Each
+    /// wave's first job records its wake into the meter. A wavefront
+    /// wave runs inline instead (module docs).
+    Spread(Arc<TileBody>, Arc<WakeMeter>),
 }
 
 /// Whether spreading a wave of `groups` groups pays, given the wave's
@@ -211,9 +218,8 @@ pub fn plan_native_nest(
     plan_native(&nest.trip_counts, &plans, allowed_levels, threads)
 }
 
-/// A run's groups at the partitioned level and the body that runs them,
-/// the same for all of its waves (a spread wave's pool jobs hold a
-/// clone, since they may outlive the run).
+/// A run's groups at the partitioned level, the same for all of its
+/// waves.
 #[derive(Clone)]
 struct Geometry {
     /// Iterations at the partitioned level.
@@ -227,7 +233,6 @@ struct Geometry {
     inner: u64,
     /// Absolute index of the partitioned level's first iteration.
     lo: i64,
-    body: Arc<TileBody>,
 }
 
 impl Geometry {
@@ -238,11 +243,11 @@ impl Geometry {
         (self.lo + start as i64, self.lo + end as i64)
     }
 
-    /// Run group `g` of the wave at `outer` as one tile. A panic comes
-    /// back as the group's error.
-    fn run_group(&self, outer: &[i64], g: u64) -> Result<(), String> {
+    /// Run group `g` of the wave at `outer` as one tile of `body`. A
+    /// panic comes back as the group's error.
+    fn run_group(&self, body: &InlineTile<'_>, outer: &[i64], g: u64) -> Result<(), String> {
         let (lo, hi) = self.range(g);
-        catch_unwind(AssertUnwindSafe(|| (self.body)(outer, lo, hi)))
+        catch_unwind(AssertUnwindSafe(|| body(outer, lo, hi)))
             .unwrap_or_else(|p| Err(format!("group {g} panicked: {}", panic_message(p.as_ref()))))
     }
 }
@@ -251,6 +256,7 @@ impl Geometry {
 /// pool jobs.
 struct Wave {
     geom: Geometry,
+    body: Arc<TileBody>,
     outer: Vec<i64>,
     /// The next unclaimed group. Every group of a spread wave is ready at
     /// once, so a claim is one `fetch_add`; a claim at or past
@@ -339,7 +345,7 @@ impl Wave {
     fn run(&self, g: u64) {
         let _done = GroupDone(&self.finished);
         if precedes(&self.error.lock(), g) {
-            if let Err(e) = self.geom.run_group(&self.outer, g) {
+            if let Err(e) = self.geom.run_group(&*self.body, &self.outer, g) {
                 let mut slot = self.error.lock();
                 if precedes(&slot, g) {
                     *slot = Some((g, e));
@@ -369,8 +375,7 @@ pub fn run_partitioned(
     level: usize,
     level_lo: i64,
     part: &PartitionPlan,
-    body: Arc<TileBody>,
-    placement: Placement,
+    placement: Placement<'_>,
 ) -> Result<ExecReport, String> {
     if level >= trip_counts.len() {
         return Err(format!(
@@ -392,7 +397,6 @@ pub fn run_partitioned(
         groups: part.groups(trip_counts[level]),
         inner: trip_counts[level + 1..].iter().product(),
         lo: level_lo,
-        body,
     };
     report.groups = geom.groups;
     let waves: u64 = trip_counts[..level].iter().product();
@@ -402,9 +406,12 @@ pub fn run_partitioned(
     } else {
         trip_counts[level..trip_counts.len() - 1].iter().product()
     };
-    let wake = match placement {
-        Placement::Spread(wake) if !part.wavefront => Some(wake),
-        _ => None,
+    let (body, spread) = match &placement {
+        Placement::Inline(body) => (*body, None),
+        Placement::Spread(body, wake) => (
+            &**body as &InlineTile<'_>,
+            (!part.wavefront).then_some((body, wake)),
+        ),
     };
     let mut outer = vec![0i64; level];
     for w in 0..waves {
@@ -414,9 +421,9 @@ pub fn run_partitioned(
             outer[k] = (rem % n) as i64;
             rem /= n;
         }
-        match &wake {
-            None => run_inline(&geom, &outer, &mut report)?,
-            Some(wake) => run_spread(pool, &geom, wake, &outer, &mut report)?,
+        match spread {
+            None => run_inline(&geom, body, &outer, &mut report)?,
+            Some((body, wake)) => run_spread(pool, &geom, body, wake, &outer, &mut report)?,
         }
         report.waves += 1;
         report.points += wave_points;
@@ -427,10 +434,15 @@ pub fn run_partitioned(
 
 /// One inline wave: its groups in index order on the calling thread,
 /// stopping at the first failure — the lowest failing group.
-fn run_inline(geom: &Geometry, outer: &[i64], report: &mut ExecReport) -> Result<(), String> {
+fn run_inline(
+    geom: &Geometry,
+    body: &InlineTile<'_>,
+    outer: &[i64],
+    report: &mut ExecReport,
+) -> Result<(), String> {
     let start = Instant::now();
     for g in 0..geom.groups {
-        geom.run_group(outer, g)?;
+        geom.run_group(body, outer, g)?;
     }
     report.caller_ns += start.elapsed().as_nanos() as u64;
     report.caller_points += geom.n * geom.inner;
@@ -444,6 +456,7 @@ fn run_inline(geom: &Geometry, outer: &[i64], report: &mut ExecReport) -> Result
 fn run_spread(
     pool: &Arc<Pool>,
     geom: &Geometry,
+    body: &Arc<TileBody>,
     wake: &Arc<WakeMeter>,
     outer: &[i64],
     report: &mut ExecReport,
@@ -452,6 +465,7 @@ fn run_spread(
     let nd = pool.num_domains() as u64;
     let wave = Arc::new(Wave {
         geom: geom.clone(),
+        body: body.clone(),
         outer: outer.to_vec(),
         next: AtomicU64::new(0),
         finished: EventCount::new(),
@@ -497,10 +511,18 @@ mod tests {
     use crate::ir::LoopNest;
     use htvm_core::Topology;
 
+    /// A placement without its body: the scenarios below build the
+    /// body, then run it under each.
+    #[derive(Debug)]
+    enum Place {
+        Spread(Arc<WakeMeter>),
+        Inline,
+    }
+
     /// Every scenario below runs under both placements (a fresh meter
     /// each time).
-    fn placements() -> [Placement; 2] {
-        [Placement::Spread(Arc::default()), Placement::Inline]
+    fn placements() -> [Place; 2] {
+        [Place::Spread(Arc::default()), Place::Inline]
     }
 
     fn pool(topo: Topology) -> Arc<Pool> {
@@ -551,13 +573,17 @@ mod tests {
         lo: i64,
         part: &PartitionPlan,
         body: Arc<TileBody>,
-        placement: &Placement,
+        placement: &Place,
     ) -> Result<ExecReport, String> {
-        let out = run_partitioned(p, trips, level, lo, part, body, placement.clone());
+        let placed = match placement {
+            Place::Spread(wake) => Placement::Spread(body.clone(), wake.clone()),
+            Place::Inline => Placement::Inline(&*body),
+        };
+        let out = run_partitioned(p, trips, level, lo, part, placed);
         if let Ok(rep) = &out {
             let all = rep.waves * rep.groups;
             match placement {
-                Placement::Spread(wake) if !rep.wavefront => {
+                Place::Spread(wake) if !rep.wavefront => {
                     assert_eq!(rep.inline_waves, 0);
                     assert_eq!(rep.spawned, all);
                     assert!(rep.caller_ran <= all);
@@ -632,7 +658,7 @@ mod tests {
             }
             let stats = p.stats();
             assert_eq!(stats.total_domain_spawns(), rep.spawned);
-            if let Placement::Spread(_) = placement {
+            if let Place::Spread(_) = placement {
                 // Placement is round-robin over the 2 domains.
                 assert_eq!(stats.domain_spawns.len(), 2);
                 assert!(
@@ -696,8 +722,8 @@ mod tests {
         let wake = Arc::new(WakeMeter::default());
         let p = pool(Topology::domains(2, 1));
         let body = pointwise(&nest.trip_counts, |_| Ok(()));
-        let placement = Placement::Spread(wake.clone());
-        let rep = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, body, placement).unwrap();
+        let placement = Placement::Spread(body, wake.clone());
+        let rep = run_partitioned(&p, &nest.trip_counts, 0, 0, &part, placement).unwrap();
         p.wait_quiescent();
         assert_eq!((rep.waves, rep.groups, rep.points), (1, 4, 64));
         assert_eq!(rep.spawned, 0);
@@ -735,8 +761,8 @@ mod tests {
             assert_eq!(rep.waves, 3);
             assert_eq!(rep.points, 24);
             let spawned = match placement {
-                Placement::Spread(_) => 12,
-                Placement::Inline => 0,
+                Place::Spread(_) => 12,
+                Place::Inline => 0,
             };
             assert_eq!(rep.spawned, spawned);
             outcomes.push(outcome(&out));

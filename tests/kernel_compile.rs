@@ -525,7 +525,7 @@ fn jammed_dot_accum_matches_interpreted_bitwise() {
                         assert!(jammed.ssp_bailouts >= 1, "{case}");
                         continue;
                     }
-                    let want: &[usize] = match (jams, packs && nj >= pack_jam) {
+                    let want: &[usize] = match (jams, packs && nj >= jam) {
                         (false, _) => &[1],
                         (true, false) => &[jam, 1],
                         (true, true) => &[pack_jam, jam, 1],
