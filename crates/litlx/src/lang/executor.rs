@@ -1,8 +1,11 @@
-//! Pluggable `forall` execution strategies.
+//! `forall` execution strategies.
 //!
 //! The interpreter no longer hardwires a loop path: every non-profiled
 //! `forall` goes through `run_forall`, which picks between two
-//! `LoopExecutor` strategies:
+//! executors, each of whose `run` reports the path that actually
+//! executed (the SSP executor may fall back to naive on a lowering
+//! bail-out, and reports whether its kernel ran compiled or
+//! interpreted):
 //!
 //! * `NaiveExecutor` — the historical flat fan-out: helper SGTs claim
 //!   chunks from an atomic cursor under a hint-selected schedule
@@ -150,13 +153,6 @@ pub(crate) struct ForallSpec<'a> {
     pub(crate) body: &'a [Stmt],
     pub(crate) hints: &'a [Hint],
     pub(crate) env: &'a Env,
-}
-
-/// A loop-execution strategy. `run` reports which path actually executed
-/// (the SSP strategy may fall back to naive on a lowering bail-out, and
-/// reports whether its kernel ran compiled or interpreted).
-pub(crate) trait LoopExecutor {
-    fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String>;
 }
 
 /// Entry point: pick a path for this loop, execute it, and — under
@@ -393,7 +389,7 @@ impl NaiveLoop {
     }
 }
 
-impl LoopExecutor for NaiveExecutor {
+impl NaiveExecutor {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String> {
         let n = (spec.to - spec.from).max(0) as u64;
         let from = spec.from;
@@ -645,7 +641,7 @@ fn run_tiles<K: Send + Sync + 'static>(
     }
 }
 
-impl LoopExecutor for SspExecutor<'_> {
+impl SspExecutor<'_> {
     fn run(&self, scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<ExecPathTaken, String> {
         if let Some(taken) = self.try_run(scope, spec)? {
             Ok(taken)
