@@ -332,9 +332,12 @@ pub fn e5b_native_spawn(scale: Scale) -> Table {
 
 /// E5c — the price of one queue operation on the scheduling spine:
 /// owner push/pop, thief steal, injector publish and batch-steal, for
-/// the lock-free spine (`htvm_core::deque`) against the mutex-shim
-/// baseline (`crossbeam::deque`, the `Mutex<VecDeque>` vendor shim the
-/// pool ran on before the spine landed).
+/// the spine (`htvm_core::deque`) against the mutex-shim baseline
+/// (`crossbeam::deque`, the `Mutex<VecDeque>` vendor shim the pool ran on
+/// before the spine landed). The spine's deque is lock-free; its
+/// injectors are locked FIFOs too, so the injector rows compare one lock
+/// per job against one lock per batch. The title and column names stay
+/// as the trajectory guard matches them.
 ///
 /// The `stealers` column is the number of concurrent thieves raiding the
 /// queue — 1/2/4, standing in for the workers of a 1/2/4-domain
@@ -473,11 +476,6 @@ pub fn e5c_queue_ops(scale: Scale) -> Table {
                         while start.load(std::sync::atomic::Ordering::Acquire) == 0 {
                             std::thread::yield_now();
                         }
-                        // Pin once around the drain, exactly as the
-                        // pool's `find_work` pins once around its steal
-                        // sweep: each steal inside skips the epoch
-                        // publication fence.
-                        let _pin = lf::pin();
                         loop {
                             match s.steal() {
                                 lf::Steal::Success(v) => {
@@ -522,8 +520,7 @@ pub fn e5c_queue_ops(scale: Scale) -> Table {
     // Injector batch publish, per job — the `spawn_batch_in` path. The
     // shim has no batch API, so its side pays one lock round-trip per
     // job (exactly what the pool paid before the spine landed); the
-    // lock-free side claims each segment's share of the run with a
-    // single `fetch_add`.
+    // spine's side extends its queue with the whole run under one lock.
     let batch64 = 64u64;
     let rounds = n / batch64;
     let inj_pub_mutex = {

@@ -11,10 +11,9 @@
 //! function of the seed and the program's runnable sets.
 //!
 //! Explorations are globally serialized (one at a time per process) so
-//! process-wide state shared by the code under test — e.g. the deque's
-//! epoch-reclamation registry — sees traffic from exactly one scheduler,
-//! keeping replays deterministic even when the test harness runs test
-//! functions on parallel threads.
+//! any process-wide state shared by the code under test sees traffic from
+//! exactly one scheduler, keeping replays deterministic even when the
+//! test harness runs test functions on parallel threads.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -93,23 +92,6 @@ pub struct Report {
 
 static EXPLORE_LOCK: Mutex<()> = Mutex::new(());
 static QUIET_HOOK: Once = Once::new();
-static RESET_HOOK: Mutex<Option<fn()>> = Mutex::new(None);
-
-/// Install a hook run before *every* iteration (and replay), while no
-/// virtual thread exists. Scenario crates use this to reset process-wide
-/// state in the code under test — e.g. `htvm-core`'s epoch-reclamation
-/// registry — so each iteration starts from an identical world and seeds
-/// replay exactly. Idempotent; the last hook installed wins.
-pub fn set_iteration_reset(hook: fn()) {
-    *RESET_HOOK.lock().unwrap_or_else(|p| p.into_inner()) = Some(hook);
-}
-
-fn run_reset_hook() {
-    let hook = *RESET_HOOK.lock().unwrap_or_else(|p| p.into_inner());
-    if let Some(f) = hook {
-        f();
-    }
-}
 
 /// Panics inside virtual threads are captured and reported through
 /// [`Failure`]; keep the default hook from spraying expected backtraces
@@ -133,7 +115,6 @@ fn run_once(
     seed: u64,
     scenario: &Arc<dyn Fn() + Send + Sync>,
 ) -> Result<u64, Failure> {
-    run_reset_hook();
     let sched = SchedInner::new(seed, cfg.max_steps, cfg.preemption_bound);
     let f = scenario.clone();
     let s2 = sched.clone();

@@ -36,6 +36,5 @@ mod sched;
 pub mod thread;
 
 pub use explore::{
-    check_corpus, explore, random_seeds, random_seeds_from_env, replay, set_iteration_reset,
-    Config, Failure, Report,
+    check_corpus, explore, random_seeds, random_seeds_from_env, replay, Config, Failure, Report,
 };

@@ -1,7 +1,7 @@
-//! Deterministic schedule exploration of the lock-free spine.
+//! Deterministic schedule exploration of the scheduling spine.
 //!
 //! These tests drive `htvm-core`'s concurrency kernels — the Chase–Lev
-//! deque, the segmented injector, the epoch-stamped sleeper registry, and
+//! deque, the locked FIFO injector, the epoch-stamped sleeper registry, and
 //! the EARTH-style sync slot — through the `htvm-check` explorer. The core
 //! is built with `--features check`, so every atomic op, fence, lock and
 //! condvar wait inside those kernels is a schedule point.
@@ -64,7 +64,7 @@ const SEED_SLEEPERS_MUTANT_LOST_WAKEUP: u64 = 0x98603fddc26f6e07;
 
 /// Catches `Stealer::steal_mutant_no_cas` (double-take): two thieves read
 /// the same `top` and both claim the same element.
-const SEED_DEQUE_MUTANT_DOUBLE_TAKE: u64 = 0xf8b44b6aadf07fd5;
+const SEED_DEQUE_MUTANT_DOUBLE_TAKE: u64 = 0x4820541218838bea;
 
 /// Serving-layer seeds (PR 7): the admission handoff and the
 /// cancel-vs-dispatch race both pass their full sweeps under these base
@@ -107,6 +107,13 @@ const SEED_SUBMIT_PASS_VS_DISPATCHER: u64 = 0x5851f42d4c957f2d;
 /// explored schedules replay forever.
 const SEED_SPREAD_WAVE_CLAIM: u64 = 0x4f1bbcdcbfa53e0b;
 
+/// The injector's two consumer paths, `steal_batch_and_pop` into the
+/// consumer's own deque and `steal`, racing a producer's `push_batch` and
+/// `push` (`injector_batch_steal_scenario`). The full sweep passes under
+/// this base seed; committed so the exact explored schedules replay
+/// forever.
+const SEED_INJECTOR_BATCH_STEAL: u64 = 0x7a5c3e1f0b9d8264;
+
 /// A response settle (count, then `put`) against the spin-then-park wait
 /// behind `ResponseHandle::wait` (`settle_vs_wait_scenario`), with one and
 /// with two waiters. The full sweep passes under this base seed;
@@ -119,11 +126,8 @@ const SEED_SETTLE_VS_WAIT: u64 = 0x3c6ef372fe94f82b;
 /// this schedule.
 const SEED_SETTLE_MUTANT_STALE_PARKED_READ: u64 = 0x82c8ce4a2c8c31f4;
 
-/// Shared per-test setup: install the between-iterations reset of core's
-/// process-wide epoch registry (required for seed-exact replay of deque
-/// scenarios) and build a bounds config.
+/// Shared per-test bounds config.
 fn cfg(iterations: u64) -> Config {
-    htvm_check::set_iteration_reset(htvm_core::deque::check_reset_epochs);
     Config {
         iterations,
         max_steps: 40_000,
@@ -324,15 +328,14 @@ fn mutant_steal_without_cas_is_caught() {
 }
 
 // ---------------------------------------------------------------------------
-// Segmented injector: exactly-once FIFO, across a segment boundary.
+// Injector: exactly-once FIFO, for plain and batch steals.
 // ---------------------------------------------------------------------------
 
-/// Push one batch spanning two segments, then race two consumers draining
-/// it. Each value must be consumed exactly once, and each consumer's local
-/// sequence must be increasing (global FIFO implies per-consumer
-/// subsequences are ordered).
+/// Push one batch, then race two consumers draining it. Each value must
+/// be consumed exactly once, and each consumer's local sequence must be
+/// increasing (global FIFO implies per-consumer subsequences are ordered).
 fn injector_exactly_once_scenario() {
-    const N: u64 = 34; // SEGMENT_CAP is 32: the batch crosses a boundary.
+    const N: u64 = 34;
     let inj = Arc::new(Injector::new());
     inj.push_batch((0..N).collect());
     let taken = Arc::new(StdMutex::new(Vec::new()));
@@ -367,12 +370,79 @@ fn injector_exactly_once_scenario() {
 }
 
 #[test]
-fn injector_exactly_once_fifo_across_segments() {
+fn injector_exactly_once_fifo() {
     explore(
         "injector-exactly-once",
         &cfg(150),
         0xbf58476d1ce4e5b9,
         injector_exactly_once_scenario,
+    )
+    .unwrap_or_else(|f| panic!("{f}"));
+}
+
+/// One producer publishes a batch of three and then one more job; two
+/// consumers mix `steal_batch_and_pop` into their own deque (draining the
+/// carried run oldest-first) with plain `steal`, out of phase. Every value
+/// must be taken exactly once, and each consumer's haul must be FIFO: a
+/// batch steal's head and carried run are one contiguous run.
+fn injector_batch_steal_scenario() {
+    let inj = Arc::new(Injector::new());
+    let taken = Arc::new(StdMutex::new(Vec::new()));
+    let producer = {
+        let inj = inj.clone();
+        htvm_check::thread::spawn(move || {
+            inj.push_batch(vec![0u64, 1, 2]);
+            inj.push(3);
+        })
+    };
+    let consumers: Vec<_> = (0..2)
+        .map(|c| {
+            let inj = inj.clone();
+            let taken = taken.clone();
+            htvm_check::thread::spawn(move || {
+                let dest = Worker::new_lifo();
+                let carried = dest.stealer();
+                let mut haul = Vec::new();
+                for round in 0..3 {
+                    let got = if (round + c) % 2 == 0 {
+                        inj.steal_batch_and_pop(&dest)
+                    } else {
+                        inj.steal()
+                    };
+                    if let Steal::Success(v) = got {
+                        haul.push(v);
+                        while let Steal::Success(v) = carried.steal() {
+                            haul.push(v);
+                        }
+                    }
+                }
+                assert!(
+                    haul.windows(2).all(|p| p[0] < p[1]),
+                    "per-consumer haul not FIFO: {haul:?}"
+                );
+                taken.lock().unwrap().extend(haul);
+            })
+        })
+        .collect();
+    producer.join();
+    for c in consumers {
+        c.join();
+    }
+    let mut all = taken.lock().unwrap().clone();
+    while let Steal::Success(v) = inj.steal() {
+        all.push(v);
+    }
+    all.sort_unstable();
+    assert_eq!(all, vec![0, 1, 2, 3], "every value taken exactly once");
+}
+
+#[test]
+fn injector_batch_steal_takes_each_value_once_in_fifo_runs() {
+    explore(
+        "injector-batch-steal-exactly-once",
+        &cfg(400),
+        SEED_INJECTOR_BATCH_STEAL,
+        injector_batch_steal_scenario,
     )
     .unwrap_or_else(|f| panic!("{f}"));
 }
@@ -1714,6 +1784,13 @@ fn committed_corpus_regressions_pass() {
     )
     .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
     check_corpus(
+        "injector-batch-steal-exactly-once",
+        &cfg(1),
+        &[SEED_INJECTOR_BATCH_STEAL],
+        injector_batch_steal_scenario,
+    )
+    .unwrap_or_else(|f| panic!("regression resurfaced: {f}"));
+    check_corpus(
         "settle-vs-wait",
         &cfg(1),
         &[SEED_SETTLE_VS_WAIT],
@@ -1769,6 +1846,10 @@ fn fresh_random_seeds_hold_invariants() {
         ("deque-pop-vs-steal", deque_pop_vs_steal_scenario),
         ("deque-last-element", deque_last_element_scenario),
         ("injector-exactly-once", injector_exactly_once_scenario),
+        (
+            "injector-batch-steal-exactly-once",
+            injector_batch_steal_scenario,
+        ),
         ("sleepers-no-lost-wakeup", sleepers_no_lost_wakeup_scenario),
         ("retire-vs-park", retire_vs_park_scenario),
         ("retire-vs-spawn", retire_vs_spawn_scenario),

@@ -12,7 +12,7 @@
 //!
 //! The queue is a plain mutex-protected ring — admission is a
 //! millisecond-scale boundary, not the nanosecond-scale steal path, so
-//! it does not need the lock-free spine. The mutex comes from
+//! it does not need the spine's lock-free deque. The mutex comes from
 //! `crate::chk`, so under `--features check` the producer→dispatcher
 //! handoff runs on the schedule explorer's instrumented twins and the
 //! `schedule_explore` suite can drive the submit/pop/close races

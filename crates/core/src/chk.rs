@@ -1,5 +1,5 @@
 //! The shim layer behind the `check` feature: one import site for every
-//! concurrency primitive the lock-free spine is built on.
+//! concurrency primitive the scheduling spine is built on.
 //!
 //! `deque.rs`, `sleepers.rs`, `native.rs` and `sync.rs` take their
 //! atomics, fences, mutexes and condvars from this module instead of

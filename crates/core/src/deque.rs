@@ -1,11 +1,13 @@
-//! The lock-free scheduling spine: a Chase–Lev work-stealing deque and a
-//! segmented MPMC injector, replacing the `Mutex<VecDeque>` crossbeam shim
-//! on every hot-path queue operation of [`crate::native`].
+//! The scheduling spine: a Chase–Lev work-stealing deque per worker and a
+//! locked FIFO injector per domain (plus one global), the queues every
+//! spawn and steal of [`crate::native`] goes through.
 //!
 //! The paper's premise (§3.1.1) is that SGTs only pay off when spawn and
 //! steal cost far less than the task grain. A mutex on the owner's
 //! push/pop path serializes exactly the operations that must be cheapest,
-//! so this module provides the classic lock-free alternatives:
+//! so the per-worker deque is lock-free; the injectors, which take a
+//! publish per affinity-directed spawn or batch, are plain locked queues
+//! (as BubbleSched's runqueues, and Go's and Tokio's inject queues, are):
 //!
 //! * [`Worker`]/[`Stealer`] — the **Chase–Lev deque** (Chase & Lev, SPAA
 //!   2005; orderings per Lê et al., PPoPP 2013): a growable circular
@@ -13,13 +15,13 @@
 //!   index advanced only by CAS. The owner pushes and pops LIFO at the
 //!   bottom with plain loads/stores (no RMW except when racing for the
 //!   last element); thieves steal FIFO at the top with one CAS.
-//! * [`Injector`] — a **segmented MPMC FIFO**: fixed-size segments
-//!   ([`SEGMENT_CAP`] slots) linked by atomic pointers. Producers claim
-//!   slots with one `fetch_add` on the tail segment's cursor (a whole
-//!   batch claims its run in a single RMW — see [`Injector::push_batch`]),
-//!   consumers claim with one CAS on the head segment's cursor, and
-//!   [`Injector::steal_batch_and_pop`] moves a run of jobs into a thief's
-//!   deque with a single CAS-bounded claim.
+//! * [`Injector`] — a **`Mutex<VecDeque>` FIFO** with an atomic length
+//!   stored under the lock. An empty probe (every idle spin of
+//!   `native::find_work` probes two injectors) reads the length and
+//!   never locks; [`Injector::push_batch`] publishes a whole batch under
+//!   one lock, and [`Injector::steal_batch_and_pop`] moves a run of jobs
+//!   into a thief's deque under one lock. The injector lock is a leaf:
+//!   nothing else is locked, and no fault point fires, while it is held.
 //!
 //! # Memory-ordering invariants (who writes what)
 //!
@@ -32,53 +34,44 @@
 //! may race an owner push that has wrapped the ring, which is the deque's
 //! one intentional race; the failed CAS proves the value was dead.
 //!
-//! Injector: a producer writes a slot's value, then `Release`-stores the
-//! slot state to *written*; consumers stop at the first slot that is not
-//! yet written, so FIFO visibility is exact — a job is stealable only
-//! once fully published, and never before its predecessors.
+//! Injector: the length is stored (`Release`) under the lock after every
+//! change and read (`Acquire`) without it, so a probe that reads 0 can only
+//! miss a push that was still in flight — the same answer a lock-free
+//! queue gives for a job whose producer has not yet published it.
 //!
-//! # Buffer retirement (when memory is freed)
+//! # Ring retirement: rings live until the deque drops
 //!
-//! Growing the deque replaces its ring buffer, and draining a segment
-//! unlinks it — but a thief may still be reading through the old pointer.
-//! Retired buffers and segments therefore go through **epoch-deferred
-//! reclamation** (a miniature of the crossbeam-epoch design, private
-//! `epoch` module): every thread owns a registry slot; before
-//! dereferencing a shared pointer it *pins* — publishes the current
-//! global epoch in its slot with a plain store followed by one `SeqCst`
-//! fence — and unpins with a `Release` store when done. Retired garbage
-//! is stamped with the current epoch and parked in a per-structure limbo
-//! list; the epoch advances only when every pinned thread has caught up
-//! to it, and a stamped item is freed once the epoch has advanced twice
-//! past its stamp — by then no thread can have pinned early enough to
-//! still hold the dead pointer. The owner's push/pop path never pins
-//! (the owner is the only thread that replaces its own buffer); pins are
-//! **reentrant**, so a caller probing many queues (the pool's steal
-//! sweep) pins once and every steal inside skips the publication fence —
-//! the Chase–Lev top/bottom load ordering is then supplied by the
-//! steal's own `steal_order_fence` (a hardware fence only where the
-//! architecture needs one). Retirement is rare (once per doubling, once
-//! per [`SEGMENT_CAP`] jobs) and serializes on a cold-path mutex.
+//! Growing the deque replaces its ring, but a thief may still be reading
+//! through the old pointer. Nothing is freed while any handle exists:
+//! `grow` links the old ring behind the new one, so the live ring owns
+//! every ring it replaced, and the chain is freed only when the last
+//! [`Worker`]/[`Stealer`] handle drops the shared deque. A thief holds an
+//! `Arc` on the deque, so any ring pointer it loaded outlives its read —
+//! no epoch, pin or hazard pointer is needed. Rings double and never
+//! shrink, so the retained rings (64 + 128 + … + cap/2 slots) total fewer
+//! slots than the live ring: retirement at most doubles the deque's
+//! footprint, which it holds for its life.
 //!
 //! # Approximate lengths
 //!
 //! [`Worker::len`], [`Stealer::len`], [`Injector::len`] (and the
-//! `is_empty` companions) are **racy snapshots**: they read both cursors
-//! without synchronizing against in-flight operations, so the answer can
-//! be stale by the time it returns. That is the documented contract for
-//! every consumer that feeds queue depth into steal decisions (see
-//! `native::find_work`): a false "empty" can only skip a victim whose
+//! `is_empty` companions) are **racy snapshots**: they read shared
+//! counters without synchronizing against in-flight operations, so the
+//! answer can be stale by the time it returns. That is the documented
+//! contract for every consumer that feeds queue depth into steal decisions
+//! (see `native::find_work`): a false "empty" can only skip a victim whose
 //! work arrived mid-search, and the pool's epoch-stamped park protocol
 //! already forces a re-search before any worker sleeps, so no job is
 //! stranded. Anything that needs an exact count must drain the queue.
 
 use std::cell::UnsafeCell;
+use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::Arc;
 
-use crate::chk::{fence, AtomicI64, AtomicPtr, AtomicU8, AtomicUsize, Mutex, Ordering};
+use crate::chk::{fence, AtomicI64, AtomicPtr, AtomicUsize, Mutex, Ordering};
 
 /// Result of a steal attempt (same three-way contract as crossbeam's).
 pub enum Steal<T> {
@@ -106,270 +99,52 @@ impl<T> Steal<T> {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-based reclamation (shared by the deque and the injector).
-// ---------------------------------------------------------------------------
-
-/// A process-wide epoch domain with thread-local participants — the
-/// crossbeam-epoch architecture, miniaturized.
-///
-/// Pinning costs one plain store plus one `SeqCst` fence (no RMW): a
-/// thread publishes "pinned at epoch *e*" in its own registry slot, the
-/// fence orders that publication before every subsequent shared-pointer
-/// load, and a re-check repins in the (rare) case the global epoch moved
-/// mid-publish. The collector advances the global epoch only when every
-/// pinned participant has caught up to it, and garbage is freed once the
-/// epoch has advanced **twice** past its retire stamp — by then, no
-/// participant can have been pinned early enough to still hold the
-/// retired pointer. Threads that exit mark their slot inactive so a dead
-/// worker never stalls the epoch.
-mod epoch {
-    use std::cell::Cell;
-    use std::sync::Arc;
-
-    use crate::chk::{fence, AtomicBool, AtomicU64, Mutex, Ordering};
-
-    /// One participant's published state: 0 when quiescent, otherwise
-    /// `(epoch << 1) | 1`.
-    pub(super) struct Participant {
-        state: AtomicU64,
-        active: AtomicBool,
-    }
-
-    /// The global epoch counter. Starts above the free horizon so the
-    /// `tag + 2` arithmetic never underflows.
-    static GLOBAL: AtomicU64 = AtomicU64::new(2);
-    /// Every participant ever registered (inactive ones are compacted
-    /// away when new threads register). Cold-path only.
-    static REGISTRY: Mutex<Vec<Arc<Participant>>> = Mutex::new(Vec::new());
-
-    pub(super) struct LocalSlot {
-        slot: Arc<Participant>,
-        /// Pin nesting depth. Only the outermost pin publishes (and pays
-        /// the fence); nested pins are a counter bump — which is what
-        /// lets the pool pin once around a whole steal sweep and make
-        /// every steal attempt inside fence-free.
-        nest: Cell<u32>,
-    }
-
-    impl Drop for LocalSlot {
-        fn drop(&mut self) {
-            // Under the schedule explorer this destructor runs during OS
-            // thread exit — *after* the virtual thread detached from the
-            // baton — so these stores would mutate scheduler-visible state
-            // at real-time-dependent moments and break replay determinism
-            // (they would also deadlock the baton: a Done thread cannot
-            // take a yield point). Exited slots are instead swept between
-            // iterations by `check_reset` below; an active-but-quiescent
-            // slot never blocks an epoch advance in the meantime.
-            #[cfg(not(feature = "check"))]
-            {
-                self.slot.state.store(0, Ordering::Release);
-                self.slot.active.store(false, Ordering::Release);
-            }
-        }
-    }
-
-    thread_local! {
-        static LOCAL: LocalSlot = register();
-    }
-
-    fn register() -> LocalSlot {
-        let slot = Arc::new(Participant {
-            state: AtomicU64::new(0),
-            active: AtomicBool::new(true),
-        });
-        let mut reg = REGISTRY.lock();
-        reg.retain(|s| s.active.load(Ordering::Acquire));
-        reg.push(slot.clone());
-        LocalSlot {
-            slot,
-            nest: Cell::new(0),
-        }
-    }
-
-    /// An active pin; dropping the outermost guard unpins with a single
-    /// `Release` store. Deliberately `!Send` (raw pointer): a guard must
-    /// stay on the thread that pinned.
-    pub struct Guard {
-        // Points at the thread's TLS record; valid for the guard's whole
-        // life because guards never leave the pinning thread and the TLS
-        // destructor runs only after user frames have unwound.
-        local: *const LocalSlot,
-    }
-
-    impl Drop for Guard {
-        fn drop(&mut self) {
-            unsafe {
-                let l = &*self.local;
-                let n = l.nest.get() - 1;
-                l.nest.set(n);
-                if n == 0 {
-                    l.slot.state.store(0, Ordering::Release);
-                }
-            }
-        }
-    }
-
-    /// Pin the current thread at the current global epoch. The `SeqCst`
-    /// fence inside is what makes every later pointer load safe — and,
-    /// for the Chase–Lev steal, it doubles as the load-load fence the
-    /// top/bottom protocol requires, so a steal pays exactly one fence.
-    /// Reentrant: while a guard is alive, further pins on the same
-    /// thread are a nesting-counter bump (no store, no fence).
-    #[inline(always)]
-    pub fn pin() -> Guard {
-        LOCAL.with(|l| {
-            let n = l.nest.get();
-            l.nest.set(n + 1);
-            if n == 0 {
-                let slot: &Participant = &l.slot;
-                let mut e = GLOBAL.load(Ordering::Relaxed);
-                loop {
-                    slot.state.store((e << 1) | 1, Ordering::Relaxed);
-                    fence(Ordering::SeqCst);
-                    // SeqCst confirm: joins the SC order with the
-                    // advance CAS, so a pin never settles on an epoch
-                    // the collector has already left behind.
-                    let now = GLOBAL.load(Ordering::SeqCst);
-                    if now == e {
-                        break;
-                    }
-                    e = now;
-                }
-            }
-            Guard {
-                local: l as *const LocalSlot,
-            }
-        })
-    }
-
-    /// **Explorer hook** (only with the `check` feature): reset the
-    /// process-wide epoch state between exploration iterations, so every
-    /// iteration starts from the identical registry — the precondition for
-    /// seed-exact replay (registry length changes the instrumented-op
-    /// count of every `try_advance` scan). Must only be called while no
-    /// thread holds a pin and no retired garbage is outstanding: between
-    /// iterations, after the scenario's queues have been dropped.
-    #[cfg(feature = "check")]
-    pub fn check_reset() {
-        REGISTRY.lock().clear();
-        GLOBAL.store(2, Ordering::SeqCst);
-    }
-
-    /// Try to advance the global epoch (possible only when every pinned
-    /// participant has observed the current one) and return the epoch to
-    /// stamp new garbage with. Cold path: called from `retire` only.
-    pub(super) fn try_advance() -> u64 {
-        let e = GLOBAL.load(Ordering::SeqCst);
-        {
-            let reg = REGISTRY.lock();
-            for slot in reg.iter() {
-                let s = slot.state.load(Ordering::SeqCst);
-                if s & 1 == 1 && (s >> 1) != e {
-                    return e; // a straggler is pinned at an older epoch
-                }
-            }
-        }
-        let _ = GLOBAL.compare_exchange(e, e + 1, Ordering::SeqCst, Ordering::Relaxed);
-        GLOBAL.load(Ordering::SeqCst)
-    }
-}
-
-pub use epoch::Guard;
-
-/// Re-export of the explorer's between-iterations epoch reset (see
-/// `epoch::check_reset`). Wired into `htvm_check::set_iteration_reset` by
-/// the schedule-exploration tests.
-#[cfg(feature = "check")]
-pub use epoch::check_reset as check_reset_epochs;
-
-/// Pin the calling thread for the lifetime of the returned guard.
-///
-/// Pinning is what makes dereferencing the spine's shared buffers safe
-/// against concurrent retirement; every [`Stealer::steal`] and
-/// [`Injector`] operation pins internally, so calling this is never
-/// *required*. The point of the public API is **amortization**: pins are
-/// reentrant, so a caller about to probe many queues (the pool's
-/// proximity-ordered steal sweep, a benchmark's drain loop) can pin once
-/// and make every operation inside fence-free on its pin path. Keep pin
-/// scopes short — a pinned thread holds back garbage collection for
-/// every queue in the process (never hold one across job execution or
-/// blocking).
-#[inline(always)]
-pub fn pin() -> Guard {
-    epoch::pin()
-}
-
-/// Per-structure limbo list over the global epoch domain: retired items
-/// are stamped with the epoch of their retirement and dropped once the
-/// global epoch has advanced two steps past the stamp.
-struct Reclaim<R> {
-    limbo: Mutex<Vec<(u64, R)>>,
-}
-
-impl<R> Reclaim<R> {
-    fn new() -> Self {
-        Self {
-            limbo: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Pin the current thread for the duration of the returned guard.
-    #[inline(always)]
-    fn pin(&self) -> epoch::Guard {
-        epoch::pin()
-    }
-
-    /// Hand `item` to the collector. Cold path: called once per buffer
-    /// doubling / segment drain, never per job.
-    fn retire(&self, item: R) {
-        let mut limbo = self.limbo.lock();
-        let e = epoch::try_advance();
-        limbo.push((e, item));
-        // Free everything the epoch has left three steps behind. Two is
-        // the textbook minimum (a pinned thread holds the epoch within
-        // one advance of itself); the third step is pure margin — it
-        // costs one extra retire of limbo residency and buys slack
-        // against the stale-pin corner cases of weak-memory models.
-        limbo.retain(|(tag, _)| tag + 3 > e);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Chase–Lev deque.
 // ---------------------------------------------------------------------------
 
 /// Initial ring capacity (doubles on overflow; must be a power of two).
 const MIN_BUFFER_CAP: usize = 64;
 
-/// The deque's ring buffer: `cap` (power of two) possibly-uninitialized
+/// The deque's ring buffer: a power-of-two count of possibly-uninitialized
 /// slots, indexed by the low bits of the logical position.
 struct Buf<T> {
-    slots: *mut MaybeUninit<T>,
-    cap: usize,
+    slots: Box<[UnsafeCell<MaybeUninit<T>>]>,
+    /// The ring this one replaced (null for the first). Thieves may still
+    /// read it, so it is freed only with this ring (module header).
+    prev: *mut Buf<T>,
 }
 
 impl<T> Buf<T> {
-    fn alloc(cap: usize) -> *mut Buf<T> {
-        let slots: Box<[MaybeUninit<T>]> = (0..cap).map(|_| MaybeUninit::uninit()).collect();
-        Box::into_raw(Box::new(Buf {
-            slots: Box::into_raw(slots) as *mut MaybeUninit<T>,
-            cap,
-        }))
+    fn alloc(cap: usize, prev: *mut Buf<T>) -> *mut Buf<T> {
+        let slots = (0..cap)
+            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
+            .collect();
+        Box::into_raw(Box::new(Buf { slots, prev }))
+    }
+
+    fn cap(&self) -> usize {
+        self.slots.len()
     }
 
     fn slot(&self, index: i64) -> *mut MaybeUninit<T> {
         // Logical indices are non-negative; the ring mask needs the low
         // bits only.
-        unsafe { self.slots.add(index as usize & (self.cap - 1)) }
+        self.slots[index as usize & (self.cap() - 1)].get()
     }
 
-    /// Move `v` into the slot for `index`. Owner-only.
+    /// Move `v` into the slot for `index`.
+    ///
+    /// # Safety
+    /// Only the owner may call it, for a position no thief can claim yet
+    /// (at or above `bottom`); a live value there would leak.
     unsafe fn write(&self, index: i64, v: T) {
         ptr::write(self.slot(index), MaybeUninit::new(v));
     }
 
-    /// Copy the value out of the slot for `index`. The caller must own
+    /// Copy the value out of the slot for `index`.
+    ///
+    /// # Safety
+    /// The slot must hold a value written by `write`. The caller must own
     /// the logical position (won its CAS / holds the bottom), or must
     /// discard the value with `mem::forget` if the claim fails — the
     /// deque's one intentional race (see the module header).
@@ -378,22 +153,14 @@ impl<T> Buf<T> {
     }
 }
 
-/// A retired ring buffer: frees the allocation without dropping slot
-/// contents (live values were copied to the successor buffer; dead copies
-/// are plain bytes).
-struct RetiredBuf<T>(*mut Buf<T>);
-
-// SAFETY: a retired buffer is inert storage; freeing it from any thread
-// only touches the allocator.
-unsafe impl<T: Send> Send for RetiredBuf<T> {}
-
-impl<T> Drop for RetiredBuf<T> {
+impl<T> Drop for Buf<T> {
+    /// Frees the chain of replaced rings without dropping slot contents
+    /// (live values were copied forward; dead copies are plain bytes).
     fn drop(&mut self) {
-        unsafe {
-            let buf = Box::from_raw(self.0);
-            drop(Box::from_raw(ptr::slice_from_raw_parts_mut(
-                buf.slots, buf.cap,
-            )));
+        if !self.prev.is_null() {
+            // SAFETY: `prev` came from `Box::into_raw` in `grow`, and this
+            // ring is its only owner.
+            drop(unsafe { Box::from_raw(self.prev) });
         }
     }
 }
@@ -403,27 +170,29 @@ struct DequeInner<T> {
     bottom: AtomicI64,
     /// Next position a thief will steal from. Advanced only by CAS.
     top: AtomicI64,
-    /// Current ring buffer. Replaced only by the owner (grow).
+    /// Current ring buffer; it owns every ring it replaced. Replaced only
+    /// by the owner (grow).
     buffer: AtomicPtr<Buf<T>>,
-    reclaim: Reclaim<RetiredBuf<T>>,
 }
 
-// SAFETY: all cross-thread access is mediated by the atomic protocol
-// above; values of `T` cross threads only on a successful steal.
+// SAFETY: `bottom`, `top` and `buffer` are atomics, and the rings behind
+// `buffer` are written only by the owner and read under the protocol
+// above; values of `T` cross threads only on a successful steal, hence
+// `T: Send`. The rings are freed only by `Drop`, with exclusive access.
 unsafe impl<T: Send> Send for DequeInner<T> {}
 unsafe impl<T: Send> Sync for DequeInner<T> {}
 
 impl<T> Drop for DequeInner<T> {
     fn drop(&mut self) {
-        // Exclusive access: drop the undrained values, then the buffer.
-        let b = *self.bottom.get_mut();
-        let t = *self.top.get_mut();
+        // Exclusive access: drop the undrained values, then the ring chain.
         let buf = *self.buffer.get_mut();
+        // SAFETY: no handle is left, so nobody else reads the rings, and
+        // positions `top..bottom` hold live values of the current ring.
         unsafe {
-            for i in t..b {
+            for i in *self.top.get_mut()..*self.bottom.get_mut() {
                 drop((*buf).read(i));
             }
-            drop(RetiredBuf(buf));
+            drop(Box::from_raw(buf));
         }
     }
 }
@@ -457,8 +226,7 @@ impl<T> Worker<T> {
             inner: Arc::new(DequeInner {
                 bottom: AtomicI64::new(0),
                 top: AtomicI64::new(0),
-                buffer: AtomicPtr::new(Buf::alloc(MIN_BUFFER_CAP)),
-                reclaim: Reclaim::new(),
+                buffer: AtomicPtr::new(Buf::alloc(MIN_BUFFER_CAP, ptr::null_mut())),
             }),
             _not_sync: PhantomData,
         }
@@ -480,8 +248,10 @@ impl<T> Worker<T> {
         let t = inner.top.load(Ordering::Acquire);
         // Owner-only: nobody else replaces the buffer.
         let mut buf = inner.buffer.load(Ordering::Relaxed);
+        // SAFETY: rings live as long as the deque; the owner alone writes
+        // position `b`, which no thief claims before the `bottom` store.
         unsafe {
-            if b - t >= (*buf).cap as i64 {
+            if b - t >= (*buf).cap() as i64 {
                 buf = self.grow(b, t, buf);
             }
             (*buf).write(b, value);
@@ -508,6 +278,7 @@ impl<T> Worker<T> {
         }
         if t < b {
             // More than one element: the bottom one is ours outright.
+            // SAFETY: position `b` is below every thief's claim.
             return Some(unsafe { (*buf).read(b) });
         }
         // Exactly one element: race thieves for it via the top CAS.
@@ -517,36 +288,44 @@ impl<T> Worker<T> {
             .is_ok();
         inner.bottom.store(b + 1, Ordering::Relaxed);
         if won {
+            // SAFETY: the CAS won position `b`.
             Some(unsafe { (*buf).read(b) })
         } else {
             None
         }
     }
 
-    /// Double the buffer, copying the live range, and retire the old one
-    /// through the epoch collector (thieves may still be reading it).
+    /// Double the buffer, copying the live range. The new ring takes
+    /// ownership of the old one, which thieves may still be reading.
+    ///
+    /// # Safety
+    /// Owner-only, with `old` the current ring and `t..b` its live range.
     unsafe fn grow(&self, b: i64, t: i64, old: *mut Buf<T>) -> *mut Buf<T> {
-        let inner = &*self.inner;
-        let new = Buf::alloc(((*old).cap * 2).max(MIN_BUFFER_CAP));
+        let new = Buf::alloc((*old).cap() * 2, old);
         for i in t..b {
             ptr::copy_nonoverlapping((*old).slot(i), (*new).slot(i), 1);
         }
-        inner.buffer.store(new, Ordering::Release);
-        inner.reclaim.retire(RetiredBuf(old));
+        self.inner.buffer.store(new, Ordering::Release);
         new
     }
 
     /// Approximate number of queued jobs (racy snapshot — see the module
     /// header's relaxed contract).
     pub fn len(&self) -> usize {
-        let t = self.inner.top.load(Ordering::Acquire);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        (b - t).max(0) as usize
+        self.inner.len()
     }
 
     /// Approximate emptiness (racy snapshot).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl<T> DequeInner<T> {
+    fn len(&self) -> usize {
+        let t = self.top.load(Ordering::Acquire);
+        let b = self.bottom.load(Ordering::Acquire);
+        (b - t).max(0) as usize
     }
 }
 
@@ -557,8 +336,7 @@ impl<T> Worker<T> {
 /// reorders loads and Lê et al.'s verified x86 mapping of `steal` carries
 /// no hardware fence here, so a compiler fence (which still pins program
 /// order) suffices; weak architectures get the full `SeqCst` fence the
-/// portable proof requires. Kept separate from the epoch pin so the
-/// ordering holds even when a reentrant pin skips its publication fence.
+/// portable proof requires.
 #[inline(always)]
 fn steal_order_fence() {
     #[cfg(target_arch = "x86_64")]
@@ -568,7 +346,8 @@ fn steal_order_fence() {
 }
 
 /// The thief end of a Chase–Lev deque; steals FIFO from the top. Cloneable
-/// and shareable across threads.
+/// and shareable across threads. Its `Arc` keeps every ring the deque ever
+/// used alive, including after the [`Worker`] drops.
 pub struct Stealer<T> {
     inner: Arc<DequeInner<T>>,
 }
@@ -588,14 +367,6 @@ impl<T> Stealer<T> {
     pub fn steal(&self) -> Steal<T> {
         let inner = &*self.inner;
         let t = inner.top.load(Ordering::Acquire);
-        // An *outermost* pin's internal `SeqCst` fence does double duty:
-        // it is the Chase–Lev load-load fence between the `top` and
-        // `bottom` reads *and* the epoch publication barrier that makes
-        // the buffer dereference below safe against a concurrent
-        // grow-and-retire. A nested pin (the pool pins once per steal
-        // sweep) skips that fence, so the protocol's ordering is
-        // restored unconditionally by `steal_order_fence` below.
-        let pin = inner.reclaim.pin();
         steal_order_fence();
         let b = inner.bottom.load(Ordering::Acquire);
         if t >= b {
@@ -603,14 +374,14 @@ impl<T> Stealer<T> {
         }
         let buf = inner.buffer.load(Ordering::Acquire);
         // Read the value *before* the claim; the CAS outcome decides
-        // whether the bytes were live (see module header).
+        // whether the bytes were live (see module header). SAFETY: `self`
+        // keeps the deque, and with it every ring, alive.
         let value = unsafe { (*buf).read(t) };
-        let claimed = inner
+        if inner
             .top
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
-            .is_ok();
-        drop(pin);
-        if claimed {
+            .is_ok()
+        {
             Steal::Success(value)
         } else {
             std::mem::forget(value);
@@ -621,13 +392,11 @@ impl<T> Stealer<T> {
     /// Approximate number of queued jobs (racy snapshot — see the module
     /// header's relaxed contract).
     pub fn len(&self) -> usize {
-        let t = self.inner.top.load(Ordering::Acquire);
-        let b = self.inner.bottom.load(Ordering::Acquire);
-        (b - t).max(0) as usize
+        self.inner.len()
     }
 
     /// Approximate emptiness (racy snapshot). Cheaper than a failed
-    /// [`Stealer::steal`]: no `SeqCst` fence, no pin.
+    /// [`Stealer::steal`]: no fence.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -647,154 +416,36 @@ impl<T> Stealer<T> {
     {
         let inner = &*self.inner;
         let t = inner.top.load(Ordering::Acquire);
-        let pin = inner.reclaim.pin();
         steal_order_fence();
         let b = inner.bottom.load(Ordering::Acquire);
         if t >= b {
             return Steal::Empty;
         }
         let buf = inner.buffer.load(Ordering::Acquire);
+        // SAFETY: as in `steal`.
         let value = unsafe { (*buf).read(t) };
         // BUG (deliberate): unconditional store instead of CAS — a racing
         // thief (or the owner's last-element pop) is silently overwritten.
         inner.top.store(t + 1, Ordering::SeqCst);
-        drop(pin);
         Steal::Success(value)
     }
 }
 
 // ---------------------------------------------------------------------------
-// Segmented MPMC injector.
+// Locked FIFO injector.
 // ---------------------------------------------------------------------------
 
-/// Jobs per injector segment. A batch publish claims up to a whole
-/// segment's run with one `fetch_add`; a drained segment is one retire.
-pub const SEGMENT_CAP: usize = 32;
+/// Most jobs one [`Injector::steal_batch_and_pop`] moves into the thief's
+/// deque besides the one it returns.
+const MAX_BATCH_CARRY: usize = 31;
 
-/// Slot states: the producer flips EMPTY→WRITTEN after the value write;
-/// the consumer flips WRITTEN→TAKEN after moving the value out.
-const SLOT_EMPTY: u8 = 0;
-const SLOT_WRITTEN: u8 = 1;
-const SLOT_TAKEN: u8 = 2;
-
-struct Slot<T> {
-    state: AtomicU8,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-struct Segment<T> {
-    /// Producer cursor: slots `0..claimed.min(CAP)` are claimed (the
-    /// `fetch_add` may overshoot `CAP`; out-of-range claims are dead).
-    claimed: AtomicUsize,
-    /// Consumer cursor: advanced only by CAS, only over WRITTEN slots, so
-    /// consumption is exactly FIFO within the segment.
-    taken: AtomicUsize,
-    next: AtomicPtr<Segment<T>>,
-    slots: Box<[Slot<T>]>,
-}
-
-impl<T> Segment<T> {
-    fn alloc() -> *mut Segment<T> {
-        let slots: Box<[Slot<T>]> = (0..SEGMENT_CAP)
-            .map(|_| Slot {
-                state: AtomicU8::new(SLOT_EMPTY),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        Box::into_raw(Box::new(Segment {
-            claimed: AtomicUsize::new(0),
-            taken: AtomicUsize::new(0),
-            next: AtomicPtr::new(ptr::null_mut()),
-            slots,
-        }))
-    }
-}
-
-/// A fully-consumed segment awaiting reclamation (values were all moved
-/// out by their claimants; the allocation is freed on drop).
-struct RetiredSeg<T>(*mut Segment<T>);
-
-// SAFETY: as for `RetiredBuf` — inert storage by the time it drops.
-unsafe impl<T: Send> Send for RetiredSeg<T> {}
-
-impl<T> Drop for RetiredSeg<T> {
-    fn drop(&mut self) {
-        unsafe {
-            drop(Box::from_raw(self.0));
-        }
-    }
-}
-
-struct InjInner<T> {
-    head: AtomicPtr<Segment<T>>,
-    tail: AtomicPtr<Segment<T>>,
-    reclaim: Reclaim<RetiredSeg<T>>,
-}
-
-// SAFETY: slot handoff is mediated by the state protocol; values cross
-// threads only after their WRITTEN release-store.
-unsafe impl<T: Send> Send for InjInner<T> {}
-unsafe impl<T: Send> Sync for InjInner<T> {}
-
-impl<T> InjInner<T> {
-    /// Make sure `seg` has a successor and the shared tail has advanced
-    /// past `seg`; any producer may help. Lock-free: the CAS loser frees
-    /// its speculative allocation and adopts the winner's segment.
-    ///
-    /// # Safety
-    /// The caller must hold a reclamation pin covering `seg`.
-    unsafe fn install_next(&self, seg: *mut Segment<T>) -> *mut Segment<T> {
-        let mut next = (*seg).next.load(Ordering::Acquire);
-        if next.is_null() {
-            let new = Segment::alloc();
-            match (*seg).next.compare_exchange(
-                ptr::null_mut(),
-                new,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => next = new,
-                Err(cur) => {
-                    drop(Box::from_raw(new));
-                    next = cur;
-                }
-            }
-        }
-        let _ = self
-            .tail
-            .compare_exchange(seg, next, Ordering::AcqRel, Ordering::Relaxed);
-        next
-    }
-}
-
-impl<T> Drop for InjInner<T> {
-    fn drop(&mut self) {
-        // Exclusive access: walk the live chain, dropping unconsumed
-        // values. Retired segments are off the chain (freed via limbo).
-        let mut seg = *self.head.get_mut();
-        while !seg.is_null() {
-            unsafe {
-                let taken = (*seg).taken.load(Ordering::Relaxed).min(SEGMENT_CAP);
-                let claimed = (*seg).claimed.load(Ordering::Relaxed).min(SEGMENT_CAP);
-                for i in taken..claimed {
-                    let slot = &(*seg).slots[i];
-                    if slot.state.load(Ordering::Relaxed) == SLOT_WRITTEN {
-                        drop((*slot.value.get()).as_ptr().read());
-                    }
-                }
-                let next = (*seg).next.load(Ordering::Relaxed);
-                drop(Box::from_raw(seg));
-                seg = next;
-            }
-        }
-    }
-}
-
-/// A lock-free segmented FIFO injector: many producers, many consumers,
-/// exact FIFO visibility (a job is stealable only after every job pushed
-/// before it).
+/// A FIFO injector: many producers, many consumers, exact FIFO order (a
+/// job is stolen only after every job pushed before it).
 pub struct Injector<T> {
-    inner: Arc<InjInner<T>>,
+    queue: Mutex<VecDeque<T>>,
+    /// `queue.len()`, stored under the lock after every change, so an
+    /// empty probe needs no lock.
+    len: AtomicUsize,
 }
 
 impl<T> Default for Injector<T> {
@@ -804,218 +455,68 @@ impl<T> Default for Injector<T> {
 }
 
 impl<T> Injector<T> {
-    /// New empty injector (one segment).
+    /// New empty injector.
     pub fn new() -> Self {
-        let seg = Segment::alloc();
         Self {
-            inner: Arc::new(InjInner {
-                head: AtomicPtr::new(seg),
-                tail: AtomicPtr::new(seg),
-                reclaim: Reclaim::new(),
-            }),
+            queue: Mutex::new(VecDeque::new()),
+            len: AtomicUsize::new(0),
         }
     }
 
-    /// Enqueue one job: claim a slot with one `fetch_add`, write, publish
-    /// with one `Release` store.
+    /// Enqueue one job.
     pub fn push(&self, value: T) {
-        let inner = &*self.inner;
-        let pin = inner.reclaim.pin();
-        let mut seg = inner.tail.load(Ordering::Acquire);
-        loop {
-            // SAFETY: `seg` is reachable from the live chain under `pin`.
-            let c = unsafe { (*seg).claimed.fetch_add(1, Ordering::AcqRel) };
-            if c < SEGMENT_CAP {
-                unsafe {
-                    let slot = &(*seg).slots[c];
-                    (*slot.value.get()).write(value);
-                    slot.state.store(SLOT_WRITTEN, Ordering::Release);
-                    if c + 1 == SEGMENT_CAP {
-                        // We claimed the last slot: pre-install the next
-                        // segment so later producers don't stall on us.
-                        inner.install_next(seg);
-                    }
-                }
-                break;
-            }
-            // Claimed a dead index past the segment's end: move on.
-            seg = unsafe { inner.install_next(seg) };
-        }
-        drop(pin);
+        let mut q = self.queue.lock();
+        q.push_back(value);
+        self.len.store(q.len(), Ordering::Release);
     }
 
-    /// Enqueue a whole batch, claiming each segment's share of the run
-    /// with a *single* `fetch_add` — one RMW per segment crossed instead
-    /// of one lock round-trip per job. Values become visible in order.
+    /// Enqueue a whole batch under one lock. Values become visible
+    /// together, in order.
     pub fn push_batch(&self, values: Vec<T>) {
-        let mut remaining = values.len();
-        if remaining == 0 {
+        if values.is_empty() {
             return;
         }
-        let inner = &*self.inner;
-        let pin = inner.reclaim.pin();
-        let mut it = values.into_iter();
-        let mut seg = inner.tail.load(Ordering::Acquire);
-        while remaining > 0 {
-            // SAFETY: `seg` is reachable from the live chain under `pin`.
-            let c = unsafe { (*seg).claimed.fetch_add(remaining, Ordering::AcqRel) };
-            if c < SEGMENT_CAP {
-                let got = remaining.min(SEGMENT_CAP - c);
-                unsafe {
-                    for i in 0..got {
-                        let slot = &(*seg).slots[c + i];
-                        (*slot.value.get()).write(it.next().expect("batch length"));
-                        slot.state.store(SLOT_WRITTEN, Ordering::Release);
-                    }
-                }
-                remaining -= got;
-                if c + got == SEGMENT_CAP {
-                    seg = unsafe { inner.install_next(seg) };
-                }
-            } else {
-                seg = unsafe { inner.install_next(seg) };
-            }
-        }
-        drop(pin);
+        let mut q = self.queue.lock();
+        q.extend(values);
+        self.len.store(q.len(), Ordering::Release);
     }
 
-    /// Dequeue the oldest job. One CAS on the consumer cursor on success.
+    /// Dequeue the oldest job.
     pub fn steal(&self) -> Steal<T> {
-        let inner = &*self.inner;
-        let pin = inner.reclaim.pin();
-        let res = loop {
-            let seg = inner.head.load(Ordering::Acquire);
-            // SAFETY: `seg` cannot be retired while we are pinned.
-            let c = unsafe { (*seg).taken.load(Ordering::Acquire) };
-            if c >= SEGMENT_CAP {
-                let next = unsafe { (*seg).next.load(Ordering::Acquire) };
-                if next.is_null() {
-                    break Steal::Empty;
-                }
-                if inner
-                    .head
-                    .compare_exchange(seg, next, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    // Every slot was claimed by exactly one consumer; any
-                    // claimant still copying its value out holds a pin.
-                    inner.reclaim.retire(RetiredSeg(seg));
-                }
-                continue;
-            }
-            let slot = unsafe { &(*seg).slots[c] };
-            if slot.state.load(Ordering::Acquire) != SLOT_WRITTEN {
-                // Frontier not yet published: FIFO-empty (a producer may
-                // be mid-write; its post-publish epoch bump re-triggers
-                // any worker that parks on this answer).
-                break Steal::Empty;
-            }
-            if unsafe {
-                (*seg)
-                    .taken
-                    .compare_exchange(c, c + 1, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            } {
-                let value = unsafe { (*slot.value.get()).as_ptr().read() };
-                slot.state.store(SLOT_TAKEN, Ordering::Release);
-                break Steal::Success(value);
-            }
-            // Lost the cursor race to another consumer: someone made
-            // progress, go again.
-        };
-        drop(pin);
-        res
-    }
-
-    /// Pop one job and move up to half of the visible run after it into
-    /// `dest` (the thief's own deque) — all claimed by a single CAS on
-    /// the consumer cursor.
-    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
-        let inner = &*self.inner;
-        let pin = inner.reclaim.pin();
-        let res = loop {
-            let seg = inner.head.load(Ordering::Acquire);
-            // SAFETY: `seg` cannot be retired while we are pinned.
-            let c = unsafe { (*seg).taken.load(Ordering::Acquire) };
-            if c >= SEGMENT_CAP {
-                let next = unsafe { (*seg).next.load(Ordering::Acquire) };
-                if next.is_null() {
-                    break Steal::Empty;
-                }
-                if inner
-                    .head
-                    .compare_exchange(seg, next, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    inner.reclaim.retire(RetiredSeg(seg));
-                }
-                continue;
-            }
-            // Count the run of published slots from the frontier (capped
-            // by the segment — one segment is one claim).
-            let mut run = 0usize;
-            while c + run < SEGMENT_CAP
-                && unsafe { (*seg).slots[c + run].state.load(Ordering::Acquire) } == SLOT_WRITTEN
-            {
-                run += 1;
-            }
-            if run == 0 {
-                break Steal::Empty;
-            }
-            // Pop one, carry half the rest (crossbeam's batching rule).
-            let take = 1 + (run - 1) / 2;
-            if unsafe {
-                (*seg)
-                    .taken
-                    .compare_exchange(c, c + take, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_err()
-            } {
-                continue; // another consumer claimed the frontier
-            }
-            let first = unsafe {
-                let slot = &(*seg).slots[c];
-                let v = (*slot.value.get()).as_ptr().read();
-                slot.state.store(SLOT_TAKEN, Ordering::Release);
-                v
-            };
-            for i in 1..take {
-                unsafe {
-                    let slot = &(*seg).slots[c + i];
-                    let v = (*slot.value.get()).as_ptr().read();
-                    slot.state.store(SLOT_TAKEN, Ordering::Release);
-                    dest.push(v);
-                }
-            }
-            break Steal::Success(first);
-        };
-        drop(pin);
-        res
-    }
-
-    /// Approximate number of queued jobs (racy snapshot — counts claimed
-    /// slots, including ones whose producer has not yet published; see
-    /// the module header's relaxed contract).
-    pub fn len(&self) -> usize {
-        let inner = &*self.inner;
-        let pin = inner.reclaim.pin();
-        let mut consumed = 0u64;
-        let mut produced = 0u64;
-        // Walk head→tail under the pin; both cursors are racy snapshots.
-        unsafe {
-            let head = inner.head.load(Ordering::Acquire);
-            consumed += (*head).taken.load(Ordering::Acquire).min(SEGMENT_CAP) as u64;
-            let mut seg = head;
-            loop {
-                produced += (*seg).claimed.load(Ordering::Acquire).min(SEGMENT_CAP) as u64;
-                let next = (*seg).next.load(Ordering::Acquire);
-                if next.is_null() {
-                    break;
-                }
-                seg = next;
-            }
+        if self.len.load(Ordering::Acquire) == 0 {
+            return Steal::Empty;
         }
-        drop(pin);
-        produced.saturating_sub(consumed) as usize
+        let mut q = self.queue.lock();
+        let Some(value) = q.pop_front() else {
+            return Steal::Empty;
+        };
+        self.len.store(q.len(), Ordering::Release);
+        Steal::Success(value)
+    }
+
+    /// Pop the oldest job and move half of the rest after it, at most 31
+    /// (`MAX_BATCH_CARRY`), into `dest` (the thief's own deque) as one
+    /// contiguous FIFO run — crossbeam's batching rule, under one lock.
+    pub fn steal_batch_and_pop(&self, dest: &Worker<T>) -> Steal<T> {
+        if self.len.load(Ordering::Acquire) == 0 {
+            return Steal::Empty;
+        }
+        let mut q = self.queue.lock();
+        let Some(first) = q.pop_front() else {
+            return Steal::Empty;
+        };
+        let carry = (q.len() / 2).min(MAX_BATCH_CARRY);
+        for v in q.drain(..carry) {
+            dest.push(v);
+        }
+        self.len.store(q.len(), Ordering::Release);
+        Steal::Success(first)
+    }
+
+    /// Approximate number of queued jobs (racy snapshot — see the module
+    /// header's relaxed contract).
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
     }
 
     /// Approximate emptiness (racy snapshot).
@@ -1028,6 +529,10 @@ impl<T> Injector<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as TestCounter;
+
+    /// The injector's former segment size: the injector tests keep the
+    /// inputs that crossed its segment boundaries.
+    const SEGMENT_CAP: usize = 32;
 
     #[test]
     fn lifo_owner_fifo_thief() {
@@ -1298,6 +803,29 @@ mod tests {
             }
         }
         assert_eq!(drops2.load(Ordering::Relaxed) as usize, SEGMENT_CAP + 3);
+    }
+
+    /// A `Stealer` outlives its `Worker` across four ring doublings: every
+    /// replaced ring stays readable until the last handle drops, and each
+    /// value drops exactly once then.
+    #[test]
+    fn stealer_outlives_worker_across_ring_doublings() {
+        let drops = Arc::new(TestCounter::new(0));
+        let n = MIN_BUFFER_CAP * 8 + 5;
+        let s = {
+            let w = Worker::new_lifo();
+            for _ in 0..n {
+                w.push(Droppy(drops.clone()));
+            }
+            w.stealer()
+        };
+        for _ in 0..10 {
+            drop(s.steal().success().expect("the worker's values outlive it"));
+        }
+        assert_eq!(s.len(), n - 10);
+        assert_eq!(drops.load(Ordering::Relaxed), 10);
+        drop(s);
+        assert_eq!(drops.load(Ordering::Relaxed) as usize, n);
     }
 
     #[test]

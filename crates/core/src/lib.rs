@@ -27,14 +27,13 @@
 //! Two runtimes execute the model:
 //!
 //! * [`native`] — a work-stealing pool over OS threads, built on the
-//!   first-party lock-free [`deque`] spine (Chase–Lev worker deques plus
-//!   segmented MPMC injectors — no locks anywhere on the spawn/steal hot
-//!   path), for real parallel execution and wall-clock benchmarks. Its
-//!   workers
-//!   are grouped into **locality domains** ([`topology::Topology`])
-//!   mirroring the paper's thread-unit groups; idle workers steal in
-//!   proximity order (domain siblings before remote domains) and LGTs can
-//!   pin their SGT subtree to a home domain ([`Htvm::lgt_in`]).
+//!   first-party [`deque`] spine (lock-free Chase–Lev worker deques plus
+//!   locked FIFO injectors whose empty probe takes no lock), for real
+//!   parallel execution and wall-clock benchmarks. Its workers are
+//!   grouped into **locality domains** ([`topology::Topology`]) mirroring
+//!   the paper's thread-unit groups; idle workers steal in proximity order
+//!   (domain siblings before remote domains) and LGTs can pin their SGT
+//!   subtree to a home domain ([`Htvm::lgt_in`]).
 //! * [`simrt`] — a mapping of the hierarchy onto the `htvm-sim`
 //!   function-accurate machine, for experiments that must control memory
 //!   latency, spawn costs and thread-unit counts.

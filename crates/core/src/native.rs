@@ -1,11 +1,11 @@
 //! The native work-stealing pool that executes SGTs on OS threads.
 //!
-//! Every queue on the spawn/steal path is **lock-free** (the
-//! [`crate::deque`] scheduling spine): each worker owns a Chase–Lev LIFO
-//! deque (good locality for the spawn-subtree it is working on; owner
-//! push/pop never takes a lock or, in the common case, even an RMW);
-//! each domain owns a segmented MPMC injector for affinity-directed
-//! spawns; spawns from outside the pool go to a global injector of the
+//! The spawn/steal path runs on the [`crate::deque`] scheduling spine:
+//! each worker owns a lock-free Chase–Lev LIFO deque (good locality for
+//! the spawn-subtree it is working on; owner push/pop never takes a lock
+//! or, in the common case, even an RMW); each domain owns a locked FIFO
+//! injector for affinity-directed spawns, whose empty probe takes no
+//! lock; spawns from outside the pool go to a global injector of the
 //! same kind. Workers are partitioned into **locality domains** (a
 //! [`Topology`] mirroring the paper's thread-unit groups). An idle
 //! worker searches for work in **proximity order**:
@@ -81,7 +81,7 @@
 //! # Elastic workers
 //!
 //! The worker set can change at runtime. [`Pool::with_elastic`]
-//! pre-provisions vacant worker **slots** in every domain (the lock-free
+//! pre-provisions vacant worker **slots** in every domain (the
 //! spine's per-worker arrays — stealers, counters, mailboxes — are
 //! indexed concurrently and cannot grow, so capacity is fixed while
 //! membership is not). [`Pool::grow_in`] activates a vacant slot by
@@ -99,9 +99,7 @@
 //! 2. it parks its (now empty) deque back into the slot for a future
 //!    `grow_in` — the slot's stealer stays valid across the whole cycle,
 //!    so no per-worker array is ever resized;
-//! 3. the thread exits, which deregisters its thread-local epoch
-//!    participant from the spine's reclamation registry (the TLS
-//!    destructor marks the slot inactive; see [`crate::deque`]).
+//! 3. the thread exits.
 //!
 //! The pool never retires its last active worker (work queued anywhere
 //! is reachable by any worker through the proximity sweep, but only if
@@ -1080,9 +1078,8 @@ impl Pool {
             let n = batch.len();
             self.shared.active.fetch_add(n, Ordering::AcqRel);
             self.shared.domain_spawns[d].fetch_add(n as u64, Ordering::Relaxed);
-            // One lock-free publish per domain: the whole run claims its
-            // injector slots with a single `fetch_add` per segment
-            // crossed, instead of n individual enqueues.
+            // One publish per domain: the whole run enters the injector
+            // under one lock, instead of n individual enqueues.
             self.shared.domain_injectors[d].push_batch(batch);
             wakes[d] = n as u64;
             any = true;
@@ -1170,13 +1167,14 @@ impl Pool {
 
     /// Approximate queue depths across the pool's scheduling spine — a
     /// **racy snapshot**, not a consistent cut: each count is read
-    /// independently from lock-free cursors while workers keep pushing,
-    /// popping and stealing, so the numbers can be mutually inconsistent
-    /// and stale by the time this returns (a job mid-migration may be
-    /// counted twice or not at all). That is the documented contract for
-    /// everything queue depth feeds — steal-victim skipping inside the
-    /// pool, and load probes like this one. Use [`Pool::wait_quiescent`]
-    /// plus [`Pool::stats`] when an exact account is needed.
+    /// independently from the queues' length counters while workers keep
+    /// pushing, popping and stealing, so the numbers can be mutually
+    /// inconsistent and stale by the time this returns (a job
+    /// mid-migration may be counted twice or not at all). That is the
+    /// documented contract for everything queue depth feeds —
+    /// steal-victim skipping inside the pool, and load probes like this
+    /// one. Use [`Pool::wait_quiescent`] plus [`Pool::stats`] when an
+    /// exact account is needed.
     pub fn queue_depths(&self) -> QueueDepths {
         QueueDepths {
             workers: self.shared.stealers.iter().map(|s| s.len()).collect(),
@@ -1296,23 +1294,16 @@ fn find_work(
     my_domain: DomainId,
     deque: &Deque<Job>,
 ) -> Option<(Job, Acquire)> {
-    // Chaos hook on the steal path: fires before the epoch pin so an
-    // injected unwind never holds reclamation back. A kill here escapes
-    // to the worker's DeathWatch while no job is held.
+    // Chaos hook on the steal path, fired before any queue is touched. A
+    // kill here escapes to the worker's DeathWatch while no job is held.
     crate::fault_point!(shared.faults, "worker.steal");
-    // Pin once for the whole proximity sweep: epoch pins are reentrant,
-    // so every steal attempt below rides this guard's fence instead of
-    // paying its own — a sweep over W victims costs one fence, not W.
-    // The guard drops before the job runs (the caller executes outside
-    // this function), so job bodies never hold back reclamation.
-    let _pin = crate::deque::pin();
     let topo = &shared.topology;
     let home = topo.workers_of(my_domain);
 
     // 2. Sibling deques within the domain, ring order after self.
     //
     // Victim selection reads the deques' *approximate* length snapshots
-    // (`Stealer::is_empty` — two plain loads, no fence, no pin): a victim
+    // (`Stealer::is_empty` — two plain loads, no fence): a victim
     // that looks empty is skipped without paying a full steal attempt.
     // The snapshot is racy by contract — it may miss a push that lands
     // mid-search — but that cannot strand work: a spawner publishes its
@@ -1526,9 +1517,7 @@ fn run_worker(index: usize, deque: &Deque<Job>, shared: &Arc<Shared>) -> bool {
 /// republish, not a spawn), re-issue wakes for the republished work plus
 /// one rotated wake for any token a spawner may have spent on this
 /// worker, park the deque in the slot for a future [`Pool::grow_in`],
-/// and mark the slot vacant. The thread then exits; its thread-local
-/// epoch participant is deregistered by the TLS destructor
-/// (see [`crate::deque`]).
+/// and mark the slot vacant. The thread then exits.
 fn finish_retire(index: usize, deque: Deque<Job>, shared: &Arc<Shared>) {
     let domain = shared.topology.domain_of(index).0 as usize;
     // Nothing lands in this deque once we stop executing: only the owner

@@ -147,21 +147,20 @@ fn batched_spawns_race_park_entry() {
     }
 }
 
-/// Panic-during-claim coverage for the segmented injector: a job body
-/// unwinding right after its slot was claimed (WRITTEN→TAKEN) must not
-/// strand the slot or its segment — consumption must march on past the
-/// panicking job, across segment boundaries, and the pool must stay fully
-/// usable afterwards. A stranded slot shows up here as a lost job
-/// (`done + panics < spawned`) or a hung `wait_quiescent`.
+/// Panic-after-claim coverage for the injector: a job body unwinding
+/// right after it was taken from the injector must not strand the jobs
+/// queued behind it — consumption must march on past the panicking job,
+/// and the pool must stay fully usable afterwards. A stranded job shows
+/// up here as a lost job (`done + panics < spawned`) or a hung
+/// `wait_quiescent`.
 #[test]
 fn panicking_jobs_do_not_strand_injector_slots() {
     let pool = Pool::with_topology(Topology::domains(2, 2));
     let done = Arc::new(AtomicU64::new(0));
     let mut spawned = 0u64;
     let mut expect_panics = 0u64;
-    // Three rounds, each several segments (SEGMENT_CAP is 32) so panics
-    // land on every segment position, including the retire-triggering
-    // last slot of a drained segment.
+    // Three rounds of 100 jobs, a third of them panicking, so panics
+    // land at every position of the queue's batch-steal runs.
     for round in 0..3u64 {
         for i in 0..100u64 {
             let done = done.clone();
