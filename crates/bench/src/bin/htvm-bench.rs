@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! htvm-bench list              registered ids, one line each
-//! htvm-bench run <id>...       run experiments (e1..e21, a1..a4, kernels)
+//! htvm-bench run <id>...       run experiments (e1..e21, a1..a4, kernels, warm)
 //! htvm-bench all               every e-id in order; refreshes BENCH_pool.json
 //!                              and BENCH_serving.json
 //! htvm-bench ablations         every a-id in order

@@ -16,6 +16,7 @@ pub mod machine;
 pub mod sched;
 pub mod serving;
 pub mod ssp_native;
+pub mod warm;
 
 pub use ablations::{a1_switch_cost, a2_chunk_size, a3_percolation_grid, a4_grain_crossover};
 pub use apps::{e14_neocortex, e15_md, e16_litlx};
@@ -33,6 +34,7 @@ pub use sched::{
 };
 pub use serving::e19_serving;
 pub use ssp_native::e18_ssp_native;
+pub use warm::warm;
 
 /// Sweep size selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,6 +92,7 @@ pub const REGISTRY: &[Experiment] = &[
     ("a3", "ablation: percolation depth x DRAM latency", |s| vec![a3_percolation_grid(s)]),
     ("a4", "ablation: grain crossover by task size", |s| vec![a4_grain_crossover(s)]),
     ("kernels", "LITL-X kernel dispatch tiers: ns per point", |s| vec![kernels(s)]),
+    ("warm", "LITL-X warm-run ladder: ns per Interp::run", |s| vec![warm(s)]),
 ];
 
 /// The registered experiment called `id`.

@@ -9,7 +9,8 @@
 //!   reproduction reports,
 //! * integration tests re-run the same code at reduced scale and assert
 //!   the *shape* of the result (who wins, where the crossover falls),
-//! * the `kernels` table times the LITL-X kernel dispatch tiers.
+//! * the `kernels` table times the LITL-X kernel dispatch tiers, and the
+//!   `warm` table a warm `Interp::run` one construct at a time.
 //!
 //! Run everything with `cargo run -p htvm-bench --release -- all`, one
 //! experiment with `-- run e18`, and the ids with `-- list`.

@@ -45,18 +45,19 @@
 //! level and partition, and the kernel code, but no arrays: each run
 //! binds its own.
 //!
-//! * **Key.** The point is the body's address. Only bodies inside the
-//!   running program are cached, and the entry pins the function holding
-//!   the body, so the address cannot be reused while the entry lives; the copies of a
-//!   body that naive helpers and `spawn` blocks run are planned uncached.
-//!   The plan is keyed by the evaluated bounds, the forced `@hint` level
-//!   and chunk, and the [`KernelMode`].
-//! * **Guard.** On a miss, the lowering's resolver is wrapped to record
-//!   every `(name, answer)` it consumed, unbound names included. A hit
-//!   re-resolves those names and requires bit-identical numbers (so
-//!   `-0.0` and `0.0` differ), arrays of identical length, and an
-//!   identical alias partition (which recorded arrays are one region).
-//!   Future and unit answers are never cached.
+//! * **Key.** The point is the `forall` itself: the resolved module
+//!   (`super::resolve`) gives every `forall` an id, and the loop reads
+//!   its plan slot by that id, whichever thread runs it — the caller, a
+//!   naive helper or a `spawn` block. Programs that share a function
+//!   share its slots. The plan is keyed by the evaluated bounds, the
+//!   forced `@hint` level and chunk, and the [`KernelMode`].
+//! * **Guard.** On a miss, the lowering's by-name resolver is answered
+//!   from the slots of the names visible at the loop, and every
+//!   `(slot, answer)` it consumed is recorded (a name unbound there is
+//!   unbound on every run). A hit reads those slots and requires
+//!   bit-identical numbers (so `-0.0` and `0.0` differ), arrays of
+//!   identical length, and an identical alias partition (which recorded
+//!   arrays are one region). Future and unit answers are never cached.
 //! * **Why a hit is sound.** Lowering is a pure function of
 //!   `(var, from, to, body)` and the resolver's answers; scheduling and
 //!   partitioning are pure functions of the lowered nest, the worker
@@ -70,7 +71,7 @@
 //! * **Misses.** A new point (a program parsed anew is a new point),
 //!   different bounds, hints or kernel mode, or any guarded answer
 //!   that changed: a number's bits, an array's length, the alias
-//!   partition, a name becoming bound or unbound. A miss re-plans and
+//!   partition. A miss re-plans and
 //!   replaces the point's plan. Bail-outs are cached too, so a nest that
 //!   falls back to naive stops re-attempting lowering.
 //!
@@ -78,7 +79,9 @@
 //! decision and the outcome record) still run on every loop; only the
 //! planning is reused. A cached plan also carries its measured cost per
 //! point, which, with the interpreter's measured pool wake, places each
-//! of its waves ([`RunOutput::ssp_inline_waves`](super::RunOutput::ssp_inline_waves)).
+//! of its waves ([`RunOutput::ssp_inline_waves`](super::RunOutput::ssp_inline_waves));
+//! a plan's inline runs refresh it on a sample of runs
+//! ([`htvm_ssp::exec::times_inline_run`]).
 //! An inline run borrows its bound kernel and hands its array table back
 //! to the thread's reused storage; a spread run's pool jobs share it.
 //! [`RunOutput::ssp_plan_hits`](super::RunOutput::ssp_plan_hits)
@@ -99,13 +102,15 @@ use htvm_ssp::partition::PartitionPlan;
 use htvm_ssp::ssp::{schedule_level, LevelPlan, SspConfig};
 use parking_lot::Mutex;
 
-use super::ast::{Hint, Name, Stmt};
+use super::ast::{Hint, Stmt};
 use super::compile::{compile_code, CompiledKernel};
-use super::interp::{bindings, Env, Scope, Value};
+use super::env::Env;
+use super::interp::{Scope, Value};
 use super::lower::{lower_forall, Kernel, LoweredForall};
 use super::plan_cache::{
     recycle_table, take_table, CachedCode, CachedPlan, PlanKey, PointEntry, ReadyPlan, Recorder,
 };
+use super::resolve::Forall;
 
 /// How the interpreter executes `forall` loops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -147,12 +152,12 @@ pub enum KernelMode {
 
 /// Everything one `forall` execution needs (bounds already evaluated).
 pub(crate) struct ForallSpec<'a> {
-    pub(crate) var: &'a Name,
+    /// The loop's id in the running module.
+    pub(crate) id: usize,
+    pub(crate) forall: &'a Forall,
     pub(crate) from: i64,
     pub(crate) to: i64,
-    pub(crate) body: &'a [Stmt],
-    pub(crate) hints: &'a [Hint],
-    pub(crate) env: &'a Env,
+    pub(crate) env: &'a Env<'a>,
 }
 
 /// Entry point: pick a path for this loop, execute it, and — under
@@ -164,7 +169,7 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
         return Ok(());
     }
     let ex = &scope.shared.exec;
-    let entry = ex.plans.point(spec.var, spec.body, &scope.shared.program);
+    let entry = &spec.forall.entry;
     let point = entry.point.as_str();
     let adaptive = ex.strategy == LoopStrategy::Adaptive;
     let shape = adaptive.then(|| estimate_shape(scope, spec, n));
@@ -173,9 +178,9 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
         // Lower `@hint(pipeline …)` pragmas into the knowledge base (once
         // per point) so the policy — and future runs via the persisted
         // database — sees them as §4.1 structured hints.
-        if kb.hint_with(point, "pipeline").is_none() {
-            if let Some(kv) = pipeline_pragma(spec.hints) {
-                kb.add_hint(point, pipeline::pipeline_hint(kv, 100));
+        if let Some(kv) = &spec.forall.pragma {
+            if kb.hint_with(point, "pipeline").is_none() {
+                kb.add_hint(point, pipeline::pipeline_hint(kv.clone(), 100));
             }
         }
         match shape {
@@ -194,7 +199,7 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
         LoopPath::Pipelined => SspExecutor {
             level,
             chunk,
-            entry: &entry,
+            entry,
         }
         .run(scope, spec)?,
         LoopPath::Naive => NaiveExecutor.run(scope, spec)?,
@@ -207,7 +212,7 @@ pub(crate) fn run_forall(scope: &Scope<'_>, spec: &ForallSpec<'_>) -> Result<(),
 }
 
 /// The `pipeline`-related key/values of a pragma list, if any.
-fn pipeline_pragma(hints: &[Hint]) -> Option<Vec<(String, String)>> {
+pub(crate) fn pipeline_pragma(hints: &[Hint]) -> Option<Vec<(String, String)>> {
     let h = hints.iter().find(|h| h.get_num("pipeline").is_some())?;
     let mut kv = Vec::new();
     for key in ["pipeline", "level", "chunk"] {
@@ -226,14 +231,15 @@ fn pipeline_pragma(hints: &[Hint]) -> Option<Vec<(String, String)>> {
 fn estimate_shape(scope: &Scope<'_>, spec: &ForallSpec<'_>, n: u64) -> LoopShape {
     let mut depth = 1usize;
     let mut points = n;
-    let mut cur = spec.body;
+    let lookup = |name: &str| spec.forall.slot_of(name).map(|s| spec.env.get(s));
+    let mut cur = spec.forall.ast.as_slice();
     loop {
         let (from, to, body) = match cur {
             [Stmt::Forall { from, to, body, .. }] => (from, to, body),
             [Stmt::For(_, from, to, body)] => (from, to, body),
             _ => break,
         };
-        let level_n = match (const_fold(from, spec.env), const_fold(to, spec.env)) {
+        let level_n = match (const_fold(from, &lookup), const_fold(to, &lookup)) {
             (Some(a), Some(b)) => ((b as i64) - (a as i64)).max(0) as u64,
             // Bound depends on an induction variable or a call: assume
             // the outer trip count.
@@ -250,20 +256,20 @@ fn estimate_shape(scope: &Scope<'_>, spec: &ForallSpec<'_>, n: u64) -> LoopShape
     }
 }
 
-/// Pure constant folding over the environment: numbers, env-bound
-/// numeric variables, arithmetic, negation. Anything else (calls,
+/// Pure constant folding over the loop's visible bindings: numbers,
+/// bound numeric variables, arithmetic, negation. Anything else (calls,
 /// indexing, induction variables not yet bound) is `None`.
-fn const_fold(e: &super::ast::Expr, env: &Env) -> Option<f64> {
+fn const_fold(e: &super::ast::Expr, lookup: &dyn Fn(&str) -> Option<Value>) -> Option<f64> {
     use super::ast::{BinOp, Expr};
     match e {
         Expr::Num(n) => Some(*n),
-        Expr::Var(v) => match env.get(v) {
+        Expr::Var(v) => match lookup(v) {
             Some(Value::Num(n)) => Some(n),
             _ => None,
         },
-        Expr::Neg(x) => Some(-const_fold(x, env)?),
+        Expr::Neg(x) => Some(-const_fold(x, lookup)?),
         Expr::Bin(op, l, r) => {
-            let (a, b) = (const_fold(l, env)?, const_fold(r, env)?);
+            let (a, b) = (const_fold(l, lookup)?, const_fold(r, lookup)?);
             match op {
                 BinOp::Add => Some(a + b),
                 BinOp::Sub => Some(a - b),
@@ -353,18 +359,18 @@ impl NaiveLoop {
         }
     }
 
-    /// Run chunks until the cursor is exhausted, binding `var` to
-    /// `from + i` for iteration `i`.
-    fn work(&self, scope: &Scope<'_>, var: &Name, from: i64, body: &[Stmt], env: &Env) {
+    /// Run chunks of `forall`'s body until the cursor is exhausted,
+    /// binding its variable to `from + i` for iteration `i`.
+    fn work(&self, scope: &Scope<'_>, forall: &Forall, from: i64, env: &Env<'_>) {
+        let mut e = env.loop_frame(&forall.body);
         while let Some((lo, hi)) = self.claim() {
             for i in lo..hi {
                 if i >= self.failed_at.load(Ordering::Acquire) {
                     break;
                 }
-                let e = env.child(1 + bindings(body));
-                e.define(var, Value::Num((from + i as i64) as f64));
                 let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    scope.exec_block_returns(body, &e)
+                    e.next_iteration(from + i as i64);
+                    scope.run_iteration(&forall.body, &e)
                 }));
                 let err = match ran {
                     Ok(Ok(false)) => continue,
@@ -397,22 +403,22 @@ impl NaiveExecutor {
         let lp = Arc::new(NaiveLoop {
             n,
             workers,
-            schedule: Schedule::from_hints(spec.hints),
+            schedule: Schedule::from_hints(&spec.forall.hints),
             next: AtomicU64::new(0),
             done: htvm_core::sync::EventCount::new(),
             failed_at: AtomicU64::new(u64::MAX),
             error: Mutex::new(None),
         });
 
-        // Helpers: workers-1 SGTs; the caller participates too.
+        // Helpers: workers-1 SGTs, each with a capture of the loop's
+        // environment; the caller participates too.
         for _ in 0..workers.saturating_sub(1) {
-            let env = spec.env.clone();
-            let body = spec.body.to_vec();
-            let var = spec.var.clone();
-            let lp = lp.clone();
-            scope.spawn_sgt(move |scope| lp.work(scope, &var, from, &body, &env));
+            let (lp, id) = (lp.clone(), spec.id);
+            scope.spawn_sgt(spec.env.capture(), move |scope, env| {
+                lp.work(scope, &scope.shared.module.foralls[id], from, env)
+            });
         }
-        lp.work(scope, spec.var, from, spec.body, spec.env);
+        lp.work(scope, spec.forall, from, spec.env);
         static NAIVE_JOIN: htvm_core::sync::WaitMeter = htvm_core::sync::WaitMeter::new();
         lp.done.wait_for(n, &NAIVE_JOIN);
         let err = lp.error.lock().take();
@@ -457,9 +463,10 @@ impl SspExecutor<'_> {
     /// [`spread_pays`], from the plan's measured cost per point (times a
     /// wave's points) and the interpreter's measured pool wake (its
     /// [`WakeMeter`](htvm_ssp::exec::WakeMeter)); otherwise they run
-    /// inline on this thread. Every successful run refreshes the cost
-    /// per point from the groups this thread ran itself; every spread
-    /// wave adds a wake sample. A fresh plan has no cost yet, so its
+    /// inline on this thread. Every spread run, and a sample of the
+    /// plan's inline runs ([`htvm_ssp::exec::times_inline_run`]),
+    /// refreshes the cost per point from the groups this thread timed;
+    /// every spread wave adds a wake sample. A fresh plan has no cost yet, so its
     /// first run spreads — unless its groups form a wavefront, whose
     /// waves `htvm_ssp::exec` always runs inline.
     fn try_run(
@@ -500,6 +507,7 @@ impl SspExecutor<'_> {
             ex.wake.mean_ns(),
         )
         .then(|| ex.wake.clone());
+        let timed = spread.is_some() || ready.time_this_run();
         // The kernel translates 0-based indices via its own bounds.
         let run = |placement: Placement<'_>| {
             run_partitioned(&ex.pool, &ready.trips, level, 0, part, placement)
@@ -507,7 +515,7 @@ impl SspExecutor<'_> {
         let (report, taken) = match &ready.code {
             CachedCode::Compiled(code) => {
                 let kernel = CompiledKernel::bind(code.clone(), table);
-                let (report, back) = run_tiles(kernel, spread, run, |k, outer, lo, hi| {
+                let (report, back) = run_tiles(kernel, spread, timed, run, |k, outer, lo, hi| {
                     k.execute_tile(outer, lo, hi).map_err(|f| f.to_string())
                 });
                 if let Some(k) = back {
@@ -523,6 +531,7 @@ impl SspExecutor<'_> {
                 let (report, back) = run_tiles(
                     (kernel, ready.trips.clone()),
                     spread,
+                    timed,
                     run,
                     |(k, trips), outer, lo, hi| k.execute_tile(trips, outer, lo, hi),
                 );
@@ -559,8 +568,9 @@ impl SspExecutor<'_> {
         spec: &ForallSpec<'_>,
         key: PlanKey,
     ) -> (Arc<CachedPlan>, Vec<SharedRegion>) {
-        let recorder = Recorder::new(spec.env);
-        let lowered = lower_forall(spec.var, spec.from, spec.to, spec.body, &|name: &str| {
+        let f = spec.forall;
+        let recorder = Recorder::new(f, spec.env);
+        let lowered = lower_forall(&f.var, spec.from, spec.to, &f.ast, &|name: &str| {
             recorder.resolve(name)
         });
         let made = lowered.ok().and_then(|l| self.prepare(scope, l, key.mode));
@@ -617,13 +627,14 @@ impl SspExecutor<'_> {
     }
 }
 
-/// Run a bound kernel's tiles through `run`: inline, the waves borrow
-/// it and it comes back, so its array table can be reused; spread (with
-/// the pool's wake meter), the pool jobs share it, since they may
-/// outlive the call.
+/// Run a bound kernel's tiles through `run`: inline (timed if `timed`),
+/// the waves borrow it and it comes back, so its array table can be
+/// reused; spread (with the pool's wake meter), the pool jobs share it,
+/// since they may outlive the call.
 fn run_tiles<K: Send + Sync + 'static>(
     kernel: K,
     spread: Option<Arc<WakeMeter>>,
+    timed: bool,
     run: impl FnOnce(Placement<'_>) -> Result<ExecReport, String>,
     tile: fn(&K, &[i64], i64, i64) -> Result<(), String>,
 ) -> (Result<ExecReport, String>, Option<K>) {
@@ -633,9 +644,12 @@ fn run_tiles<K: Send + Sync + 'static>(
             (run(Placement::Spread(body, wake)), None)
         }
         None => {
-            let report = run(Placement::Inline(&|outer, lo, hi| {
-                tile(&kernel, outer, lo, hi)
-            }));
+            let body = |outer: &[i64], lo, hi| tile(&kernel, outer, lo, hi);
+            let report = run(if timed {
+                Placement::Inline(&body)
+            } else {
+                Placement::InlineUntimed(&body)
+            });
             (report, Some(kernel))
         }
     }

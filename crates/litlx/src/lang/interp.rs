@@ -1,5 +1,12 @@
 //! The LITL-X interpreter: executes programs on the native HTVM runtime.
 //!
+//! A run walks the program's resolved module (`lang::resolve`): names
+//! are frame slots, calls are function indices and every `forall` has an
+//! id that indexes its plan slot. The interpreter's plan cache resolves a
+//! program once and keeps its module, found on later runs by one lookup
+//! on the identity of the program's functions ([`Interp::run`] copies
+//! no program).
+//!
 //! Mapping of language constructs onto the execution model:
 //!
 //! * a program run is one **LGT**, and `main` runs as that LGT on the
@@ -32,10 +39,12 @@ use htvm_core::{Htvm, HtvmConfig, Pool, PoolStats, SharedRegion, Topology};
 use htvm_ssp::exec::WakeMeter;
 use parking_lot::Mutex;
 
-use super::ast::{BinOp, Expr, FnDef, Name, Program, Stmt};
+use super::ast::{BinOp, Program};
+use super::env::{Capture, Env};
 use super::executor::{self, ForallSpec, KernelMode, LoopStrategy};
 use super::plan_cache::PlanCache;
 use super::profile::{ForallProfile, ProfileState};
+use super::resolve::{Block, Builtin, Forall, Module, RExpr, RStmt};
 use crate::future::LitlFuture;
 
 /// A runtime value.
@@ -83,72 +92,10 @@ impl Value {
     }
 }
 
-/// One scope's bindings in definition order. A scope binds a handful of
-/// names, so a linear scan beats hashing; a frame is made with room for
-/// every binding its block can make (`bindings`), so it never grows, and
-/// a binding shares its name with the AST.
-type Frame = Vec<(Name, Value)>;
-
-/// Lexical environment: a chain of shared frames. Cloning shares frames
-/// (child scopes see parent bindings; parallel bodies snapshot the chain).
-#[derive(Clone, Default)]
-pub(crate) struct Env {
-    frames: Vec<Arc<Mutex<Frame>>>,
-}
-
-/// The names `stmts` binds in their own scope: its `let`s and `future`s
-/// (nested blocks bind in child scopes). Redefining a name replaces its
-/// binding, so this bounds a frame's size.
-pub(crate) fn bindings(stmts: &[Stmt]) -> usize {
-    stmts
-        .iter()
-        .filter(|s| matches!(s, Stmt::Let(..) | Stmt::Future(..)))
-        .count()
-}
-
-impl Env {
-    /// A child scope with room for `room` bindings.
-    pub(crate) fn child(&self, room: usize) -> Env {
-        let mut frames = Vec::with_capacity(self.frames.len() + 1);
-        frames.extend(self.frames.iter().cloned());
-        frames.push(Arc::new(Mutex::new(Vec::with_capacity(room))));
-        Env { frames }
-    }
-
-    pub(crate) fn define(&self, name: &Name, v: Value) {
-        let mut frame = self.frames.last().expect("env has a frame").lock();
-        match frame.iter_mut().find(|(k, _)| k == name) {
-            Some((_, slot)) => *slot = v,
-            None => {
-                debug_assert!(frame.len() < frame.capacity(), "frame sized for its block");
-                frame.push((name.clone(), v));
-            }
-        }
-    }
-
-    pub(crate) fn get(&self, name: &str) -> Option<Value> {
-        for f in self.frames.iter().rev() {
-            if let Some((_, v)) = f.lock().iter().find(|(k, _)| &**k == name) {
-                return Some(v.clone());
-            }
-        }
-        None
-    }
-
-    fn assign(&self, name: &str, v: Value) -> bool {
-        for f in self.frames.iter().rev() {
-            if let Some((_, slot)) = f.lock().iter_mut().find(|(k, _)| &**k == name) {
-                *slot = v;
-                return true;
-            }
-        }
-        false
-    }
-}
-
 /// Shared interpreter state across all threads of one run.
 pub(crate) struct Shared {
-    pub(crate) program: Program,
+    /// The program, resolved.
+    pub(crate) module: Arc<Module>,
     printed: Mutex<Vec<String>>,
     error: Mutex<Option<String>>,
     atomic_gate: Mutex<()>,
@@ -174,8 +121,6 @@ pub(crate) struct ExecShared {
     /// §4.1 knowledge base: pragma hints in, observed outcomes out (the
     /// latter under [`LoopStrategy::Adaptive`] only).
     pub(crate) kb: Arc<Mutex<KnowledgeBase>>,
-    /// The interpreter's SSP plan cache, shared by all its runs.
-    pub(crate) plans: Arc<PlanCache>,
     /// The interpreter's measured pool wake, shared by all its runs.
     pub(crate) wake: Arc<WakeMeter>,
     /// The run's SSP counters, summed from each [`Scope`]'s own as the
@@ -265,7 +210,7 @@ pub struct Interp {
     strategy: LoopStrategy,
     kernel_mode: KernelMode,
     kb: Arc<Mutex<KnowledgeBase>>,
-    plans: Arc<PlanCache>,
+    plans: PlanCache,
     wake: Arc<WakeMeter>,
 }
 
@@ -293,7 +238,7 @@ impl Interp {
             strategy: LoopStrategy::default(),
             kernel_mode: KernelMode::default(),
             kb: Arc::new(Mutex::new(KnowledgeBase::new())),
-            plans: Arc::new(PlanCache::default()),
+            plans: PlanCache::default(),
             wake: Arc::new(WakeMeter::default()),
         }
     }
@@ -338,8 +283,8 @@ impl Interp {
         self.htvm.topology()
     }
 
-    /// Program points with an entry in the SSP plan cache (at most
-    /// [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY)).
+    /// The `forall` program points of the programs the plan cache holds
+    /// (at most [`PLAN_CACHE_CAPACITY`](super::PLAN_CACHE_CAPACITY)).
     pub fn cached_plans(&self) -> usize {
         self.plans.len()
     }
@@ -367,11 +312,12 @@ impl Interp {
         program: &Program,
         profile: Option<Arc<ProfileState>>,
     ) -> Result<(RunOutput, Option<Arc<ProfileState>>), String> {
-        if program.get_fn("main").is_none() {
+        let module = self.plans.module(program);
+        let Some(main) = module.main else {
             return Err("program has no `main` function".to_string());
-        }
+        };
         let shared = Arc::new(Shared {
-            program: program.clone(),
+            module,
             printed: Mutex::new(Vec::new()),
             error: Mutex::new(None),
             atomic_gate: Mutex::new(()),
@@ -382,7 +328,6 @@ impl Interp {
                 strategy: self.strategy,
                 kernel_mode: self.kernel_mode,
                 kb: self.kb.clone(),
-                plans: self.plans.clone(),
                 wake: self.wake.clone(),
                 counts: Mutex::new(SspCounts::default()),
             },
@@ -392,7 +337,6 @@ impl Interp {
         // the pool and are joined before `run_lgt` returns or re-raises.
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.htvm.run_lgt(|lgt| {
-                let main = shared.program.get_fn("main").expect("checked above");
                 let scope = Scope::new(shared.clone(), lgt);
                 if let Err(e) = scope.call_fn(main, Vec::new()) {
                     shared.fail(e);
@@ -420,6 +364,24 @@ impl Interp {
             ssp_inline_waves: c.inline_waves,
         };
         Ok((out, shared.profile.clone()))
+    }
+}
+
+/// An arithmetic or comparison operator applied (comparisons give 0 or 1).
+fn arith(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        BinOp::Eq => (a == b) as i64 as f64,
+        BinOp::Ne => (a != b) as i64 as f64,
+        BinOp::Lt => (a < b) as i64 as f64,
+        BinOp::Le => (a <= b) as i64 as f64,
+        BinOp::Gt => (a > b) as i64 as f64,
+        BinOp::Ge => (a >= b) as i64 as f64,
+        BinOp::And | BinOp::Or => unreachable!("logicals short-circuit"),
     }
 }
 
@@ -479,34 +441,40 @@ impl<'a> Scope<'a> {
         self.counts.set(c);
     }
 
-    pub(crate) fn spawn_sgt(&self, job: impl FnOnce(&Scope<'_>) + Send + 'static) {
+    /// Spawn `job` as an SGT, in the environment `capture` holds.
+    pub(crate) fn spawn_sgt(
+        &self,
+        capture: Capture,
+        job: impl FnOnce(&Scope<'_>, &Env<'_>) + Send + 'static,
+    ) {
         self.shared.sgt_spawns.fetch_add(1, Ordering::Relaxed);
         let shared = self.shared.clone();
         self.spawner.spawn_job(Box::new(move |sp: &dyn Spawn| {
-            job(&Scope::new(shared, sp));
+            capture.enter(|env| job(&Scope::new(shared, sp), env));
         }));
     }
 
-    fn call_fn(&self, f: &Arc<FnDef>, args: Vec<Value>) -> Result<Value, String> {
-        if args.len() != f.params.len() {
+    fn call_fn(&self, f: usize, args: Vec<Value>) -> Result<Value, String> {
+        let func = &self.shared.module.fns[f];
+        if args.len() != func.params.len() {
             return Err(format!(
                 "{}: expected {} arguments, got {}",
-                f.name,
-                f.params.len(),
+                func.name,
+                func.params.len(),
                 args.len()
             ));
         }
-        let env = Env::default().child(f.params.len() + bindings(&f.body));
-        for (p, a) in f.params.iter().zip(args) {
-            env.define(p, a);
+        let env = Env::root(func.body.frame.expect("a function body has a frame"));
+        for (&p, a) in func.params.iter().zip(args) {
+            env.set_top(p, a);
         }
-        match self.exec_block(&f.body, &env)? {
+        match self.exec_block(&func.body.stmts, &env)? {
             Flow::Return(v) => Ok(v),
             Flow::Normal => Ok(Value::Unit),
         }
     }
 
-    pub(crate) fn exec_block(&self, stmts: &[Stmt], env: &Env) -> Result<Flow, String> {
+    fn exec_block(&self, stmts: &[RStmt], env: &Env<'_>) -> Result<Flow, String> {
         for s in stmts {
             if let Flow::Return(v) = self.exec_stmt(s, env)? {
                 return Ok(Flow::Return(v));
@@ -515,45 +483,56 @@ impl<'a> Scope<'a> {
         Ok(Flow::Normal)
     }
 
-    /// Like [`Scope::exec_block`], but reports whether a `return` fired —
-    /// for the loop executors, which must reject `return` inside `forall`
-    /// without pattern-matching `Flow`.
-    pub(crate) fn exec_block_returns(&self, stmts: &[Stmt], env: &Env) -> Result<bool, String> {
-        Ok(matches!(self.exec_block(stmts, env)?, Flow::Return(_)))
+    /// Run a nested block: in a frame of its own if it has one.
+    fn run_block(&self, block: &Block, env: &Env<'_>) -> Result<Flow, String> {
+        match block.frame {
+            Some(shape) => self.exec_block(&block.stmts, &env.child(shape)),
+            None => self.exec_block(&block.stmts, env),
+        }
     }
 
-    fn exec_stmt(&self, stmt: &Stmt, env: &Env) -> Result<Flow, String> {
+    /// Run one iteration of a `forall` body in `env`, its iteration
+    /// frame, reporting whether a `return` fired — for the loop
+    /// executors, which must reject `return` inside `forall` without
+    /// pattern-matching `Flow`.
+    pub(crate) fn run_iteration(&self, body: &Block, env: &Env<'_>) -> Result<bool, String> {
+        Ok(matches!(
+            self.exec_block(&body.stmts, env)?,
+            Flow::Return(_)
+        ))
+    }
+
+    fn exec_stmt(&self, stmt: &RStmt, env: &Env<'_>) -> Result<Flow, String> {
         match stmt {
-            Stmt::Let(name, e) => {
+            RStmt::Let(slot, e) => {
                 let v = self.eval(e, env)?;
-                env.define(name, v);
-                Ok(Flow::Normal)
+                env.set(*slot, v);
             }
-            Stmt::Assign(name, e) => {
+            RStmt::Assign(target, e) => {
                 let v = self.eval(e, env)?;
-                if !env.assign(name, v) {
-                    return Err(format!("assignment to undefined variable `{name}`"));
+                match target {
+                    Ok(slot) => env.set(*slot, v),
+                    Err(name) => return Err(format!("assignment to undefined variable `{name}`")),
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::StoreIndex {
+            RStmt::StoreIndex {
                 array,
                 index,
                 value,
                 accumulate,
             } => {
-                let arr = env
-                    .get(array)
-                    .ok_or_else(|| format!("undefined array `{array}`"))?
-                    .as_arr("indexed store")?;
-                let i = self.eval(index, env)?.as_num("array index")? as usize;
+                let arr = match array {
+                    Ok(slot) => env.get(*slot).as_arr("indexed store")?,
+                    Err(name) => return Err(format!("undefined array `{name}`")),
+                };
+                let i = self.eval_num(index, env, "array index")? as usize;
                 if i >= arr.len() {
                     return Err(format!(
                         "index {i} out of bounds for array of length {}",
                         arr.len()
                     ));
                 }
-                let v = self.eval(value, env)?.as_num("stored value")?;
+                let v = self.eval_num(value, env, "stored value")?;
                 if let Some(p) = &self.shared.profile {
                     p.stores.fetch_add(1, Ordering::Relaxed);
                 }
@@ -562,119 +541,106 @@ impl<'a> Scope<'a> {
                 } else {
                     arr.write_f64(i, v);
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::If(cond, then, els) => {
+            RStmt::If(cond, then, els) => {
                 let block = if self.eval(cond, env)?.truthy() {
                     then
                 } else {
                     els
                 };
-                self.exec_block(block, &env.child(bindings(block)))
+                return self.run_block(block, env);
             }
-            Stmt::While(cond, body) => {
+            RStmt::While(cond, body) => {
                 while self.eval(cond, env)?.truthy() {
-                    if let Flow::Return(v) = self.exec_block(body, &env.child(bindings(body)))? {
+                    if let Flow::Return(v) = self.run_block(body, env)? {
                         return Ok(Flow::Return(v));
                     }
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::For(var, from, to, body) => {
-                let a = self.eval(from, env)?.as_num("for start")? as i64;
-                let b = self.eval(to, env)?.as_num("for end")? as i64;
+            RStmt::For(from, to, body) => {
+                let a = self.eval_num(from, env, "for start")? as i64;
+                let b = self.eval_num(to, env, "for end")? as i64;
+                let mut e = env.loop_frame(body);
                 for i in a..b {
-                    let e = env.child(1 + bindings(body));
-                    e.define(var, Value::Num(i as f64));
-                    if let Flow::Return(v) = self.exec_block(body, &e)? {
+                    e.next_iteration(i);
+                    if let Flow::Return(v) = self.exec_block(&body.stmts, &e)? {
                         return Ok(Flow::Return(v));
                     }
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::Forall {
-                var,
-                from,
-                to,
-                body,
-                hints,
-            } => {
-                let a = self.eval(from, env)?.as_num("forall start")? as i64;
-                let b = self.eval(to, env)?.as_num("forall end")? as i64;
-                if let Some(p) = self.shared.profile.clone() {
-                    self.run_forall_profiled(var, a, b, body, env, &p)?;
+            RStmt::Forall { id, from, to } => {
+                let a = self.eval_num(from, env, "forall start")? as i64;
+                let b = self.eval_num(to, env, "forall end")? as i64;
+                let forall = &self.shared.module.foralls[*id];
+                if let Some(p) = &self.shared.profile {
+                    self.run_forall_profiled(forall, a, b, env, p)?;
                 } else {
                     executor::run_forall(
                         self,
                         &ForallSpec {
-                            var,
+                            id: *id,
+                            forall,
                             from: a,
                             to: b,
-                            body,
-                            hints,
                             env,
                         },
                     )?;
                 }
-                Ok(Flow::Normal)
             }
-            Stmt::Spawn(body) => {
+            RStmt::Spawn(id) => {
+                let body = &self.shared.module.spawns[*id];
                 if self.shared.profile.is_some() {
                     // Profiled runs are sequential: execute inline.
-                    self.exec_block(body, &env.child(bindings(body)))?;
+                    self.run_block(body, env)?;
                     return Ok(Flow::Normal);
                 }
-                let env = env.clone();
-                let body = body.to_vec();
-                self.spawn_sgt(move |scope| {
-                    if let Err(e) = scope.exec_block(&body, &env.child(bindings(&body))) {
+                let id = *id;
+                self.spawn_sgt(env.capture(), move |scope, env| {
+                    let body = &scope.shared.module.spawns[id];
+                    if let Err(e) = scope.run_block(body, env) {
                         scope.shared.fail(e);
                     }
                 });
-                Ok(Flow::Normal)
             }
-            Stmt::Future(name, e) => {
+            RStmt::Future(slot, id) => {
                 let fut: LitlFuture<f64> = LitlFuture::unresolved();
-                env.define(name, Value::Fut(fut.clone()));
+                env.set(*slot, Value::Fut(fut.clone()));
                 if self.shared.profile.is_some() {
                     // Profiled runs resolve futures eagerly, inline.
-                    let n = self.eval(e, env)?.as_num("future value")?;
-                    fut.resolve(n);
+                    let n = self.eval(&self.shared.module.futures[*id], env)?;
+                    fut.resolve(n.as_num("future value")?);
                     return Ok(Flow::Normal);
                 }
-                let env2 = env.clone();
-                let e = e.clone();
-                self.spawn_sgt(move |scope| match scope.eval(&e, &env2) {
-                    Ok(v) => match v.as_num("future value") {
+                let id = *id;
+                self.spawn_sgt(env.capture(), move |scope, env| {
+                    let value = scope
+                        .eval(&scope.shared.module.futures[id], env)
+                        .and_then(|v| v.as_num("future value"));
+                    match value {
                         Ok(n) => fut.resolve(n),
                         Err(err) => {
                             scope.shared.fail(err);
                             fut.resolve(f64::NAN);
                         }
-                    },
-                    Err(err) => {
-                        scope.shared.fail(err);
-                        fut.resolve(f64::NAN);
                     }
                 });
-                Ok(Flow::Normal)
             }
-            Stmt::Atomic(body) => {
+            RStmt::Atomic(body) => {
                 let _gate = self.shared.atomic_gate.lock();
-                self.exec_block(body, &env.child(bindings(body)))
+                return self.run_block(body, env);
             }
-            Stmt::Return(e) => {
+            RStmt::Return(e) => {
                 let v = match e {
                     Some(e) => self.eval(e, env)?,
                     None => Value::Unit,
                 };
-                Ok(Flow::Return(v))
+                return Ok(Flow::Return(v));
             }
-            Stmt::Expr(e) => {
+            RStmt::Expr(e) => {
                 self.eval(e, env)?;
-                Ok(Flow::Normal)
             }
         }
+        Ok(Flow::Normal)
     }
 
     /// Profiled (sequential) loop execution: meter every iteration and
@@ -682,41 +648,62 @@ impl<'a> Scope<'a> {
     /// compilation). Parallel execution lives in `lang::executor`.
     fn run_forall_profiled(
         &self,
-        var: &Name,
+        forall: &Forall,
         from: i64,
         to: i64,
-        body: &[Stmt],
-        env: &Env,
-        p: &Arc<ProfileState>,
+        env: &Env<'_>,
+        p: &ProfileState,
     ) -> Result<(), String> {
         let n = (to - from).max(0) as u64;
         let mut costs = Vec::with_capacity(n as usize);
+        let mut e = env.loop_frame(&forall.body);
         for i in 0..n {
             let before = p.ops_now();
-            let e = env.child(1 + bindings(body));
-            e.define(var, Value::Num((from + i as i64) as f64));
-            self.exec_block(body, &e)?;
+            e.next_iteration(from + i as i64);
+            self.exec_block(&forall.body.stmts, &e)?;
             costs.push(p.ops_now() - before);
         }
         p.foralls.lock().push(ForallProfile {
-            var: var.to_string(),
+            var: forall.var.to_string(),
             costs,
         });
         Ok(())
     }
 
-    pub(crate) fn eval(&self, e: &Expr, env: &Env) -> Result<Value, String> {
+    /// Count one evaluated node on a profiled run's meter.
+    fn meter(&self) {
         if let Some(p) = &self.shared.profile {
             p.ops.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// [`Scope::eval`] of a number, `what` naming it in a type error.
+    /// Variables and arithmetic build no [`Value`].
+    fn eval_num(&self, e: &RExpr, env: &Env<'_>, what: &str) -> Result<f64, String> {
         match e {
-            Expr::Num(n) => Ok(Value::Num(*n)),
-            Expr::Var(name) => env
-                .get(name)
-                .ok_or_else(|| format!("undefined variable `{name}`")),
-            Expr::Index(arr, idx) => {
+            RExpr::Var(slot) => {
+                self.meter();
+                env.with(*slot, |v| v.as_num(what))
+            }
+            RExpr::Bin(op, l, r) if !matches!(op, BinOp::And | BinOp::Or) => {
+                self.meter();
+                let a = self.eval_num(l, env, "left operand")?;
+                let b = self.eval_num(r, env, "right operand")?;
+                Ok(arith(*op, a, b))
+            }
+            _ => self.eval(e, env)?.as_num(what),
+        }
+    }
+
+    pub(crate) fn eval(&self, e: &RExpr, env: &Env<'_>) -> Result<Value, String> {
+        self.meter();
+        match e {
+            RExpr::Num(n) => Ok(Value::Num(*n)),
+            RExpr::Var(slot) => Ok(env.get(*slot)),
+            RExpr::Unbound(name) => Err(format!("undefined variable `{name}`")),
+            RExpr::Index(arr, idx) => {
                 let a = self.eval(arr, env)?.as_arr("indexing")?;
-                let i = self.eval(idx, env)?.as_num("array index")? as usize;
+                let i = self.eval_num(idx, env, "array index")? as usize;
                 if i >= a.len() {
                     return Err(format!(
                         "index {i} out of bounds for array of length {}",
@@ -728,13 +715,13 @@ impl<'a> Scope<'a> {
                 }
                 Ok(Value::Num(a.read_f64(i)))
             }
-            Expr::Neg(x) => Ok(Value::Num(-self.eval(x, env)?.as_num("negation")?)),
-            Expr::Not(x) => Ok(Value::Num(if self.eval(x, env)?.truthy() {
+            RExpr::Neg(x) => Ok(Value::Num(-self.eval_num(x, env, "negation")?)),
+            RExpr::Not(x) => Ok(Value::Num(if self.eval(x, env)?.truthy() {
                 0.0
             } else {
                 1.0
             })),
-            Expr::Bin(op, l, r) => {
+            RExpr::Bin(op, l, r) => {
                 // Short-circuit logicals.
                 if *op == BinOp::And {
                     return Ok(Value::Num(
@@ -754,128 +741,62 @@ impl<'a> Scope<'a> {
                         },
                     ));
                 }
-                let a = self.eval(l, env)?.as_num("left operand")?;
-                let b = self.eval(r, env)?.as_num("right operand")?;
-                let v = match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    BinOp::Mul => a * b,
-                    BinOp::Div => a / b,
-                    BinOp::Rem => a % b,
-                    BinOp::Eq => (a == b) as i64 as f64,
-                    BinOp::Ne => (a != b) as i64 as f64,
-                    BinOp::Lt => (a < b) as i64 as f64,
-                    BinOp::Le => (a <= b) as i64 as f64,
-                    BinOp::Gt => (a > b) as i64 as f64,
-                    BinOp::Ge => (a >= b) as i64 as f64,
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                };
-                Ok(Value::Num(v))
+                let a = self.eval_num(l, env, "left operand")?;
+                let b = self.eval_num(r, env, "right operand")?;
+                Ok(Value::Num(arith(*op, a, b)))
             }
-            Expr::Call(name, args) => self.call(name, args, env),
+            RExpr::Call(f, args) => {
+                let vals = args
+                    .iter()
+                    .map(|a| self.eval(a, env))
+                    .collect::<Result<Vec<_>, _>>()?;
+                self.call_fn(*f, vals)
+            }
+            RExpr::Builtin(b, args) => self.builtin(*b, args, env),
+            RExpr::Unknown(name) => Err(format!("unknown function `{name}`")),
         }
     }
 
-    fn call(&self, name: &str, args: &[Expr], env: &Env) -> Result<Value, String> {
-        // User functions shadow builtins.
-        if let Some(f) = self.shared.program.get_fn(name) {
-            let f = f.clone();
-            let vals = args
-                .iter()
-                .map(|a| self.eval(a, env))
-                .collect::<Result<Vec<_>, _>>()?;
-            return self.call_fn(&f, vals);
+    fn builtin(&self, b: Builtin, args: &[RExpr], env: &Env<'_>) -> Result<Value, String> {
+        let (name, arity) = b.signature();
+        if args.len() != arity {
+            return Err(format!(
+                "{name}: expected {arity} arguments, got {}",
+                args.len()
+            ));
         }
+        let arg = |i: usize| self.eval(&args[i], env);
         // The argument's description is formatted only on an error.
         let num = |i: usize| -> Result<f64, String> {
-            match self.eval(&args[i], env)? {
+            match arg(i)? {
                 Value::Num(n) => Ok(n),
                 other => other.as_num(&format!("{name} argument {i}")),
             }
         };
-        let need = |k: usize| -> Result<(), String> {
-            if args.len() == k {
-                Ok(())
-            } else {
-                Err(format!(
-                    "{name}: expected {k} arguments, got {}",
-                    args.len()
-                ))
-            }
-        };
-        match name {
-            "array" => {
-                need(1)?;
-                let n = num(0)? as usize;
-                Ok(Value::Arr(SharedRegion::new(n)))
-            }
-            "len" => {
-                need(1)?;
-                let a = self.eval(&args[0], env)?.as_arr("len")?;
-                Ok(Value::Num(a.len() as f64))
-            }
-            "sum" => {
-                need(1)?;
-                let a = self.eval(&args[0], env)?.as_arr("sum")?;
-                // A left fold in index order: the summation order is part
-                // of the result's bits.
-                Ok(Value::Num(a.iter_f64().sum()))
-            }
-            "force" => {
-                need(1)?;
-                match self.eval(&args[0], env)? {
-                    Value::Fut(f) => Ok(Value::Num(f.force())),
-                    v => Ok(v),
-                }
-            }
-            "sqrt" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.sqrt()))
-            }
-            "abs" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.abs()))
-            }
-            "exp" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.exp()))
-            }
-            "log" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.ln()))
-            }
-            "sin" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.sin()))
-            }
-            "cos" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.cos()))
-            }
-            "floor" => {
-                need(1)?;
-                Ok(Value::Num(num(0)?.floor()))
-            }
-            "pow" => {
-                need(2)?;
-                Ok(Value::Num(num(0)?.powf(num(1)?)))
-            }
-            "min" => {
-                need(2)?;
-                Ok(Value::Num(num(0)?.min(num(1)?)))
-            }
-            "max" => {
-                need(2)?;
-                Ok(Value::Num(num(0)?.max(num(1)?)))
-            }
-            "workers" => {
-                need(0)?;
-                Ok(Value::Num(self.shared.workers as f64))
-            }
-            "print" => {
-                need(1)?;
-                let v = self.eval(&args[0], env)?;
-                let s = match v {
+        let n = |x: f64| Ok(Value::Num(x));
+        match b {
+            Builtin::Array => Ok(Value::Arr(SharedRegion::new(num(0)? as usize))),
+            Builtin::Len => n(arg(0)?.as_arr("len")?.len() as f64),
+            // A left fold in index order: the summation order is part of
+            // the result's bits.
+            Builtin::Sum => n(arg(0)?.as_arr("sum")?.iter_f64().sum()),
+            Builtin::Force => match arg(0)? {
+                Value::Fut(f) => n(f.force()),
+                v => Ok(v),
+            },
+            Builtin::Sqrt => n(num(0)?.sqrt()),
+            Builtin::Abs => n(num(0)?.abs()),
+            Builtin::Exp => n(num(0)?.exp()),
+            Builtin::Log => n(num(0)?.ln()),
+            Builtin::Sin => n(num(0)?.sin()),
+            Builtin::Cos => n(num(0)?.cos()),
+            Builtin::Floor => n(num(0)?.floor()),
+            Builtin::Pow => n(num(0)?.powf(num(1)?)),
+            Builtin::Min => n(num(0)?.min(num(1)?)),
+            Builtin::Max => n(num(0)?.max(num(1)?)),
+            Builtin::Workers => n(self.shared.workers as f64),
+            Builtin::Print => {
+                let s = match arg(0)? {
                     Value::Num(n) if n.fract() == 0.0 && n.abs() < 1e15 => {
                         format!("{}", n as i64)
                     }
@@ -887,7 +808,6 @@ impl<'a> Scope<'a> {
                 self.shared.printed.lock().push(s);
                 Ok(Value::Unit)
             }
-            other => Err(format!("unknown function `{other}`")),
         }
     }
 }

@@ -38,6 +38,7 @@
 
 pub mod ast;
 pub mod compile;
+mod env;
 pub mod executor;
 pub mod interp;
 pub mod lexer;
@@ -45,6 +46,7 @@ pub mod lower;
 pub mod parser;
 mod plan_cache;
 pub mod profile;
+mod resolve;
 
 pub use ast::{Expr, FnDef, Hint, Program, Stmt};
 pub use compile::{compile, CompileInfo, CompiledKernel, KernelFault, VectorIsa};

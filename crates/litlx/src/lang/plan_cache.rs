@@ -1,80 +1,71 @@
-//! The per-[`Interp`](super::Interp) cache of SSP `forall` plans.
+//! The per-[`Interp`](super::Interp) cache of resolved programs and
+//! their SSP `forall` plans.
 //!
-//! Lowering a `forall` nest (`super::executor`'s SSP path) depends on
-//! four things only: the loop variable, its evaluated bounds, the body
-//! AST, and the answers the resolver gave it for the body's free names.
-//! Scheduling and partitioning add the forced `@hint` level and chunk
-//! and the worker count (fixed per interpreter); the compiled code's
-//! bounds proofs depend only on the trip counts and the array
-//! *lengths*. This module keeps the result of that work per program
-//! point, keyed and guarded so a hit is exactly as if it had been
-//! recomputed:
+//! A program is resolved once (`super::resolve`); [`PlanCache::module`]
+//! finds its module again on every later run by one lookup on the
+//! identity of the program's functions, which the module pins, so their
+//! allocations cannot be freed and reused while it lives.
 //!
-//! * **Point** ([`PlanCache::point`]): keyed by the body's address. Only
-//!   bodies found inside the running [`Program`] are cached, and the
-//!   entry pins the function holding the body, so the address cannot be
-//!   freed and reused while the entry lives: an address names one body. Bodies outside
-//!   the program (the copies naive helpers and `spawn` blocks run) and
-//!   empty bodies (whose address is shared) are planned uncached. The
-//!   entry also carries the knowledge-base key of the point, so a hit
-//!   skips formatting the body: every loop looks its `pipeline` hint up
-//!   under it, and an `Adaptive` interpreter records its outcome there
-//!   (`super::executor`).
+//! Lowering a `forall` nest (`super::executor`'s SSP path) depends only
+//! on the loop variable, its evaluated bounds, the body AST and the
+//! resolver's answers for the body's free names; scheduling and
+//! partitioning add the forced `@hint` level and chunk and the worker
+//! count (fixed per interpreter); the compiled code's bounds proofs
+//! depend only on the trip counts and the array *lengths*. Each `forall`
+//! keeps that work in its plan slot ([`PointEntry`]), keyed and guarded
+//! so a hit is exactly as if it had been recomputed:
+//!
+//! * **Point**: the `forall` itself. Modules that share a function share
+//!   its slots. A slot also carries the point's knowledge-base key.
 //! * **Plan key** ([`PlanKey`]): the evaluated bounds, the forced
 //!   `@hint` level and chunk, and the kernel mode.
-//! * **Guard** ([`Guard`]): every `(name, answer)` the lowering consumed,
-//!   `None` answers included, recorded on the miss by [`Recorder`]. A hit
-//!   re-resolves those names and requires bit-identical numbers (so
-//!   `-0.0` and `0.0` differ), arrays of identical length, and an
-//!   identical alias partition (which recorded arrays are one region).
-//!   Futures and unit answers are never cached.
+//! * **Guard** ([`Guard`]): every answer the lowering consumed, by the
+//!   slot its name has at the loop ([`Recorder`]; a name unbound there
+//!   is unbound on every run). A hit reads those slots and requires
+//!   bit-identical numbers (so `-0.0` and `0.0` differ), arrays of
+//!   identical length, and an identical alias partition (which recorded
+//!   arrays are one region). Futures and unit answers are never cached.
 //!
-//! Entries hold no [`SharedRegion`]: the guard keeps lengths and alias
-//! classes, and each run binds its own arrays, so a finished run's arrays
-//! are freed when the run ends. A hit writes the run's array table into
-//! the calling thread's reused table storage ([`take_table`],
-//! [`recycle_table`]), which is empty between uses. The number of points
-//! is capped at [`PLAN_CACHE_CAPACITY`]; inserting past it evicts the
-//! least recently used point. Points are found by a linear scan of their
-//! addresses: a program has a handful of `forall`s, and the scan hashes
-//! nothing.
+//! Entries hold no [`SharedRegion`]: each run binds its own arrays,
+//! through the calling thread's reused table storage ([`take_table`],
+//! [`recycle_table`]), which is empty between uses. The cache holds at
+//! most [`PLAN_CACHE_CAPACITY`] programs and as many distinct points;
+//! past either it evicts the least recently run program. A program with
+//! more points than that is resolved on every run.
 
 use std::cell::{Cell, RefCell};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use htvm_core::SharedRegion;
-use htvm_ssp::exec::NestExecPlan;
+use htvm_ssp::exec::{times_inline_run, NestExecPlan};
 use parking_lot::Mutex;
 
-use super::ast::{FnDef, Program, Stmt};
+use super::ast::Program;
 use super::compile::CompiledCode;
+use super::env::Env;
 use super::executor::KernelMode;
-use super::interp::{Env, Value};
+use super::interp::Value;
 use super::lower::KernelCode;
+use super::resolve::{resolve, Forall, Module, Slot};
 
-/// Most program points one interpreter keeps plans for.
+/// Most programs, and most `forall` program points, one interpreter
+/// keeps resolved and planned.
 pub const PLAN_CACHE_CAPACITY: usize = 64;
 
-/// Program point → cached plan, shared by every run of one interpreter.
+/// Resolved programs and their plans, shared by every run of one
+/// interpreter.
 #[derive(Default)]
 pub(crate) struct PlanCache {
-    /// The cached points.
-    points: Mutex<Vec<Arc<PointEntry>>>,
+    modules: Mutex<Vec<Arc<Module>>>,
     /// Monotonic use stamp for least-recently-used eviction.
     clock: AtomicU64,
 }
 
 /// One program point: its knowledge-base key and latest plan.
 pub(crate) struct PointEntry {
-    /// The body's address and length.
-    addr: (usize, usize),
-    /// The knowledge-base key of the point (see [`point_key`]).
+    /// The knowledge-base key of the point.
     pub(crate) point: String,
-    /// The function holding the body, keeping its address from reuse
-    /// (`None` for an uncached point).
-    _pin: Option<Arc<FnDef>>,
-    last_used: AtomicU64,
     plan: Mutex<Option<Arc<CachedPlan>>>,
 }
 
@@ -111,6 +102,8 @@ pub(crate) struct ReadyPlan {
     /// The kernel's cost per point on the calling thread, as an `f64`'s
     /// bits, from the latest run that timed any (0: not measured yet).
     ns_per_point: AtomicU64,
+    /// Runs so far, for [`times_inline_run`].
+    runs: AtomicU64,
 }
 
 impl ReadyPlan {
@@ -120,7 +113,17 @@ impl ReadyPlan {
             exec,
             code,
             ns_per_point: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
         }
+    }
+
+    /// Count a run of the plan, and say whether it times its inline
+    /// waves ([`times_inline_run`]). Concurrent runs may count as one,
+    /// which only shifts which run is timed.
+    pub(crate) fn time_this_run(&self) -> bool {
+        let run = self.runs.load(Ordering::Relaxed);
+        self.runs.store(run + 1, Ordering::Relaxed);
+        times_inline_run(run)
     }
 
     /// The measured cost per point, if any run has timed one.
@@ -150,61 +153,75 @@ pub(crate) enum CachedCode {
 }
 
 impl PlanCache {
-    /// The entry of the `forall var in … { body }` that `program` is
-    /// running, creating it on a miss. A body outside `program`, or an
-    /// empty one, gets a fresh entry that is not cached.
-    pub(crate) fn point(&self, var: &str, body: &[Stmt], program: &Program) -> Arc<PointEntry> {
-        let addr = (body.as_ptr() as usize, body.len());
+    /// The resolved module of `program`, resolving it on a miss.
+    pub(crate) fn module(&self, program: &Program) -> Arc<Module> {
         let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
-        let found = self.points.lock().iter().find(|e| e.addr == addr).cloned();
-        if let Some(e) = found {
-            e.last_used.store(stamp, Ordering::Relaxed);
-            return e;
+        let found = self
+            .modules
+            .lock()
+            .iter()
+            .find(|m| m.is_of(program))
+            .cloned();
+        if let Some(m) = found {
+            m.last_used.store(stamp, Ordering::Relaxed);
+            return m;
         }
-        let owner = if body.is_empty() {
-            None
-        } else {
-            owner_of(program, body)
-        };
-        let cached = owner.is_some();
-        let entry = Arc::new(PointEntry {
-            addr,
-            point: point_key(var, body),
-            _pin: owner.cloned(),
-            last_used: AtomicU64::new(stamp),
-            plan: Mutex::new(None),
-        });
-        if !cached {
-            return entry;
+        let mut module = resolve(program);
+        module.last_used = AtomicU64::new(stamp);
+        let mut modules = self.modules.lock();
+        if let Some(m) = modules.iter().find(|m| m.is_of(program)) {
+            // Another run resolved it meanwhile.
+            return m.clone();
         }
-        let mut points = self.points.lock();
-        let mut evicted = None;
-        if let Some(i) = points.iter().position(|e| e.addr == addr) {
-            // Another run inserted the point meanwhile: replace it.
-            evicted = Some(points.swap_remove(i));
-        } else if points.len() >= PLAN_CACHE_CAPACITY {
-            let lru = points
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(i, _)| i);
-            evicted = lru.map(|i| points.swap_remove(i));
+        for m in modules.iter() {
+            module.share_points(m);
         }
-        points.push(entry.clone());
-        drop(points);
-        // The evicted entry may hold the last reference to a function's
+        let module = Arc::new(module);
+        if module.foralls.len() > PLAN_CACHE_CAPACITY {
+            return module;
+        }
+        modules.push(module.clone());
+        let mut evicted = Vec::new();
+        while modules.len() > PLAN_CACHE_CAPACITY || distinct_points(&modules) > PLAN_CACHE_CAPACITY
+        {
+            let lru = (0..modules.len() - 1)
+                .min_by_key(|&i| modules[i].last_used.load(Ordering::Relaxed))
+                .expect("the new module fits alone");
+            evicted.push(modules.remove(lru));
+        }
+        drop(modules);
+        // An evicted module may hold the last reference to a function's
         // AST: free it outside the lock.
         drop(evicted);
-        entry
+        module
     }
 
     /// Program points currently cached.
     pub(crate) fn len(&self) -> usize {
-        self.points.lock().len()
+        distinct_points(&self.modules.lock())
     }
 }
 
+/// The distinct plan slots of `modules` (modules that share a function
+/// share its slots).
+fn distinct_points(modules: &[Arc<Module>]) -> usize {
+    let mut points: Vec<*const PointEntry> = modules
+        .iter()
+        .flat_map(|m| m.points().map(Arc::as_ptr))
+        .collect();
+    points.sort_unstable();
+    points.dedup();
+    points.len()
+}
+
 impl PointEntry {
+    pub(crate) fn new(point: String) -> Self {
+        Self {
+            point,
+            plan: Mutex::new(None),
+        }
+    }
+
     /// The cached plan for `key` if its guard holds in `env`, having
     /// written the run's distinct arrays in alias-class order — the
     /// kernel's array table — into `table` (which may hold anything on a
@@ -212,7 +229,7 @@ impl PointEntry {
     pub(crate) fn lookup(
         &self,
         key: &PlanKey,
-        env: &Env,
+        env: &Env<'_>,
         table: &mut Vec<SharedRegion>,
     ) -> Option<Arc<CachedPlan>> {
         let plan = self.plan.lock().clone()?;
@@ -247,56 +264,9 @@ impl PointEntry {
     }
 }
 
-/// The function of `program` one of whose statement lists is `body` (by
-/// address and length, not by value).
-fn owner_of<'p>(program: &'p Program, body: &[Stmt]) -> Option<&'p Arc<FnDef>> {
-    fn walk(stmts: &[Stmt], body: &[Stmt]) -> bool {
-        std::ptr::eq(stmts, body)
-            || stmts.iter().any(|s| match s {
-                Stmt::If(_, then, els) => walk(then, body) || walk(els, body),
-                Stmt::While(_, b)
-                | Stmt::For(_, _, _, b)
-                | Stmt::Forall { body: b, .. }
-                | Stmt::Spawn(b)
-                | Stmt::Atomic(b) => walk(b, body),
-                _ => false,
-            })
-    }
-    program.fns.iter().find(|f| walk(&f.body, body))
-}
-
-/// The knowledge-base key of a program point, stable across executions
-/// *and* processes: the induction variable plus a structural fingerprint
-/// of the body, so two different loops sharing a variable name cannot
-/// exchange hints or recorded outcomes.
-fn point_key(var: &str, body: &[Stmt]) -> String {
-    use std::fmt::Write;
-    let mut h = Fnv1a(0xcbf29ce484222325);
-    write!(h, "{body:?}").expect("hashing never fails");
-    format!("{var}@{:012x}", h.0 & 0xffff_ffff_ffff)
-}
-
-/// FNV-1a over the text written to it — deterministic across processes
-/// (unlike the std hasher), so knowledge persisted by one run keys
-/// correctly in the next. Hashing the body's `Debug` text as it is
-/// written avoids building the string.
-struct Fnv1a(u64);
-
-impl std::fmt::Write for Fnv1a {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.as_bytes() {
-            self.0 ^= *b as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-        Ok(())
-    }
-}
-
 /// One recorded resolver answer, as the guard compares it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum Answer {
-    /// The name was unbound.
-    Absent,
     /// A number, by bit pattern.
     Num(u64),
     /// An array: its length and its alias class (the index, in order of
@@ -304,18 +274,18 @@ enum Answer {
     Arr { len: usize, class: usize },
 }
 
-/// The resolver answers one lowering consumed (see module docs).
+/// The resolver answers one lowering consumed, by slot (see module docs).
 pub(crate) struct Guard {
-    answers: Vec<(String, Answer)>,
+    answers: Vec<(Slot, Answer)>,
 }
 
 impl Guard {
-    /// Re-resolve every recorded name in `env`, writing the distinct
-    /// arrays into `reps` in alias-class order; `Some` on a match.
-    fn check(&self, env: &Env, reps: &mut Vec<SharedRegion>) -> Option<()> {
+    /// Read every recorded slot in `env`, writing the distinct arrays
+    /// into `reps` in alias-class order; `Some` on a match.
+    fn check(&self, env: &Env<'_>, reps: &mut Vec<SharedRegion>) -> Option<()> {
         reps.clear();
-        for (name, want) in &self.answers {
-            if answer(env.get(name), reps)? != *want {
+        for (slot, want) in &self.answers {
+            if answer(env.get(*slot), reps)? != *want {
                 return None;
             }
         }
@@ -344,11 +314,10 @@ pub(crate) fn recycle_table(mut table: Vec<SharedRegion>) {
 
 /// Classify one resolver answer, appending a newly seen region to
 /// `reps`. `None` for answers that are never cached (futures, unit).
-fn answer(v: Option<Value>, reps: &mut Vec<SharedRegion>) -> Option<Answer> {
+fn answer(v: Value, reps: &mut Vec<SharedRegion>) -> Option<Answer> {
     Some(match v {
-        None => Answer::Absent,
-        Some(Value::Num(x)) => Answer::Num(x.to_bits()),
-        Some(Value::Arr(r)) => {
+        Value::Num(x) => Answer::Num(x.to_bits()),
+        Value::Arr(r) => {
             let len = r.len();
             let class = match reps.iter().position(|x| x.same_region(&r)) {
                 Some(c) => c,
@@ -359,37 +328,47 @@ fn answer(v: Option<Value>, reps: &mut Vec<SharedRegion>) -> Option<Answer> {
             };
             Answer::Arr { len, class }
         }
-        Some(Value::Fut(_) | Value::Unit) => return None,
+        Value::Fut(_) | Value::Unit => return None,
     })
 }
 
-/// A resolver over `env` that records every distinct name it answers —
+/// A name bound at a `forall`: its slot and the value read there.
+type Bound = (Slot, Value);
+
+/// A by-name resolver over the names visible at a `forall`, reading
+/// their slots in `env`, that records every distinct name it answers —
 /// the miss path's half of the guard.
 pub(crate) struct Recorder<'e> {
-    env: &'e Env,
-    seen: RefCell<Vec<(String, Option<Value>)>>,
+    forall: &'e Forall,
+    env: &'e Env<'e>,
+    seen: RefCell<Vec<(String, Option<Bound>)>>,
 }
 
 impl<'e> Recorder<'e> {
-    pub(crate) fn new(env: &'e Env) -> Self {
+    pub(crate) fn new(forall: &'e Forall, env: &'e Env<'e>) -> Self {
         Self {
+            forall,
             env,
             seen: RefCell::new(Vec::new()),
         }
     }
 
-    /// Resolve `name` in the environment once, recording the answer;
-    /// repeated reads of a name get the recorded answer, so the lowering
-    /// sees one consistent snapshot — exactly what the guard describes —
-    /// even if another thread assigns the name meanwhile.
+    /// Resolve `name` at the loop once, recording the answer; repeated
+    /// reads of a name get the recorded answer, so the lowering sees one
+    /// consistent snapshot — exactly what the guard describes — even if
+    /// another thread assigns the name meanwhile.
     pub(crate) fn resolve(&self, name: &str) -> Option<Value> {
         let mut seen = self.seen.borrow_mut();
         if let Some((_, v)) = seen.iter().find(|(n, _)| n == name) {
-            return v.clone();
+            return v.as_ref().map(|(_, v)| v.clone());
         }
-        let v = self.env.get(name);
-        seen.push((name.to_string(), v.clone()));
-        v
+        let v = self
+            .forall
+            .slot_of(name)
+            .map(|slot| (slot, self.env.get(slot)));
+        let answer = v.as_ref().map(|(_, v)| v.clone());
+        seen.push((name.to_string(), v));
+        answer
     }
 
     /// The guard of everything recorded (`None` if an answer is
@@ -397,11 +376,11 @@ impl<'e> Recorder<'e> {
     pub(crate) fn finish(self) -> (Option<Guard>, Vec<SharedRegion>) {
         let mut reps = Vec::new();
         let mut answers = Some(Vec::new());
-        for (name, v) in self.seen.into_inner() {
+        for (slot, v) in self.seen.into_inner().into_iter().filter_map(|(_, v)| v) {
             match answer(v, &mut reps) {
                 Some(a) => {
                     if let Some(g) = &mut answers {
-                        g.push((name, a));
+                        g.push((slot, a));
                     }
                 }
                 None => answers = None,

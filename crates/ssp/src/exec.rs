@@ -59,7 +59,14 @@
 //!   ones.
 //!
 //! A caller that lacks either measurement spreads — the behaviour before
-//! placement existed, and the run that produces both measurements. Both
+//! placement existed, and the run that produces both measurements.
+//!
+//! Timing an inline wave reads the clock twice, which costs about as
+//! much as a small wave's work, so a caller that reruns one plan need not
+//! time every run: [`times_inline_run`] times a plan's first
+//! [`TIMED_FIRST_RUNS`] runs and then every [`TIME_EVERY`]-th, and the
+//! other inline runs use [`Placement::InlineUntimed`]. A plan's cost then
+//! follows a drifting host within [`TIME_EVERY`] runs. Both
 //! placements give the same result: every point runs once in the same
 //! per-group order, and a failing wave ends with the error of its
 //! lowest-indexed failing group (`group g panicked: …` for a panic).
@@ -95,11 +102,26 @@ pub type InlineTile<'a> = dyn Fn(&[i64], i64, i64) -> Result<(), String> + 'a;
 pub enum Placement<'a> {
     /// Every group in index order on the calling thread: no pool job.
     Inline(&'a InlineTile<'a>),
+    /// As [`Placement::Inline`], without reading the clock: the report's
+    /// [`ExecReport::caller_ns`] and [`ExecReport::caller_points`] stay 0.
+    InlineUntimed(&'a InlineTile<'a>),
     /// One pool job per group, placed round-robin over the pool's
     /// domains, each holding a clone of the body; the caller helps. Each
     /// wave's first job records its wake into the meter. A wavefront
     /// wave runs inline instead (module docs).
     Spread(Arc<TileBody>, Arc<WakeMeter>),
+}
+
+/// How many of a plan's runs are timed before sampling starts.
+pub const TIMED_FIRST_RUNS: u64 = 4;
+
+/// After the first runs, one run in this many is timed.
+pub const TIME_EVERY: u64 = 16;
+
+/// Whether a plan's `run`-th run (from 0) times its inline waves (module
+/// docs, "Placement").
+pub fn times_inline_run(run: u64) -> bool {
+    run < TIMED_FIRST_RUNS || run.is_multiple_of(TIME_EVERY)
 }
 
 /// Whether spreading a wave of `groups` groups pays, given the wave's
@@ -148,7 +170,7 @@ pub struct ExecReport {
     pub groups: u64,
     /// Waves executed (product of the outer trip counts).
     pub waves: u64,
-    /// Waves that ran inline: every wave of a [`Placement::Inline`] or
+    /// Waves that ran inline: every wave of an inline placement or
     /// wavefront run; the others were spread.
     pub inline_waves: u64,
     /// Whether the plan has a signal wavefront (its waves then ran
@@ -168,9 +190,10 @@ pub struct ExecReport {
     /// (every group of an inline wave).
     pub caller_ran: u64,
     /// Wall time the calling thread spent running those groups, in
-    /// nanoseconds.
+    /// nanoseconds (of the timed ones: [`Placement::InlineUntimed`]
+    /// times none).
     pub caller_ns: u64,
-    /// Iteration points in those groups.
+    /// Iteration points in the groups it timed.
     pub caller_points: u64,
 }
 
@@ -406,11 +429,13 @@ pub fn run_partitioned(
     } else {
         trip_counts[level..trip_counts.len() - 1].iter().product()
     };
-    let (body, spread) = match &placement {
-        Placement::Inline(body) => (*body, None),
+    let (body, spread, timed) = match &placement {
+        Placement::Inline(body) => (*body, None, true),
+        Placement::InlineUntimed(body) => (*body, None, false),
         Placement::Spread(body, wake) => (
             &**body as &InlineTile<'_>,
             (!part.wavefront).then_some((body, wake)),
+            true,
         ),
     };
     let mut outer = vec![0i64; level];
@@ -422,7 +447,7 @@ pub fn run_partitioned(
             rem /= n;
         }
         match spread {
-            None => run_inline(&geom, body, &outer, &mut report)?,
+            None => run_inline(&geom, body, &outer, timed, &mut report)?,
             Some((body, wake)) => run_spread(pool, &geom, body, wake, &outer, &mut report)?,
         }
         report.waves += 1;
@@ -433,19 +458,23 @@ pub fn run_partitioned(
 }
 
 /// One inline wave: its groups in index order on the calling thread,
-/// stopping at the first failure — the lowest failing group.
+/// stopping at the first failure — the lowest failing group. Timed if
+/// `timed`.
 fn run_inline(
     geom: &Geometry,
     body: &InlineTile<'_>,
     outer: &[i64],
+    timed: bool,
     report: &mut ExecReport,
 ) -> Result<(), String> {
-    let start = Instant::now();
+    let start = timed.then(Instant::now);
     for g in 0..geom.groups {
         geom.run_group(body, outer, g)?;
     }
-    report.caller_ns += start.elapsed().as_nanos() as u64;
-    report.caller_points += geom.n * geom.inner;
+    if let Some(start) = start {
+        report.caller_ns += start.elapsed().as_nanos() as u64;
+        report.caller_points += geom.n * geom.inner;
+    }
     report.caller_ran += geom.groups;
     report.inline_waves += 1;
     Ok(())
@@ -510,6 +539,13 @@ mod tests {
     use super::*;
     use crate::ir::LoopNest;
     use htvm_core::Topology;
+
+    #[test]
+    fn a_plan_times_its_first_runs_then_every_kth() {
+        let timed: Vec<u64> = (0..70).filter(|&r| times_inline_run(r)).collect();
+        assert_eq!(timed, [0, 1, 2, 3, 16, 32, 48, 64]);
+        assert_eq!((TIMED_FIRST_RUNS, TIME_EVERY), (4, 16));
+    }
 
     /// A placement without its body: the scenarios below build the
     /// body, then run it under each.

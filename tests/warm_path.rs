@@ -5,7 +5,8 @@
 //! Allocations are counted per thread by a counting global allocator, on
 //! a one-worker interpreter: every SSP wave of its runs is inline, the
 //! naive path spawns no helpers, and `main` runs on the calling thread,
-//! so the count of a run is exactly what that thread allocated.
+//! so the count of a run is exactly what that thread allocated. The naive
+//! `forall` row runs on two workers and counts the calling thread only.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -87,8 +88,8 @@ fn matmul(n: usize) -> Program {
 
 /// Allocations bounded by what a run of the nest cannot avoid: its three
 /// arrays, its printed line, the output vector and a little run
-/// scaffolding.
-const WARM_ALLOC_BOUND: u64 = 15;
+/// scaffolding (the run's shared state, `main`'s frame).
+const WARM_ALLOC_BOUND: u64 = 8;
 
 #[test]
 fn a_warm_run_allocates_at_most_a_small_fixed_count() {
@@ -104,6 +105,39 @@ fn a_warm_run_allocates_at_most_a_small_fixed_count() {
         assert!(
             allocs <= WARM_ALLOC_BOUND,
             "a warm n = {n} run allocated {allocs} times (bound {WARM_ALLOC_BOUND})"
+        );
+    }
+}
+
+/// What a warm naive `forall` allocates on the calling thread of a
+/// two-worker interpreter: the loop's shared state, one capture of its
+/// environment for the helper, the helper's job, and one frame for the
+/// iterations the caller runs — no copy of the loop's AST. The count is
+/// fixed whichever thread runs which chunk.
+const NAIVE_FORALL_ALLOC_BOUND: u64 = 6;
+
+#[test]
+fn a_warm_naive_forall_copies_no_ast() {
+    let interp = Interp::new(2).with_strategy(LoopStrategy::Naive);
+    let p = parse(
+        "fn main() { let n = 64; let a = array(n);
+           forall i in 0..n { let t = i * 2; a[i] = t + n; }
+           print(sum(a)); }",
+    )
+    .unwrap();
+    let empty = parse("fn main() { let n = 64; let a = array(n); print(sum(a)); }").unwrap();
+    for _ in 0..3 {
+        interp.run(&p).unwrap();
+        interp.run(&empty).unwrap();
+    }
+    for _ in 0..20 {
+        let (out, with_loop) = allocs_of(|| interp.run(&p).unwrap());
+        assert_eq!(out.printed, vec!["8128"]);
+        let (_, without) = allocs_of(|| interp.run(&empty).unwrap());
+        assert!(
+            with_loop - without <= NAIVE_FORALL_ALLOC_BOUND,
+            "a warm naive forall allocated {} times (bound {NAIVE_FORALL_ALLOC_BOUND})",
+            with_loop - without
         );
     }
 }
